@@ -5,16 +5,16 @@ between two groups of matrix-valued observations and estimates the false
 discovery proportion of the resulting rejection set under double dependence:
 one correlation structure across rows and one across columns.
 
-Three estimators are provided: ``noodle`` (full Kronecker spectrum of the two
-correlation estimates), ``sandwich`` (truncated two-sided loadings), and
-``pfa`` (a principal-factor baseline on the vectorised data).  A simulation
+Three estimators are provided: ``noodle`` (top pairs of the Kronecker
+spectrum of the two correlation estimates), ``sandwich`` (the same model on
+the full top-``k1`` x top-``k2`` grid of pairs), and ``pfa`` (a
+principal-factor baseline on the vectorised data).  A simulation
 lab, dataset file format, and command-line interface sit on top.
 """
 
 from .covfactor import (
     CorrEstimates,
-    NoodleLoadings,
-    SandwichLoadings,
+    PairLoadings,
     build_noodle_loadings,
     build_sandwich_loadings,
     default_max_factors,
@@ -45,10 +45,10 @@ from .linalg import (
     unvec,
     vec,
 )
-from .noodle import NoodleFit, fdp_noodle, fdp_oracle_noodle, fit_noodle
+from .noodle import FactorFit, fdp_noodle, fdp_oracle_noodle, fit_noodle
 from .pfa import ThinFactor, build_thin_factor, fdp_pfa
 from .rng import derive_rng, rng_from_seed
-from .sandwich import SandwichFit, fdp_oracle_sandwich, fdp_sandwich, fit_sandwich
+from .sandwich import fdp_oracle_sandwich, fdp_sandwich, fit_sandwich
 from .simlab import (
     METHODS,
     ExperimentResult,
@@ -81,6 +81,7 @@ __all__ = [
     "DegenerateVariance",
     "EigenSystem",
     "ExperimentResult",
+    "FactorFit",
     "InvalidFactorCount",
     "InvalidMatrix",
     "KronEigenIndex",
@@ -89,13 +90,10 @@ __all__ = [
     "MethodSummary",
     "ModelSpec",
     "NonPositiveEigenvalue",
-    "NoodleFit",
-    "NoodleLoadings",
     "NotPsd",
+    "PairLoadings",
     "RoundFailure",
     "RoundRecord",
-    "SandwichFit",
-    "SandwichLoadings",
     "TestMatrix",
     "ThinFactor",
     "TrimSpec",

@@ -6,12 +6,14 @@ directory at a fixed threshold or over a sweep, and ``gen-synthetic`` writes a
 synthetic dataset directory matching round 1 of the corresponding simulation.
 
 Exit codes: 0 success, 2 invalid flags, 3 malformed dataset, 4 unwritable
-output path.  ``MATFDP_THREADS`` caps worker threads everywhere.
+output path, 5 estimation failed on the data (for example a cell with zero
+variance).  ``MATFDP_THREADS`` caps worker threads everywhere.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -24,7 +26,7 @@ from .covfactor import (
     estimate_correlations,
 )
 from .datafiles import read_dataset, write_dataset
-from .errors import DatasetFormatError
+from .errors import DatasetFormatError, MatfdpError
 from .linalg import kron_eigenpairs, vec
 from .noodle import fdp_noodle, fit_noodle
 from .rng import derive_rng
@@ -38,7 +40,6 @@ from .simlab import (
     run_experiment,
 )
 from .teststats import p_values, rejection_count, test_matrix
-from .trimreg import TrimSpec
 
 _ESTIMATOR_FLAGS = {"ls": "least_squares", "trimmed": "trimmed_l1"}
 _SWEEP_ROW_CAP = 100
@@ -118,6 +119,10 @@ def _build_spec(args: argparse.Namespace):
     return preset_spec(args.model, args.setting, **overrides)
 
 
+def _open_out(directory: str, name: str):
+    return open(os.path.join(directory, name), "w", encoding="utf-8", newline="\n")
+
+
 def _ensure_out_dir(path: str) -> None:
     os.makedirs(path, exist_ok=True)
     probe = os.path.join(path, ".write_probe")
@@ -161,8 +166,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
 
     try:
         _ensure_out_dir(args.out)
-        rounds_path = os.path.join(args.out, "rounds.csv")
-        with open(rounds_path, "w", encoding="utf-8", newline="\n") as fh:
+        with _open_out(args.out, "rounds.csv") as fh:
             fh.write("round,method,fdp_hat,fdp_true,R\n")
             for rec in result.records:
                 fh.write(
@@ -172,24 +176,10 @@ def _run_simulate(args: argparse.Namespace) -> int:
         summary = {
             "schema_version": 1,
             "config": {
+                **dataclasses.asdict(spec),
                 "command": "simulate",
-                "model": spec.model,
                 "setting": args.setting,
-                "p": spec.p,
-                "q": spec.q,
-                "n": spec.n,
-                "m": spec.m,
-                "l1": spec.l1,
-                "l2": spec.l2,
-                "loading_dist": list(spec.loading_dist)
-                if isinstance(spec.loading_dist, tuple)
-                else spec.loading_dist,
-                "rho1": spec.rho1,
-                "rho2": spec.rho2,
                 "w_dist": spec.w_dist if spec.model == 3 else None,
-                "signal_rows": spec.signal_rows,
-                "signal_cols": spec.signal_cols,
-                "signal_amplitude": spec.signal_amplitude,
                 "t": args.t,
                 "rounds": args.rounds,
                 "seed": args.seed,
@@ -210,28 +200,36 @@ def _run_simulate(args: argparse.Namespace) -> int:
                 for f in result.failures
             ],
         }
-        with open(
-            os.path.join(args.out, "summary.json"), "w", encoding="utf-8", newline="\n"
-        ) as fh:
+        with _open_out(args.out, "summary.json") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
     except OSError as exc:
         return _fail(4, f"cannot write output: {exc}")
-    print(f"wrote {rounds_path}")
+    print(f"wrote {os.path.join(args.out, 'rounds.csv')}")
     return 0
 
 
 def _analysis_fit(ds, x, method: str):
-    """Loadings and fit for analyze; factor counts are data-driven."""
+    """Correlations and the estimate as a function of ``(R, t)``; counts are data-driven."""
     ce = estimate_correlations(ds, x.sigma_hat)
-    trim = TrimSpec()
     if method == "noodle":
-        loadings = build_noodle_loadings(ce)
-        fit = fit_noodle(x, loadings, estimator="trimmed_l1", trim=trim)
-        return ce, fit, lambda rej, t: fdp_noodle(fit, rej, t)
-    loadings = build_sandwich_loadings(ce)
-    fit = fit_sandwich(x, loadings, estimator="trimmed_l1", trim=trim)
-    return ce, fit, lambda rej, t: fdp_sandwich(fit, rej, t)
+        fit = fit_noodle(x, build_noodle_loadings(ce), estimator="trimmed_l1")
+        return ce, lambda rej, t: fdp_noodle(fit, rej, t)
+    fit = fit_sandwich(x, build_sandwich_loadings(ce), estimator="trimmed_l1")
+    return ce, lambda rej, t: fdp_sandwich(fit, rej, t)
+
+
+def _sweep_thresholds(pv: np.ndarray, step: int) -> list[float]:
+    """Every ``step``-th sorted p-value, at most ``_SWEEP_ROW_CAP`` of them."""
+    sorted_p = np.sort(vec(pv))
+    thresholds: list[float] = []
+    for i in range(1, min(sorted_p.size // step, _SWEEP_ROW_CAP) + 1):
+        t = float(sorted_p[i * step - 1])
+        # Duplicate p-values would repeat a threshold; keep the sweep
+        # strictly increasing and inside (0, 1).
+        if 0.0 < t < 1.0 and (not thresholds or t > thresholds[-1]):
+            thresholds.append(t)
+    return thresholds
 
 
 def _run_analyze(args: argparse.Namespace) -> int:
@@ -249,22 +247,24 @@ def _run_analyze(args: argparse.Namespace) -> int:
         where = f" ({exc.path})" if exc.path else ""
         return _fail(3, f"malformed dataset{where}: {exc}")
 
-    x = test_matrix(ds)
-    pv = p_values(x)
-    ce, fit, estimate = _analysis_fit(ds, x, args.method)
+    try:
+        x = test_matrix(ds)
+        pv = p_values(x)
+        ce, estimate = _analysis_fit(ds, x, args.method)
+    except MatfdpError as exc:
+        return _fail(5, f"estimation failed: {exc}")
 
+    fixed = args.threshold is not None
     try:
         _ensure_out_dir(args.out)
-        if args.threshold is not None:
-            t = args.threshold
-            rej = rejection_count(pv, t)
-            fdp = min(estimate(rej, t), 1.0)
-            with open(
-                os.path.join(args.out, "report.csv"), "w", encoding="utf-8", newline="\n"
-            ) as fh:
-                fh.write("t,R,fdp_hat,estimated_false\n")
+        with _open_out(args.out, "report.csv") as fh:
+            fh.write("t,R,fdp_hat,estimated_false\n")
+            for t in [args.threshold] if fixed else _sweep_thresholds(pv, args.sweep):
+                rej = rejection_count(pv, t)
+                fdp = min(estimate(rej, t), 1.0)
                 fh.write(f"{_fmt(t)},{rej},{_fmt(fdp)},{_fmt(fdp * rej)}\n")
-            selected = (pv <= t).astype(int)
+        if fixed:
+            selected = (pv <= args.threshold).astype(int)
             np.savetxt(
                 os.path.join(args.out, "selected.csv"),
                 selected,
@@ -273,35 +273,16 @@ def _run_analyze(args: argparse.Namespace) -> int:
                 newline="\n",
             )
         else:
-            step = args.sweep
-            sorted_p = np.sort(vec(pv))
-            count = min(sorted_p.size // step, _SWEEP_ROW_CAP)
-            thresholds = []
-            for i in range(1, count + 1):
-                t = float(sorted_p[i * step - 1])
-                # Duplicate p-values would repeat a threshold; keep the sweep
-                # strictly increasing and inside (0, 1).
-                if 0.0 < t < 1.0 and (not thresholds or t > thresholds[-1]):
-                    thresholds.append(t)
-            with open(
-                os.path.join(args.out, "report.csv"), "w", encoding="utf-8", newline="\n"
-            ) as fh:
-                fh.write("t,R,fdp_hat,estimated_false\n")
-                for t in thresholds:
-                    rej = rejection_count(pv, t)
-                    fdp = min(estimate(rej, t), 1.0)
-                    fh.write(f"{_fmt(t)},{rej},{_fmt(fdp)},{_fmt(fdp * rej)}\n")
             kron = kron_eigenpairs(ce.eig1, ce.eig2)
-            with open(
-                os.path.join(args.out, "scree.csv"), "w", encoding="utf-8", newline="\n"
-            ) as fh:
+            with _open_out(args.out, "scree.csv") as fh:
                 fh.write("kind,rank,value\n")
-                for rank, val in enumerate(ce.eig1.values, start=1):
-                    fh.write(f"sigma1,{rank},{_fmt(val)}\n")
-                for rank, val in enumerate(ce.eig2.values, start=1):
-                    fh.write(f"sigma2,{rank},{_fmt(val)}\n")
-                for rank, val in enumerate(kron.values, start=1):
-                    fh.write(f"kron,{rank},{_fmt(val)}\n")
+                for kind, values in (
+                    ("sigma1", ce.eig1.values),
+                    ("sigma2", ce.eig2.values),
+                    ("kron", kron.values),
+                ):
+                    for rank, val in enumerate(values, start=1):
+                        fh.write(f"{kind},{rank},{_fmt(val)}\n")
     except OSError as exc:
         return _fail(4, f"cannot write output: {exc}")
     print(f"wrote {os.path.join(args.out, 'report.csv')}")

@@ -4,13 +4,15 @@ The dependence model treats the ``p x q`` data matrices as doubly correlated:
 one correlation matrix across rows and one across columns, with the full
 dependence of ``vec(X)`` given by their Kronecker product.  Both correlation
 matrices are estimated from standardised residuals; their eigensystems supply
-two kinds of factor loadings used by the FDP estimators:
+one kind of factor loadings used by the FDP estimators: pairs of a row
+eigenvector ``nu_b`` and a column eigenvector ``gamma_a`` with weight
+``lam_b * xi_a`` (:class:`PairLoadings`).  Two selectors choose the pairs:
 
-* full Kronecker-spectrum loadings (top eigenpairs of the product matrix), and
-* truncated two-sided loadings (top eigenpairs of each side separately).
+* noodle keeps the top-``h`` products of the Kronecker spectrum, and
+* sandwich keeps the full top-``k1`` x top-``k2`` grid.
 
-Both estimators have exactly unit diagonals by construction: the standardised
-residual sum of squares at each cell telescopes to ``n + m - 2``.
+Both correlation estimates have exactly unit diagonals by construction: the
+standardised residual sum of squares at each cell telescopes to ``n + m - 2``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVariance, InvalidFactorCount, NonPositiveEigenvalue
-from .linalg import EigenSystem, KronEigenIndex, kron_eigenpairs, sym_eigen, vec
+from .linalg import EigenSystem, KronEigenIndex, kron_eigenpairs, sym_eigen
 from .teststats import TwoSampleDataset
 
 #: Squared loading row norms are clamped below 1 by this margin so the
@@ -148,19 +150,36 @@ def eigenvalue_ratio(values, max_factors: int) -> int:
     return int(np.argmax(prefix[:-1] / prefix[1:])) + 1
 
 
+def _extent(idx: np.ndarray) -> int:
+    return int(idx.max()) + 1 if idx.size else 0
+
+
+def _pair_sum(v: np.ndarray, g: np.ndarray, idx1, idx2, coef) -> np.ndarray:
+    """``v[:, :k1] @ C @ g[:, :k2].T``, ``C`` holding ``coef[k]`` at ``(idx1[k], idx2[k])``.
+
+    ``k1``/``k2`` are the index extents and ``C`` is zero off the pairs.  Cost
+    ``O(p k2 (k1 + q))``, never the ``(p q) x h`` design; no pairs give zeros.
+    """
+    k1, k2 = _extent(idx1), _extent(idx2)
+    c = np.zeros((k1, k2))
+    c[idx1, idx2] = coef
+    return v[:, :k1] @ c @ g[:, :k2].T
+
+
 @dataclass(frozen=True)
-class NoodleLoadings:
-    """Top eigenpairs of the Kronecker product of both correlation estimates.
+class PairLoadings:
+    """Separable factor loadings: pairs of row and column eigenvectors.
 
-    Factor ``k`` has weight ``values[k]`` (the eigenvalue product) and a
-    separable eigenvector: the Kronecker product of column ``idx2[k]`` of the
-    second eigensystem with column ``idx1[k]`` of the first.  Loading rows are
+    Factor ``k`` pairs column ``b = idx1[k]`` of the row eigensystem with
+    column ``a = idx2[k]`` of the column eigensystem; its weight
+    ``values[k]`` is the eigenvalue product ``lam_b * xi_a`` and its loading
+    column is ``sqrt(values[k]) * kron(gamma_a, nu_b)``.  Loading rows are
     never materialised as a dense ``(p*q, h)`` matrix; everything downstream
-    uses the separable form.
+    uses the separable form through :meth:`expand`.
 
-    ``row_norms_sq[l]`` is the squared loading row norm
-    ``sum_k values[k] * rho_{l,k}^2`` at vec-index ``l``, clamped to
-    ``[0, NORM_SQ_CEIL]``.
+    ``row_norms_sq[r, c]`` is the squared loading row norm
+    ``sum_k values[k] * nu_{r,b}^2 * gamma_{c,a}^2`` at cell ``(r, c)``,
+    clamped to ``[0, NORM_SQ_CEIL]``; shape ``(p, q)``.
     """
 
     eig1: EigenSystem
@@ -172,7 +191,18 @@ class NoodleLoadings:
 
     @property
     def h(self) -> int:
+        """Number of pairs."""
         return int(self.values.shape[0])
+
+    @property
+    def k1(self) -> int:
+        """Row eigenvectors in use: ``max(idx1) + 1``, or 0 with no pairs."""
+        return _extent(self.idx1)
+
+    @property
+    def k2(self) -> int:
+        """Column eigenvectors in use: ``max(idx2) + 1``, or 0 with no pairs."""
+        return _extent(self.idx2)
 
     @property
     def p(self) -> int:
@@ -183,39 +213,48 @@ class NoodleLoadings:
         return self.eig2.dim
 
     def vector_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-factor eigenvector columns ``(p, h)`` and ``(q, h)``."""
+        """Per-pair eigenvector columns ``(p, h)`` and ``(q, h)``."""
         return self.eig1.vectors[:, self.idx1], self.eig2.vectors[:, self.idx2]
 
+    def expand(self, coef) -> np.ndarray:
+        """Cell matrix ``sum_k coef[k] * nu_b gamma_a'``, shape ``(p, q)``."""
+        return _pair_sum(self.eig1.vectors, self.eig2.vectors, self.idx1, self.idx2, coef)
 
-def _noodle_from_eigen(
+
+def _pair_loadings(e1: EigenSystem, e2: EigenSystem, idx1, idx2, values) -> PairLoadings:
+    norms = _pair_sum(e1.vectors**2, e2.vectors**2, idx1, idx2, values)
+    return PairLoadings(e1, e2, values, idx1, idx2, np.clip(norms, 0.0, NORM_SQ_CEIL))
+
+
+def _top_pairs(
     e1: EigenSystem, e2: EigenSystem, kron: KronEigenIndex, h: int
-) -> NoodleLoadings:
+) -> PairLoadings:
     p, q = e1.dim, e2.dim
     if h < 0 or h > p * q:
         raise InvalidFactorCount(f"factor count must be in [0, {p * q}], got {h}")
-    values = kron.values[:h].copy()
-    idx1 = kron.idx1[:h].copy()
-    idx2 = kron.idx2[:h].copy()
-    if h == 0:
-        norms = np.zeros(p * q)
-    else:
-        v_sq = e1.vectors[:, idx1] ** 2
-        g_sq = e2.vectors[:, idx2] ** 2
-        norms = vec((v_sq * values) @ g_sq.T)
-    return NoodleLoadings(
-        eig1=e1,
-        eig2=e2,
-        values=values,
-        idx1=idx1,
-        idx2=idx2,
-        row_norms_sq=np.clip(norms, 0.0, NORM_SQ_CEIL),
+    return _pair_loadings(
+        e1, e2, kron.idx1[:h].copy(), kron.idx2[:h].copy(), kron.values[:h].copy()
     )
+
+
+def _grid_pairs(e1: EigenSystem, e2: EigenSystem, k1: int, k2: int) -> PairLoadings:
+    p, q = e1.dim, e2.dim
+    if k1 < 0 or k1 > p:
+        raise InvalidFactorCount(f"row factor count must be in [0, {p}], got {k1}")
+    if k2 < 0 or k2 > q:
+        raise InvalidFactorCount(f"column factor count must be in [0, {q}], got {k2}")
+    # b runs fastest, so factors.reshape((k1, k2), order="F") is the factor matrix.
+    idx1 = np.tile(np.arange(k1), k2)
+    idx2 = np.repeat(np.arange(k2), k1)
+    lam = np.clip(e1.values[:k1], 0.0, None)
+    xi = np.clip(e2.values[:k2], 0.0, None)
+    return _pair_loadings(e1, e2, idx1, idx2, lam[idx1] * xi[idx2])
 
 
 def build_noodle_loadings(
     ce: CorrEstimates, h: int | None = None, max_factors: int | None = None
-) -> NoodleLoadings:
-    """Top-``h`` Kronecker-spectrum loadings from fitted correlations.
+) -> PairLoadings:
+    """Top-``h`` Kronecker-spectrum pairs from fitted correlations.
 
     With ``h=None`` the count is selected by :func:`eigenvalue_ratio` over the
     sorted eigenvalue products, capped at ``max_factors`` (default
@@ -225,74 +264,18 @@ def build_noodle_loadings(
     if h is None:
         cap = default_max_factors(ce.n_total) if max_factors is None else max_factors
         h = eigenvalue_ratio(kron.values, cap)
-    return _noodle_from_eigen(ce.eig1, ce.eig2, kron, h)
+    return _top_pairs(ce.eig1, ce.eig2, kron, h)
 
 
-def noodle_loadings_from_corr(sigma1, sigma2, h: int) -> NoodleLoadings:
-    """Loadings built directly from known correlation matrices.
+def noodle_loadings_from_corr(sigma1, sigma2, h: int) -> PairLoadings:
+    """Top-``h`` pairs built directly from known correlation matrices.
 
     Used by the oracle estimators and by tests; factor count is explicit
     because there is no sample size to drive a data-based cap.
     """
     e1 = sym_eigen(sigma1)
     e2 = sym_eigen(sigma2)
-    return _noodle_from_eigen(e1, e2, kron_eigenpairs(e1, e2), h)
-
-
-@dataclass(frozen=True)
-class SandwichLoadings:
-    """Truncated two-sided loadings: top eigenpairs of each side separately.
-
-    ``left`` holds columns ``sqrt(lam_b) * nu_b`` for ``b < k1`` (shape
-    ``(p, k1)``) and ``right`` holds columns ``sqrt(xi_a) * gamma_a`` for
-    ``a < k2`` (shape ``(q, k2)``).  The squared loading row norm at cell
-    ``(r, c)`` factorises as ``left_norm_part[r] * right_norm_part[c]``.
-    """
-
-    eig1: EigenSystem
-    eig2: EigenSystem
-    k1: int
-    k2: int
-    left: np.ndarray
-    right: np.ndarray
-    left_norm_part: np.ndarray
-    right_norm_part: np.ndarray
-
-    @property
-    def p(self) -> int:
-        return self.eig1.dim
-
-    @property
-    def q(self) -> int:
-        return self.eig2.dim
-
-    def row_norms_sq(self) -> np.ndarray:
-        """Clamped squared row norms as a ``(p, q)`` cell matrix."""
-        return np.clip(
-            np.outer(self.left_norm_part, self.right_norm_part), 0.0, NORM_SQ_CEIL
-        )
-
-
-def _sandwich_from_eigen(e1: EigenSystem, e2: EigenSystem, k1: int, k2: int) -> SandwichLoadings:
-    p, q = e1.dim, e2.dim
-    if k1 < 0 or k1 > p:
-        raise InvalidFactorCount(f"row factor count must be in [0, {p}], got {k1}")
-    if k2 < 0 or k2 > q:
-        raise InvalidFactorCount(f"column factor count must be in [0, {q}], got {k2}")
-    lam = np.clip(e1.values[:k1], 0.0, None)
-    xi = np.clip(e2.values[:k2], 0.0, None)
-    left = e1.vectors[:, :k1] * np.sqrt(lam)
-    right = e2.vectors[:, :k2] * np.sqrt(xi)
-    return SandwichLoadings(
-        eig1=e1,
-        eig2=e2,
-        k1=k1,
-        k2=k2,
-        left=left,
-        right=right,
-        left_norm_part=(left**2).sum(axis=1),
-        right_norm_part=(right**2).sum(axis=1),
-    )
+    return _top_pairs(e1, e2, kron_eigenpairs(e1, e2), h)
 
 
 def build_sandwich_loadings(
@@ -300,20 +283,21 @@ def build_sandwich_loadings(
     k1: int | None = None,
     k2: int | None = None,
     max_factors: int | None = None,
-) -> SandwichLoadings:
-    """Two-sided loadings from fitted correlations.
+) -> PairLoadings:
+    """Full top-``k1`` x top-``k2`` grid of pairs from fitted correlations.
 
     Factor counts default to :func:`eigenvalue_ratio` applied to each side's
-    eigenvalues with the same cap as :func:`build_noodle_loadings`.
+    eigenvalues with the same cap as :func:`build_noodle_loadings`.  Negative
+    eigenvalues are clamped to zero in the pair weights.
     """
     cap = default_max_factors(ce.n_total) if max_factors is None else max_factors
     if k1 is None:
         k1 = eigenvalue_ratio(ce.eig1.values, cap)
     if k2 is None:
         k2 = eigenvalue_ratio(ce.eig2.values, cap)
-    return _sandwich_from_eigen(ce.eig1, ce.eig2, k1, k2)
+    return _grid_pairs(ce.eig1, ce.eig2, k1, k2)
 
 
-def sandwich_loadings_from_corr(sigma1, sigma2, k1: int, k2: int) -> SandwichLoadings:
-    """Two-sided loadings built directly from known correlation matrices."""
-    return _sandwich_from_eigen(sym_eigen(sigma1), sym_eigen(sigma2), k1, k2)
+def sandwich_loadings_from_corr(sigma1, sigma2, k1: int, k2: int) -> PairLoadings:
+    """Grid pairs built directly from known correlation matrices."""
+    return _grid_pairs(sym_eigen(sigma1), sym_eigen(sigma2), k1, k2)

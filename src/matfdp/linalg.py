@@ -206,15 +206,7 @@ def sample_matrix_normal(
     rng : numpy.random.Generator
         Source of randomness; the draw is deterministic given its state.
     """
-    mean = as_matrix(mu, "mu")
-    u_half = symmetric_sqrt(u)
-    v_half = symmetric_sqrt(v)
-    if u_half.shape[0] != mean.shape[0] or v_half.shape[0] != mean.shape[1]:
-        raise InvalidMatrix(
-            f"shape mismatch: mu {mean.shape}, u {u_half.shape}, v {v_half.shape}"
-        )
-    g = rng.standard_normal(mean.shape)
-    return mean + u_half @ g @ v_half
+    return sample_matrix_normal_stack(mu, u, v, 1, rng)[0]
 
 
 def sample_matrix_normal_stack(

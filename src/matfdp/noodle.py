@@ -1,10 +1,13 @@
-"""FDP estimation from the full Kronecker spectrum ("noodle" estimator).
+"""Factor fit and plug-in FDP estimate on pair loadings ("noodle" estimator).
 
-The statistic vector is modelled as ``vec(X) = F w + noise`` where the columns
-of ``F`` are the top eigenvectors of the Kronecker product of both correlation
-estimates, scaled by the square roots of their eigenvalues.  Because those
+The statistic vector is modelled as ``vec(X) = F w + noise`` where column
+``k`` of ``F`` is the separable eigenvector ``kron(gamma_a, nu_b)`` of one
+selected pair (see :class:`~matfdp.covfactor.PairLoadings`), scaled by the
+square root of its weight ``theta_k = lam_b * xi_a``.  Noodle selects the
+top-``h`` products of the Kronecker spectrum; sandwich runs the same fit and
+estimate on the full top-``k1`` x top-``k2`` grid.  Because those
 eigenvectors are orthonormal, the least-squares realised factors have the
-closed form ``w_k = rho_k' vec(X) / sqrt(theta_k)`` and the fitted common
+closed form ``w_k = nu_b' X gamma_a / sqrt(theta_k)`` and the fitted common
 component is the orthogonal projection of ``vec(X)`` onto the factor span.
 
 The FDP estimate at threshold ``t`` sums, over all cells, the conditional
@@ -24,63 +27,36 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .covfactor import NoodleLoadings, noodle_loadings_from_corr
-from .linalg import unvec, vec
+from .covfactor import PairLoadings, noodle_loadings_from_corr
+from .linalg import vec
 from .teststats import TestMatrix
-from .trimreg import TrimmedFit, TrimSpec, trimmed_l1_fit
+from .trimreg import TrimSpec, trimmed_l1_fit
 
 _ESTIMATORS = ("least_squares", "trimmed_l1")
 
 
 @dataclass(frozen=True)
-class NoodleFit:
+class FactorFit:
     """Realised factors and fitted common component for one statistic matrix.
 
     ``common_part`` holds the fitted factor contribution per cell, shape
-    ``(p, q)``; ``factors`` the realised factor estimates, shape ``(h,)``.
+    ``(p, q)``; ``factors`` the realised factor estimates per pair, shape
+    ``(h,)``.  For grid loadings ``factors.reshape((k1, k2), order="F")`` is
+    the realised factor matrix.
     """
 
-    loadings: NoodleLoadings
+    loadings: PairLoadings
     factors: np.ndarray
     common_part: np.ndarray
     trim_fallback: bool = False
 
 
-def _loading_row_accessor(
-    loadings: NoodleLoadings, v1: np.ndarray, g1: np.ndarray
-) -> callable:
-    sqrt_theta = np.sqrt(np.clip(loadings.values, 0.0, None))
-    p = loadings.p
-
-    def rows(indices: np.ndarray) -> np.ndarray:
-        r = indices % p
-        c = indices // p
-        return sqrt_theta * v1[r, :] * g1[c, :]
-
-    return rows
+def _sqrt_weights(loadings: PairLoadings) -> np.ndarray:
+    return np.sqrt(np.clip(loadings.values, 0.0, None))
 
 
-def fit_noodle(
-    x: TestMatrix,
-    loadings: NoodleLoadings,
-    estimator: str = "least_squares",
-    trim: TrimSpec | None = None,
-) -> NoodleFit:
-    """Estimate realised factors and the common component.
-
-    Parameters
-    ----------
-    x : TestMatrix
-        Statistic matrix, shape matching the loadings.
-    loadings : NoodleLoadings
-        Top Kronecker eigenpairs.
-    estimator : str
-        ``"least_squares"`` for the closed-form projection, ``"trimmed_l1"``
-        to refit the factors robustly on the low-magnitude cells.
-    trim : TrimSpec, optional
-        Trimming configuration for the robust path; defaults to
-        ``TrimSpec()``.
-    """
+def _needs_trimmed_fit(x: TestMatrix, loadings: PairLoadings, estimator: str) -> bool:
+    """Validate fit arguments; ``False`` when the closed-form path applies."""
     if estimator not in _ESTIMATORS:
         raise ValueError(f"estimator must be one of {_ESTIMATORS}, got {estimator!r}")
     if (x.p, x.q) != (loadings.p, loadings.q):
@@ -88,35 +64,75 @@ def fit_noodle(
             f"statistic shape {(x.p, x.q)} does not match loadings "
             f"{(loadings.p, loadings.q)}"
         )
-    h = loadings.h
-    if h == 0:
-        return NoodleFit(
-            loadings=loadings,
-            factors=np.empty(0),
-            common_part=np.zeros((x.p, x.q)),
-        )
-    v1, g1 = loadings.vector_factors()
-    sqrt_theta = np.sqrt(np.clip(loadings.values, 0.0, None))
-    if estimator == "least_squares":
-        proj = np.einsum("ik,ij,jk->k", v1, x.x, g1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            factors = np.where(sqrt_theta > 0.0, proj / sqrt_theta, 0.0)
-        common = (v1 * proj) @ g1.T
-        return NoodleFit(loadings=loadings, factors=factors, common_part=common)
+    return estimator == "trimmed_l1" and loadings.h > 0
 
+
+def _least_squares_fit(x: TestMatrix, loadings: PairLoadings) -> FactorFit:
+    """Orthogonal projection onto the pair span; zero pairs give a zero fit."""
+    v = loadings.eig1.vectors[:, : loadings.k1]
+    g = loadings.eig2.vectors[:, : loadings.k2]
+    proj = (v.T @ x.x @ g)[loadings.idx1, loadings.idx2]
+    sqrt_theta = _sqrt_weights(loadings)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factors = np.where(sqrt_theta > 0.0, proj / sqrt_theta, 0.0)
+    return FactorFit(loadings=loadings, factors=factors, common_part=loadings.expand(proj))
+
+
+def _loading_row_accessor(loadings: PairLoadings, row_scale, col_scale) -> callable:
+    """Trimmed-fit design rows: ``(row_scale * nu_b)[r] * (col_scale * gamma_a)[c]``.
+
+    One column per pair.  The two per-pair scales multiply to ``sqrt(theta)``;
+    how the weight is split between them only changes rounding.
+    """
+    v1, g1 = loadings.vector_factors()
+    v1 = v1 * row_scale
+    g1 = g1 * col_scale
+    p = loadings.p
+
+    def rows(indices: np.ndarray) -> np.ndarray:
+        return v1[indices % p] * g1[indices // p]
+
+    return rows
+
+
+def _from_factors(loadings: PairLoadings, factors: np.ndarray, fallback: bool) -> FactorFit:
+    """Assemble the common component from realised factors."""
+    common = loadings.expand(_sqrt_weights(loadings) * factors)
+    return FactorFit(
+        loadings=loadings, factors=factors, common_part=common, trim_fallback=fallback
+    )
+
+
+def fit_noodle(
+    x: TestMatrix,
+    loadings: PairLoadings,
+    estimator: str = "least_squares",
+    trim: TrimSpec | None = None,
+) -> FactorFit:
+    """Estimate realised factors and the common component.
+
+    Parameters
+    ----------
+    x : TestMatrix
+        Statistic matrix, shape matching the loadings.
+    loadings : PairLoadings
+        Selected eigenvector pairs.
+    estimator : str
+        ``"least_squares"`` for the closed-form projection, ``"trimmed_l1"``
+        to refit the factors robustly on the low-magnitude cells.
+    trim : TrimSpec, optional
+        Trimming configuration for the robust path; defaults to
+        ``TrimSpec()``.
+    """
+    if not _needs_trimmed_fit(x, loadings, estimator):
+        return _least_squares_fit(x, loadings)
     fit = trimmed_l1_fit(
         vec(x.x),
-        _loading_row_accessor(loadings, v1, g1),
-        h,
+        _loading_row_accessor(loadings, _sqrt_weights(loadings), 1.0),
+        loadings.h,
         trim if trim is not None else TrimSpec(),
     )
-    common = (v1 * (sqrt_theta * fit.w)) @ g1.T
-    return NoodleFit(
-        loadings=loadings,
-        factors=fit.w,
-        common_part=common,
-        trim_fallback=fit.used_fallback,
-    )
+    return _from_factors(loadings, fit.w, fit.used_fallback)
 
 
 def _plugin_sum(
@@ -129,27 +145,52 @@ def _plugin_sum(
 
 
 def _finish(total: float, rejections: int, cells: int) -> float:
-    if rejections <= 0:
-        return 0.0
     return float(min(max(total / rejections, 0.0), cells / rejections))
 
 
-def fdp_noodle(fit: NoodleFit, rejections: int, threshold: float) -> float:
+def _plugin_estimate(
+    loadings: PairLoadings, common: np.ndarray, rejections: int, threshold: float, mask=None
+) -> float:
+    """Plug-in sum over the cells in ``mask`` (every cell when ``None``) per rejection.
+
+    0 when nothing is rejected, the exact independence value with no pairs,
+    and clamped to ``[0, cells / rejections]``.
+    """
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    cells = loadings.row_norms_sq.size
+    if rejections <= 0:
+        return 0.0
+    if loadings.h == 0:
+        nulls = cells if mask is None else np.count_nonzero(mask)
+        return _finish(nulls * threshold, rejections, cells)
+    terms = _plugin_sum(loadings.row_norms_sq, common, threshold)
+    return _finish(float((terms if mask is None else terms[mask]).sum()), rejections, cells)
+
+
+def fdp_noodle(fit: FactorFit, rejections: int, threshold: float) -> float:
     """Plug-in FDP estimate at ``threshold`` given ``rejections`` discoveries.
 
     Returns 0 when nothing is rejected.  With zero factors the estimate is
     exactly ``p * q * threshold / rejections``.  The result is clamped to
     ``[0, p * q / rejections]``.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    cells = fit.loadings.row_norms_sq.size
-    if rejections <= 0:
-        return 0.0
-    if fit.loadings.h == 0:
-        return _finish(cells * threshold, rejections, cells)
-    terms = _plugin_sum(fit.loadings.row_norms_sq, vec(fit.common_part), threshold)
-    return _finish(float(terms.sum()), rejections, cells)
+    return _plugin_estimate(fit.loadings, fit.common_part, rejections, threshold)
+
+
+def _oracle(
+    loadings: PairLoadings, factors, null_mask, rejections: int, threshold: float
+) -> float:
+    """Plug-in sum over the true null cells with known realised factors per pair."""
+    mask = np.asarray(null_mask, dtype=bool)
+    p, q = loadings.p, loadings.q
+    if mask.shape != (p, q):
+        raise ValueError(f"mask shape {mask.shape} does not match ({p}, {q})")
+    w = np.asarray(factors, dtype=np.float64).ravel()
+    if w.size != loadings.h:
+        raise ValueError(f"expected {loadings.h} realised factors, got {w.size}")
+    common = loadings.expand(_sqrt_weights(loadings) * w)
+    return _plugin_estimate(loadings, common, rejections, threshold, mask)
 
 
 def fdp_oracle_noodle(
@@ -167,25 +208,5 @@ def fdp_oracle_noodle(
     which is the quantity the plug-in estimate approximates from above by
     summing over every cell.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     loadings = noodle_loadings_from_corr(sigma1, sigma2, n_factors)
-    mask = np.asarray(null_mask, dtype=bool)
-    p, q = loadings.p, loadings.q
-    if mask.shape != (p, q):
-        raise ValueError(f"mask shape {mask.shape} does not match ({p}, {q})")
-    if rejections <= 0:
-        return 0.0
-    cells = p * q
-    if n_factors == 0:
-        return _finish(float(np.count_nonzero(mask)) * threshold, rejections, cells)
-    w = np.asarray(factors, dtype=np.float64).ravel()
-    if w.size != n_factors:
-        raise ValueError(f"expected {n_factors} realised factors, got {w.size}")
-    v1, g1 = loadings.vector_factors()
-    sqrt_theta = np.sqrt(np.clip(loadings.values, 0.0, None))
-    common = (v1 * (sqrt_theta * w)) @ g1.T
-    terms = _plugin_sum(
-        unvec(loadings.row_norms_sq, p, q), common, threshold
-    )
-    return _finish(float(terms[mask].sum()), rejections, cells)
+    return _oracle(loadings, factors, null_mask, rejections, threshold)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covfactor import NORM_SQ_CEIL, default_max_factors, eigenvalue_ratio
-from .linalg import SIGN_EPS, vec
+from .linalg import _fix_signs, vec
 from .noodle import _finish, _plugin_sum
 from .teststats import TestMatrix, TwoSampleDataset, p_values, rejection_count
 
@@ -59,11 +59,7 @@ class ThinFactor:
         if not 0 <= count <= self.rank:
             raise ValueError(f"count must be in [0, {self.rank}], got {count}")
         vecs = self.columns @ (self.gram_vectors[:, :count] / np.sqrt(self.values[:count]))
-        for k in range(vecs.shape[1]):
-            col = vecs[:, k]
-            nz = np.flatnonzero(np.abs(col) > SIGN_EPS)
-            if nz.size and col[nz[0]] < 0.0:
-                vecs[:, k] = -col
+        _fix_signs(vecs)
         return vecs
 
 

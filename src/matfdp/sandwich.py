@@ -1,142 +1,68 @@
-"""FDP estimation from truncated two-sided loadings ("sandwich" estimator).
+"""The noodle model restricted to the top-``k1`` x top-``k2`` grid ("sandwich").
 
-Instead of eigendecomposing the Kronecker product, this estimator keeps the
-top ``k1`` eigenpairs of the row correlation and the top ``k2`` eigenpairs of
-the column correlation and models the statistic matrix as ``left-loadings @
-realised-factors @ right-loadings'`` plus noise.  The least-squares fitted
-common component is then a two-sided projection
+Sandwich keeps the top ``k1`` eigenpairs of the row correlation and the top
+``k2`` eigenpairs of the column correlation and uses every pair of the grid
+(:func:`~matfdp.covfactor.build_sandwich_loadings`).  The fit, the plug-in
+estimate and the oracle are those of :mod:`matfdp.noodle`.  On the grid the
+least-squares common component is the two-sided projection
 
     eta = (sum_b nu_b nu_b') X (sum_a gamma_a gamma_a'),
 
 computed as three small matrix products (cost ``O(p q (k1 + k2))``), never via
-the ``(p q) x (k1 k2)`` Kronecker design.  Squared loading row norms factorise
-per cell into a row part times a column part.
-
-The plug-in FDP formula is the same as for the full-spectrum estimator, with
-``eta`` in place of the projected common component and the factorised row
-norms inside the variance-inflation factor.
+the ``(p q) x (k1 k2)`` Kronecker design, and the realised factor matrix is
+``fit.factors.reshape((k1, k2), order="F")``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .covfactor import SandwichLoadings, sandwich_loadings_from_corr
+from .covfactor import PairLoadings, sandwich_loadings_from_corr
 from .linalg import vec
-from .noodle import _finish, _plugin_sum
+from .noodle import (
+    FactorFit,
+    _from_factors,
+    _least_squares_fit,
+    _loading_row_accessor,
+    _needs_trimmed_fit,
+    _oracle,
+    fdp_noodle,
+)
 from .teststats import TestMatrix
 from .trimreg import TrimSpec, trimmed_l1_fit
-
-_ESTIMATORS = ("least_squares", "trimmed_l1")
-
-
-@dataclass(frozen=True)
-class SandwichFit:
-    """Two-sided fit of one statistic matrix.
-
-    ``common_part`` is the fitted common component, shape ``(p, q)``;
-    ``factors`` the realised factor matrix, shape ``(k1, k2)``.
-    """
-
-    loadings: SandwichLoadings
-    factors: np.ndarray
-    common_part: np.ndarray
-    trim_fallback: bool = False
-
-
-def _loading_row_accessor(loadings: SandwichLoadings) -> callable:
-    left = loadings.left
-    right = loadings.right
-    p = loadings.p
-    k1 = loadings.k1
-
-    def rows(indices: np.ndarray) -> np.ndarray:
-        r = indices % p
-        c = indices // p
-        # Row l of the implicit Kronecker design: entry (a, b) is
-        # right[c, a] * left[r, b], flattened with b fastest to match
-        # column-major vec of the (k1, k2) factor matrix.
-        out = right[c, :, None] * left[r, None, :]
-        return out.reshape(indices.size, k1 * loadings.k2)
-
-    return rows
 
 
 def fit_sandwich(
     x: TestMatrix,
-    loadings: SandwichLoadings,
+    loadings: PairLoadings,
     estimator: str = "least_squares",
     trim: TrimSpec | None = None,
-) -> SandwichFit:
-    """Estimate the realised factor matrix and the common component.
+) -> FactorFit:
+    """Estimate the realised factors and the common component on the grid.
 
-    The least-squares path computes the projection directly from the
-    eigenvector blocks; the trimmed path refits the ``k1 * k2`` factor
-    coefficients on the low-magnitude cells.
+    Same contract as :func:`~matfdp.noodle.fit_noodle`: the least-squares
+    path computes the projection directly from the eigenvector blocks; the
+    trimmed path refits the ``k1 * k2`` factor coefficients on the
+    low-magnitude cells.
     """
-    if estimator not in _ESTIMATORS:
-        raise ValueError(f"estimator must be one of {_ESTIMATORS}, got {estimator!r}")
-    if (x.p, x.q) != (loadings.p, loadings.q):
-        raise ValueError(
-            f"statistic shape {(x.p, x.q)} does not match loadings "
-            f"{(loadings.p, loadings.q)}"
-        )
-    k1, k2 = loadings.k1, loadings.k2
-    if k1 == 0 or k2 == 0:
-        return SandwichFit(
-            loadings=loadings,
-            factors=np.zeros((k1, k2)),
-            common_part=np.zeros((x.p, x.q)),
-        )
-    v1 = loadings.eig1.vectors[:, :k1]
-    g2 = loadings.eig2.vectors[:, :k2]
-    if estimator == "least_squares":
-        core = v1.T @ x.x @ g2
-        sqrt_lam = np.sqrt(np.clip(loadings.eig1.values[:k1], 0.0, None))
-        sqrt_xi = np.sqrt(np.clip(loadings.eig2.values[:k2], 0.0, None))
-        denom = np.outer(sqrt_lam, sqrt_xi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            factors = np.where(denom > 0.0, core / denom, 0.0)
-        common = v1 @ core @ g2.T
-        return SandwichFit(loadings=loadings, factors=factors, common_part=common)
-
+    if not _needs_trimmed_fit(x, loadings, estimator):
+        return _least_squares_fit(x, loadings)
+    # The grid weight factorises as sqrt(lam_b) * sqrt(xi_a): scaling each side
+    # keeps the design rows those of the two-sided loadings bit for bit, which
+    # matters when the solver stops at its iteration cap.
+    sqrt_lam = np.sqrt(np.clip(loadings.eig1.values, 0.0, None))
+    sqrt_xi = np.sqrt(np.clip(loadings.eig2.values, 0.0, None))
     fit = trimmed_l1_fit(
         vec(x.x),
-        _loading_row_accessor(loadings),
-        k1 * k2,
+        _loading_row_accessor(loadings, sqrt_lam[loadings.idx1], sqrt_xi[loadings.idx2]),
+        loadings.h,
         trim if trim is not None else TrimSpec(),
     )
-    factors = fit.w.reshape((k1, k2), order="F")
-    common = loadings.left @ factors @ loadings.right.T
-    return SandwichFit(
-        loadings=loadings,
-        factors=factors,
-        common_part=common,
-        trim_fallback=fit.used_fallback,
-    )
+    return _from_factors(loadings, fit.w, fit.used_fallback)
 
 
-def fdp_sandwich(fit: SandwichFit, rejections: int, threshold: float) -> float:
-    """Plug-in FDP estimate at ``threshold`` given ``rejections`` discoveries.
-
-    Mirrors the full-spectrum estimate: 0 when nothing rejects, exactly
-    ``p * q * threshold / rejections`` when either factor count is zero, and
-    clamped to ``[0, p * q / rejections]``.
-    """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    loadings = fit.loadings
-    cells = loadings.p * loadings.q
-    if rejections <= 0:
-        return 0.0
-    if loadings.k1 == 0 or loadings.k2 == 0:
-        return _finish(cells * threshold, rejections, cells)
-    terms = _plugin_sum(
-        loadings.row_norms_sq(), fit.common_part, threshold
-    )
-    return _finish(float(terms.sum()), rejections, cells)
+#: Plug-in FDP estimate; identical to the noodle one on grid loadings.
+fdp_sandwich = fdp_noodle
 
 
 def fdp_oracle_sandwich(
@@ -149,22 +75,12 @@ def fdp_oracle_sandwich(
     rejections: int,
     threshold: float,
 ) -> float:
-    """Oracle variant with known correlations, factor matrix, and null set."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    """Oracle variant with known correlations, factor matrix, and null set.
+
+    ``factors`` is the ``(k1, k2)`` realised factor matrix.
+    """
     loadings = sandwich_loadings_from_corr(sigma1, sigma2, k1, k2)
-    mask = np.asarray(null_mask, dtype=bool)
-    p, q = loadings.p, loadings.q
-    if mask.shape != (p, q):
-        raise ValueError(f"mask shape {mask.shape} does not match ({p}, {q})")
-    if rejections <= 0:
-        return 0.0
-    cells = p * q
-    if k1 == 0 or k2 == 0:
-        return _finish(float(np.count_nonzero(mask)) * threshold, rejections, cells)
     w = np.asarray(factors, dtype=np.float64)
     if w.shape != (k1, k2):
         raise ValueError(f"factor matrix shape {w.shape} does not match ({k1}, {k2})")
-    common = loadings.left @ w @ loadings.right.T
-    terms = _plugin_sum(loadings.row_norms_sq(), common, threshold)
-    return _finish(float(terms[mask].sum()), rejections, cells)
+    return _oracle(loadings, w.ravel(order="F"), null_mask, rejections, threshold)

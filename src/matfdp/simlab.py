@@ -44,8 +44,6 @@ from .trimreg import TrimSpec
 
 METHODS = ("noodle", "sandwich", "pfa")
 
-LoadingDist = "str | tuple[str, float, float]"
-
 
 @dataclass(frozen=True)
 class ModelSpec:

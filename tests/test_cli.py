@@ -293,3 +293,24 @@ def test_analyze_identical_groups_rejects_nothing(tmp_path):
     assert float(row["fdp_hat"]) == 0.0
     selected = np.loadtxt(out / "selected.csv", delimiter=",", dtype=int)
     assert not selected.any()
+
+
+def test_analyze_constant_cell_exit_5(tmp_path, capsys):
+    rng = np.random.default_rng(31)
+    y = rng.standard_normal((6, 8, 25))
+    z = rng.standard_normal((6, 8, 25))
+    y[:, 2, 3] = 1.5
+    z[:, 2, 3] = 1.5
+    data = tmp_path / "data"
+    write_dataset(data, TwoSampleDataset(treatment=y, control=z))
+
+    rc = main(
+        [
+            "analyze", "--data", str(data), "--method", "noodle",
+            "--threshold", "0.1", "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "(2, 3)" in err and "Traceback" not in err

@@ -11,7 +11,7 @@ from matfdp.covfactor import (
     sandwich_loadings_from_corr,
 )
 from matfdp.errors import InvalidFactorCount, NonPositiveEigenvalue
-from matfdp.linalg import unvec
+from matfdp.linalg import unvec, vec
 from matfdp.rng import derive_rng
 from matfdp.teststats import TwoSampleDataset, pooled_sigma
 from matfdp.linalg import sample_matrix_normal_stack
@@ -24,6 +24,14 @@ def random_corr(rng, dim):
     out = c * np.outer(d, d)
     np.fill_diagonal(out, 1.0)
     return out
+
+
+def side_loadings(sl):
+    """Scaled grid blocks ``sqrt(lam_b) nu_b``, ``(p, k1)``, and ``sqrt(xi_a) gamma_a``."""
+    lam = np.clip(sl.eig1.values[: sl.k1], 0.0, None)
+    xi = np.clip(sl.eig2.values[: sl.k2], 0.0, None)
+    left = sl.eig1.vectors[:, : sl.k1] * np.sqrt(lam)
+    return left, sl.eig2.vectors[:, : sl.k2] * np.sqrt(xi)
 
 
 def correlated_dataset(seed, n=8, m=9, p=5, q=6):
@@ -165,7 +173,7 @@ def test_noodle_row_norms_match_dense():
             axis=1,
         )
         dense = (f_cols**2).sum(axis=1)
-        assert np.allclose(nl.row_norms_sq, np.minimum(dense, 1.0 - 1e-8), atol=1e-10)
+        assert np.allclose(vec(nl.row_norms_sq), np.minimum(dense, 1.0 - 1e-8), atol=1e-10)
 
 
 def test_noodle_loadings_factor_count_bounds():
@@ -178,9 +186,10 @@ def test_noodle_loadings_factor_count_bounds():
 def test_sandwich_loadings_hand_case():
     s = np.array([[1.0, 0.5], [0.5, 1.0]])
     sl = sandwich_loadings_from_corr(s, s, 1, 1)
-    assert np.allclose(sl.left_norm_part, 0.75, atol=1e-12)
-    assert np.allclose(sl.right_norm_part, 0.75, atol=1e-12)
-    norms = sl.row_norms_sq()
+    left, right = side_loadings(sl)
+    assert np.allclose((left**2).sum(axis=1), 0.75, atol=1e-12)
+    assert np.allclose((right**2).sum(axis=1), 0.75, atol=1e-12)
+    norms = sl.row_norms_sq
     assert np.allclose(norms, 0.5625, atol=1e-12)
     d = 1.0 / np.sqrt(1.0 - norms[0, 0])
     assert d == pytest.approx(1.5118578920369088, abs=1e-12)
@@ -188,8 +197,8 @@ def test_sandwich_loadings_hand_case():
 
 def test_sandwich_loadings_zero_factors():
     sl = sandwich_loadings_from_corr(np.eye(3), np.eye(4), 0, 0)
-    assert sl.left.shape == (3, 0)
-    assert np.allclose(sl.row_norms_sq(), 0.0)
+    assert sl.vector_factors()[0].shape == (3, 0)
+    assert np.allclose(sl.row_norms_sq, 0.0)
 
 
 def test_sandwich_row_norms_match_dense_kron():
@@ -201,10 +210,11 @@ def test_sandwich_row_norms_match_dense_kron():
         k1 = int(rng.integers(1, p + 1))
         k2 = int(rng.integers(1, q + 1))
         sl = sandwich_loadings_from_corr(s1, s2, k1, k2)
-        design = np.kron(sl.right, sl.left)  # rows follow column-major cells
+        left, right = side_loadings(sl)
+        design = np.kron(right, left)  # rows follow column-major cells
         dense = (design**2).sum(axis=1)
         assert np.allclose(
-            sl.row_norms_sq(), np.minimum(unvec(dense, p, q), 1.0 - 1e-8), atol=1e-10
+            sl.row_norms_sq, np.minimum(unvec(dense, p, q), 1.0 - 1e-8), atol=1e-10
         )
 
 
@@ -225,9 +235,7 @@ def test_grid_agreement_between_loadings():
     nl = noodle_loadings_from_corr(s1, s2, 2)
     sl = sandwich_loadings_from_corr(s1, s2, 2, 1)
     assert set(zip(nl.idx1.tolist(), nl.idx2.tolist())) == {(0, 0), (1, 0)}
-    assert np.allclose(
-        unvec(nl.row_norms_sq, 3, 2), sl.row_norms_sq(), atol=1e-10
-    )
+    assert np.allclose(nl.row_norms_sq, sl.row_norms_sq, atol=1e-10)
 
 
 def test_build_from_estimates_data_driven_counts():

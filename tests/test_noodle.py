@@ -96,7 +96,7 @@ def test_fdp_matches_direct_formula():
     t = 0.005
     r = 3
     z = ndtri(t / 2.0)
-    a = 1.0 / np.sqrt(1.0 - nl.row_norms_sq)
+    a = 1.0 / np.sqrt(1.0 - vec(nl.row_norms_sq))
     zeta = vec(fit.common_part)
     expected = (ndtr(a * (z + zeta)) + ndtr(a * (z - zeta))).sum() / r
     assert fdp_noodle(fit, r, t) == pytest.approx(expected, rel=1e-12)
@@ -165,7 +165,7 @@ def test_oracle_full_mask_matches_dense_recomputation():
     rho = kron_columns(nl)
     zeta = rho @ (np.sqrt(nl.values) * w)
     z = ndtri(t / 2.0)
-    a = 1.0 / np.sqrt(1.0 - nl.row_norms_sq)
+    a = 1.0 / np.sqrt(1.0 - vec(nl.row_norms_sq))
     expected = (ndtr(a * (z + zeta)) + ndtr(a * (z - zeta))).sum() / r
     assert est == pytest.approx(expected, rel=1e-12)
 

@@ -21,6 +21,14 @@ def random_corr(rng, dim):
     return out
 
 
+def side_loadings(sl):
+    """Scaled grid blocks ``sqrt(lam_b) nu_b``, ``(p, k1)``, and ``sqrt(xi_a) gamma_a``."""
+    lam = np.clip(sl.eig1.values[: sl.k1], 0.0, None)
+    xi = np.clip(sl.eig2.values[: sl.k2], 0.0, None)
+    left = sl.eig1.vectors[:, : sl.k1] * np.sqrt(lam)
+    return left, sl.eig2.vectors[:, : sl.k2] * np.sqrt(xi)
+
+
 def stat_matrix(x):
     return TestMatrix(x=np.asarray(x, dtype=np.float64), sigma_hat=np.ones_like(x), scale=1.0)
 
@@ -28,7 +36,7 @@ def stat_matrix(x):
 def test_zero_factor_fit_is_empty():
     sl = sandwich_loadings_from_corr(np.eye(3), np.eye(2), 0, 2)
     fit = fit_sandwich(stat_matrix(np.ones((3, 2))), sl)
-    assert fit.factors.shape == (0, 2)
+    assert fit.factors.shape == (0,)
     assert np.allclose(fit.common_part, 0.0)
 
 
@@ -43,7 +51,8 @@ def test_rank_one_statistic_recovered_exactly():
     fit = fit_sandwich(stat_matrix(x), sl)
     lam = sl.eig1.values[0]
     xi = sl.eig2.values[0]
-    assert fit.factors[0, 0] == pytest.approx(1.0 / np.sqrt(lam * xi), rel=1e-12)
+    factor = fit.factors.reshape((1, 1), order="F")[0, 0]
+    assert factor == pytest.approx(1.0 / np.sqrt(lam * xi), rel=1e-12)
     assert np.allclose(fit.common_part, x, atol=1e-12)
 
 
@@ -95,7 +104,7 @@ def test_fdp_matches_direct_formula():
     t = 0.004
     r = 2
     z = ndtri(t / 2.0)
-    a = 1.0 / np.sqrt(1.0 - sl.row_norms_sq())
+    a = 1.0 / np.sqrt(1.0 - sl.row_norms_sq)
     eta = fit.common_part
     expected = (ndtr(a * (z + eta)) + ndtr(a * (z - eta))).sum() / r
     assert fdp_sandwich(fit, r, t) == pytest.approx(expected, rel=1e-12)
@@ -145,10 +154,11 @@ def test_trimmed_estimator_recovers_planted_factors():
     s2 = random_corr(rng, 6)
     sl = sandwich_loadings_from_corr(s1, s2, 2, 2)
     w_true = np.array([[1.0, -0.4], [0.3, 0.8]])
-    x = sl.left @ w_true @ sl.right.T + 0.05 * rng.standard_normal((6, 6))
+    left, right = side_loadings(sl)
+    x = left @ w_true @ right.T + 0.05 * rng.standard_normal((6, 6))
     fit = fit_sandwich(stat_matrix(x), sl, estimator="trimmed_l1")
     assert not fit.trim_fallback
-    assert np.max(np.abs(fit.factors - w_true)) < 0.3
+    assert np.max(np.abs(fit.factors.reshape((2, 2), order="F") - w_true)) < 0.3
 
 
 def test_oracle_matches_manual_computation():
@@ -162,9 +172,10 @@ def test_oracle_matches_manual_computation():
     t = 0.02
     r = 3
     est = fdp_oracle_sandwich(s1, s2, k1, k2, w, mask, r, t)
-    eta = sl.left @ w @ sl.right.T
+    left, right = side_loadings(sl)
+    eta = left @ w @ right.T
     z = ndtri(t / 2.0)
-    a = 1.0 / np.sqrt(1.0 - sl.row_norms_sq())
+    a = 1.0 / np.sqrt(1.0 - sl.row_norms_sq)
     terms = ndtr(a * (z + eta)) + ndtr(a * (z - eta))
     assert est == pytest.approx(terms[mask].sum() / r, rel=1e-12)
     assert fdp_oracle_sandwich(s1, s2, 0, 2, np.zeros((0, 2)), mask, r, t) == (
