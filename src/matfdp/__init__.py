@@ -47,7 +47,7 @@ from .linalg import (
 )
 from .noodle import FactorFit, fdp_noodle, fdp_oracle_noodle, fit_noodle
 from .pfa import ThinFactor, build_thin_factor, fdp_pfa
-from .rng import derive_rng, rng_from_seed
+from .rng import derive_rng
 from .sandwich import fdp_oracle_sandwich, fdp_sandwich, fit_sandwich
 from .simlab import (
     METHODS,
@@ -68,6 +68,7 @@ from .teststats import (
     p_values,
     pooled_sigma,
     rejection_count,
+    residuals,
     test_matrix,
     true_fdp,
 )
@@ -124,7 +125,7 @@ __all__ = [
     "preset_spec",
     "read_dataset",
     "rejection_count",
-    "rng_from_seed",
+    "residuals",
     "run_experiment",
     "sample_matrix_normal",
     "sample_matrix_normal_stack",

@@ -7,7 +7,8 @@ synthetic dataset directory matching round 1 of the corresponding simulation.
 
 Exit codes: 0 success, 2 invalid flags, 3 malformed dataset, 4 unwritable
 output path, 5 estimation failed on the data (for example a cell with zero
-variance).  ``MATFDP_THREADS`` caps worker threads everywhere.
+variance).  ``MATFDP_THREADS`` caps the worker threads of ``simulate`` rounds
+and of ``analyze`` dataset ingestion.
 """
 
 from __future__ import annotations

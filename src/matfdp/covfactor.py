@@ -3,13 +3,17 @@
 The dependence model treats the ``p x q`` data matrices as doubly correlated:
 one correlation matrix across rows and one across columns, with the full
 dependence of ``vec(X)`` given by their Kronecker product.  Both correlation
-matrices are estimated from standardised residuals; their eigensystems supply
-one kind of factor loadings used by the FDP estimators: pairs of a row
-eigenvector ``nu_b`` and a column eigenvector ``gamma_a`` with weight
-``lam_b * xi_a`` (:class:`PairLoadings`).  Two selectors choose the pairs:
+matrices are estimated from the standardised residual stack of
+:func:`~matfdp.teststats.residuals`; their eigensystems supply one kind of
+factor loadings used by the FDP estimators: pairs of a row eigenvector
+``nu_b`` and a column eigenvector ``gamma_a`` with weight ``lam_b * xi_a``
+(:class:`PairLoadings`).  Two selectors choose the pairs:
 
 * noodle keeps the top-``h`` products of the Kronecker spectrum, and
 * sandwich keeps the full top-``k1`` x top-``k2`` grid.
+
+All three estimators (both selectors and :func:`~matfdp.pfa.fdp_pfa`) cap
+data-driven factor counts at :func:`default_max_factors`.
 
 Both correlation estimates have exactly unit diagonals by construction: the
 standardised residual sum of squares at each cell telescopes to ``n + m - 2``.
@@ -21,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVariance, InvalidFactorCount, NonPositiveEigenvalue
+from .errors import InvalidFactorCount, NonPositiveEigenvalue
 from .linalg import EigenSystem, KronEigenIndex, kron_eigenpairs, sym_eigen
-from .teststats import TwoSampleDataset
+from .teststats import TwoSampleDataset, residuals
 
 #: Squared loading row norms are clamped below 1 by this margin so the
 #: variance-inflation factor 1 / sqrt(1 - norm^2) stays finite.
@@ -62,14 +66,6 @@ class CorrEstimates:
     eig2: EigenSystem
     n_total: int
 
-    @property
-    def p(self) -> int:
-        return int(self.sigma1.shape[0])
-
-    @property
-    def q(self) -> int:
-        return int(self.sigma2.shape[0])
-
 
 def estimate_correlations(ds: TwoSampleDataset, sigma_hat: np.ndarray) -> CorrEstimates:
     """Estimate both correlation matrices from standardised residuals.
@@ -84,23 +80,10 @@ def estimate_correlations(ds: TwoSampleDataset, sigma_hat: np.ndarray) -> CorrEs
     ds : TwoSampleDataset
         The two group stacks.
     sigma_hat : numpy.ndarray
-        Cell-wise pooled standard deviations, shape ``(p, q)``, all positive.
+        Cell-wise pooled standard deviations, shape ``(p, q)``, all positive;
+        checked by :func:`~matfdp.teststats.residuals`.
     """
-    sig = np.asarray(sigma_hat, dtype=np.float64)
-    if sig.shape != (ds.p, ds.q):
-        raise ValueError(f"sigma_hat shape {sig.shape} does not match data ({ds.p}, {ds.q})")
-    bad = np.argwhere(sig <= 0.0)
-    if bad.size:
-        i, j = (int(v) for v in bad[0])
-        raise DegenerateVariance(i, j)
-
-    resid = np.concatenate(
-        [
-            ds.treatment - ds.treatment.mean(axis=0),
-            ds.control - ds.control.mean(axis=0),
-        ]
-    )
-    resid /= sig
+    resid = residuals(ds, sigma_hat)
     df = ds.n + ds.m - 2
     s1 = np.tensordot(resid, resid, axes=[(0, 2), (0, 2)]) / (df * ds.q)
     s2 = np.tensordot(resid, resid, axes=[(0, 1), (0, 1)]) / (df * ds.p)
@@ -251,19 +234,15 @@ def _grid_pairs(e1: EigenSystem, e2: EigenSystem, k1: int, k2: int) -> PairLoadi
     return _pair_loadings(e1, e2, idx1, idx2, lam[idx1] * xi[idx2])
 
 
-def build_noodle_loadings(
-    ce: CorrEstimates, h: int | None = None, max_factors: int | None = None
-) -> PairLoadings:
+def build_noodle_loadings(ce: CorrEstimates, h: int | None = None) -> PairLoadings:
     """Top-``h`` Kronecker-spectrum pairs from fitted correlations.
 
     With ``h=None`` the count is selected by :func:`eigenvalue_ratio` over the
-    sorted eigenvalue products, capped at ``max_factors`` (default
-    ``floor(0.2 * n_total)``).
+    sorted eigenvalue products, capped at ``default_max_factors(n_total)``.
     """
     kron = kron_eigenpairs(ce.eig1, ce.eig2)
     if h is None:
-        cap = default_max_factors(ce.n_total) if max_factors is None else max_factors
-        h = eigenvalue_ratio(kron.values, cap)
+        h = eigenvalue_ratio(kron.values, default_max_factors(ce.n_total))
     return _top_pairs(ce.eig1, ce.eig2, kron, h)
 
 
@@ -279,10 +258,7 @@ def noodle_loadings_from_corr(sigma1, sigma2, h: int) -> PairLoadings:
 
 
 def build_sandwich_loadings(
-    ce: CorrEstimates,
-    k1: int | None = None,
-    k2: int | None = None,
-    max_factors: int | None = None,
+    ce: CorrEstimates, k1: int | None = None, k2: int | None = None
 ) -> PairLoadings:
     """Full top-``k1`` x top-``k2`` grid of pairs from fitted correlations.
 
@@ -290,7 +266,7 @@ def build_sandwich_loadings(
     eigenvalues with the same cap as :func:`build_noodle_loadings`.  Negative
     eigenvalues are clamped to zero in the pair weights.
     """
-    cap = default_max_factors(ce.n_total) if max_factors is None else max_factors
+    cap = default_max_factors(ce.n_total)
     if k1 is None:
         k1 = eigenvalue_ratio(ce.eig1.values, cap)
     if k2 is None:

@@ -28,8 +28,8 @@ class NonPositiveEigenvalue(MatfdpError):
     """Eigenvalue-ratio selection ran out of usable positive eigenvalues."""
 
 
-class InvalidFactorCount(MatfdpError):
-    """Requested number of factors is outside the valid range."""
+class InvalidFactorCount(MatfdpError, ValueError):
+    """A factor count is out of range or too large for the data; also a ``ValueError``."""
 
 
 class DatasetFormatError(MatfdpError):

@@ -145,10 +145,6 @@ class KronEigenIndex:
     idx1: np.ndarray
     idx2: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return int(self.values.shape[0])
-
 
 def kron_eigenpairs(e1: EigenSystem, e2: EigenSystem) -> KronEigenIndex:
     """Eigenpairs of the Kronecker product, without forming it.

@@ -29,7 +29,7 @@ from scipy.special import ndtr, ndtri
 
 from .covfactor import PairLoadings, noodle_loadings_from_corr
 from .linalg import vec
-from .teststats import TestMatrix
+from .teststats import TestMatrix, check_threshold
 from .trimreg import TrimSpec, trimmed_l1_fit
 
 _ESTIMATORS = ("least_squares", "trimmed_l1")
@@ -55,10 +55,15 @@ def _sqrt_weights(loadings: PairLoadings) -> np.ndarray:
     return np.sqrt(np.clip(loadings.values, 0.0, None))
 
 
-def _needs_trimmed_fit(x: TestMatrix, loadings: PairLoadings, estimator: str) -> bool:
-    """Validate fit arguments; ``False`` when the closed-form path applies."""
+def check_estimator(estimator: str) -> None:
+    """Raise ``ValueError`` unless ``estimator`` is a known realised-factor fit."""
     if estimator not in _ESTIMATORS:
         raise ValueError(f"estimator must be one of {_ESTIMATORS}, got {estimator!r}")
+
+
+def _needs_trimmed_fit(x: TestMatrix, loadings: PairLoadings, estimator: str) -> bool:
+    """Validate fit arguments; ``False`` when the closed-form path applies."""
+    check_estimator(estimator)
     if (x.p, x.q) != (loadings.p, loadings.q):
         raise ValueError(
             f"statistic shape {(x.p, x.q)} does not match loadings "
@@ -135,37 +140,28 @@ def fit_noodle(
     return _from_factors(loadings, fit.w, fit.used_fallback)
 
 
-def _plugin_sum(
-    row_norms_sq: np.ndarray, common: np.ndarray, threshold: float
-) -> np.ndarray:
-    """Per-cell conditional rejection probabilities, same shape as ``common``."""
-    z = ndtri(threshold / 2.0)
-    a = 1.0 / np.sqrt(1.0 - row_norms_sq)
-    return ndtr(a * (z + common)) + ndtr(a * (z - common))
-
-
-def _finish(total: float, rejections: int, cells: int) -> float:
-    return float(min(max(total / rejections, 0.0), cells / rejections))
-
-
 def _plugin_estimate(
-    loadings: PairLoadings, common: np.ndarray, rejections: int, threshold: float, mask=None
+    row_norms_sq, common, rejections: int, threshold: float, mask=None
 ) -> float:
     """Plug-in sum over the cells in ``mask`` (every cell when ``None``) per rejection.
 
-    0 when nothing is rejected, the exact independence value with no pairs,
-    and clamped to ``[0, cells / rejections]``.
+    ``row_norms_sq`` and ``common`` hold one entry per cell, in any matching
+    shape; ``common=None`` means the model has no factors and gives the exact
+    independence value ``cells * t / R``.  Returns 0 when nothing is rejected
+    and clamps to ``[0, cells / R]``.  All three estimators end here.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    cells = loadings.row_norms_sq.size
+    check_threshold(threshold)
     if rejections <= 0:
         return 0.0
-    if loadings.h == 0:
-        nulls = cells if mask is None else np.count_nonzero(mask)
-        return _finish(nulls * threshold, rejections, cells)
-    terms = _plugin_sum(loadings.row_norms_sq, common, threshold)
-    return _finish(float((terms if mask is None else terms[mask]).sum()), rejections, cells)
+    cells = row_norms_sq.size
+    if common is None:
+        total = (cells if mask is None else np.count_nonzero(mask)) * threshold
+    else:
+        z = ndtri(threshold / 2.0)
+        a = 1.0 / np.sqrt(1.0 - row_norms_sq)
+        terms = ndtr(a * (z + common)) + ndtr(a * (z - common))
+        total = float((terms if mask is None else terms[mask]).sum())
+    return float(min(max(total / rejections, 0.0), cells / rejections))
 
 
 def fdp_noodle(fit: FactorFit, rejections: int, threshold: float) -> float:
@@ -175,7 +171,8 @@ def fdp_noodle(fit: FactorFit, rejections: int, threshold: float) -> float:
     exactly ``p * q * threshold / rejections``.  The result is clamped to
     ``[0, p * q / rejections]``.
     """
-    return _plugin_estimate(fit.loadings, fit.common_part, rejections, threshold)
+    common = fit.common_part if fit.loadings.h else None
+    return _plugin_estimate(fit.loadings.row_norms_sq, common, rejections, threshold)
 
 
 def _oracle(
@@ -189,8 +186,8 @@ def _oracle(
     w = np.asarray(factors, dtype=np.float64).ravel()
     if w.size != loadings.h:
         raise ValueError(f"expected {loadings.h} realised factors, got {w.size}")
-    common = loadings.expand(_sqrt_weights(loadings) * w)
-    return _plugin_estimate(loadings, common, rejections, threshold, mask)
+    common = loadings.expand(_sqrt_weights(loadings) * w) if loadings.h else None
+    return _plugin_estimate(loadings.row_norms_sq, common, rejections, threshold, mask)
 
 
 def fdp_oracle_noodle(

@@ -2,15 +2,17 @@
 
 This estimator ignores the two-sided dependence structure and works with the
 pooled sample covariance of ``vec(X)`` directly.  That covariance is never
-formed: with centred observation columns stacked into a thin factor ``F`` of
-shape ``(p*q, n+m)`` scaled by ``1/sqrt(n+m-2)``, the covariance is ``F F'``
-and its eigenpairs come from the small Gram matrix ``F' F``.  For a Gram
-eigenpair ``(s, u)`` with ``s`` above a cutoff, the covariance eigenvector is
+formed: with the standardised residuals of
+:func:`~matfdp.teststats.residuals` stacked as columns of a thin factor ``F``
+of shape ``(p*q, n+m)`` scaled by ``1/sqrt(n+m-2)``, the covariance is
+``F F'`` and its eigenpairs come from the small Gram matrix ``F' F``
+(decomposed by :func:`~matfdp.linalg.sym_eigen`).  For a Gram eigenpair
+``(s, u)`` with ``s`` above a cutoff, the covariance eigenvector is
 ``F u / sqrt(s)``.
 
-The FDP estimate uses the same plug-in formula as the Kronecker-spectrum
-estimator, but with eigenpairs of the vectorised (standardised) covariance,
-so it serves as the single-dependency baseline in comparisons.
+The FDP estimate runs through the plug-in core that noodle and sandwich use,
+but with eigenpairs of the vectorised (standardised) covariance, so it serves
+as the single-dependency baseline in comparisons.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covfactor import NORM_SQ_CEIL, default_max_factors, eigenvalue_ratio
-from .linalg import _fix_signs, vec
-from .noodle import _finish, _plugin_sum
-from .teststats import TestMatrix, TwoSampleDataset, p_values, rejection_count
+from .linalg import _fix_signs, sym_eigen, vec
+from .noodle import _plugin_estimate
+from .teststats import TestMatrix, TwoSampleDataset, p_values, rejection_count, residuals
 
 #: Gram eigenvalues at or below this are numerical nulls and carry no factor.
 GRAM_EIGEN_CUTOFF = 1e-12
@@ -41,10 +43,6 @@ class ThinFactor:
     columns: np.ndarray
     values: np.ndarray
     gram_vectors: np.ndarray
-
-    @property
-    def cells(self) -> int:
-        return int(self.columns.shape[0])
 
     @property
     def rank(self) -> int:
@@ -68,33 +66,21 @@ def build_thin_factor(
 ) -> ThinFactor:
     """Thin factor of the pooled sample covariance of the vectorised data.
 
-    Observations are centred at their group means; with ``sigma_hat`` given,
-    each centred observation is also divided cell-wise by it, which moves the
-    covariance to the correlation scale (unit diagonal).
+    The columns are the residuals of :func:`~matfdp.teststats.residuals`:
+    observations centred at their group means and, with ``sigma_hat`` given,
+    divided cell-wise by it, which moves the covariance to the correlation
+    scale (unit diagonal).
     """
-    resid = np.concatenate(
-        [
-            ds.treatment - ds.treatment.mean(axis=0),
-            ds.control - ds.control.mean(axis=0),
-        ]
-    )
-    if sigma_hat is not None:
-        resid = resid / np.asarray(sigma_hat, dtype=np.float64)
+    resid = residuals(ds, sigma_hat)
     n_total = ds.n + ds.m
     # Column s of the factor is vec (column-major) of observation s.
     cols = resid.transpose(0, 2, 1).reshape(n_total, ds.p * ds.q).T
     cols = cols / np.sqrt(n_total - 2)
     gram = cols.T @ cols
     gram = 0.5 * (gram + gram.T)
-    evals, evecs = np.linalg.eigh(gram)
-    evals = evals[::-1]
-    evecs = evecs[:, ::-1]
-    keep = evals > GRAM_EIGEN_CUTOFF
-    return ThinFactor(
-        columns=cols,
-        values=evals[keep].copy(),
-        gram_vectors=evecs[:, keep].copy(),
-    )
+    es = sym_eigen(gram)
+    keep = es.values > GRAM_EIGEN_CUTOFF
+    return ThinFactor(columns=cols, values=es.values[keep], gram_vectors=es.vectors[:, keep])
 
 
 def fdp_pfa(
@@ -112,29 +98,19 @@ def fdp_pfa(
     count is capped at the factor rank.  Zero factors reduce exactly to
     ``p * q * threshold / rejections``.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     if (x.p, x.q) != (ds.p, ds.q):
         raise ValueError(
             f"statistic shape {(x.p, x.q)} does not match data ({ds.p}, {ds.q})"
         )
-    cells = ds.p * ds.q
-    pv = p_values(x)
-    rejections = rejection_count(pv, threshold)
+    rejections = rejection_count(p_values(x), threshold)
     if rejections == 0:
         return 0.0
     tf = build_thin_factor(ds, sigma_hat=x.sigma_hat)
     if n_factors is None:
         n_factors = eigenvalue_ratio(tf.values, default_max_factors(ds.n + ds.m))
-    if n_factors < 0:
-        raise ValueError(f"n_factors must be >= 0, got {n_factors}")
+    # A negative count fails the range check in ThinFactor.eigenvectors.
     n_factors = min(n_factors, tf.rank)
-    if n_factors == 0:
-        return _finish(cells * threshold, rejections, cells)
     rho = tf.eigenvectors(n_factors)
-    theta = tf.values[:n_factors]
-    vx = vec(x.x)
-    common = rho @ (rho.T @ vx)
-    norms = np.clip((rho * rho) @ theta, 0.0, NORM_SQ_CEIL)
-    terms = _plugin_sum(norms, common, threshold)
-    return _finish(float(terms.sum()), rejections, cells)
+    norms = np.clip((rho * rho) @ tf.values[:n_factors], 0.0, NORM_SQ_CEIL)
+    common = rho @ (rho.T @ vec(x.x)) if n_factors else None
+    return _plugin_estimate(norms, common, rejections, threshold)

@@ -42,8 +42,3 @@ def derive_rng(seed: int, round_index: int = 0, stream: int = 0) -> np.random.Ge
         dtype=np.uint64,
     )
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def rng_from_seed(seed: int) -> np.random.Generator:
-    """Top-level generator for ``seed``; equivalent to ``derive_rng(seed, 0, 0)``."""
-    return derive_rng(seed, 0, 0)

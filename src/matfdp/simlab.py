@@ -27,19 +27,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covfactor import (
-    build_noodle_loadings,
-    build_sandwich_loadings,
-    default_max_factors,
-    estimate_correlations,
-)
+from .covfactor import build_noodle_loadings, build_sandwich_loadings, estimate_correlations
 from .errors import MatfdpError
 from .linalg import corr_from_cov, sym_eigen, symmetric_sqrt
-from .noodle import fdp_noodle, fit_noodle
+from .noodle import check_estimator, fdp_noodle, fit_noodle
 from .pfa import fdp_pfa
 from .rng import derive_rng
 from .sandwich import fdp_sandwich, fit_sandwich
-from .teststats import TwoSampleDataset, p_values, rejection_count, test_matrix, true_fdp
+from .teststats import (
+    TwoSampleDataset,
+    check_threshold,
+    p_values,
+    rejection_count,
+    test_matrix,
+    true_fdp,
+)
 from .trimreg import TrimSpec
 
 METHODS = ("noodle", "sandwich", "pfa")
@@ -299,8 +301,11 @@ def run_experiment(
     round ``r`` draws its data from the ``(seed, round r)`` stream, so results
     are identical for any worker count.  Per-round estimator failures are
     recorded and the round (or just that method) is skipped; the experiment
-    never aborts on them.
+    never aborts on them.  Invalid arguments raise ``ValueError`` before any
+    data is drawn.
     """
+    check_threshold(threshold)
+    check_estimator(estimator)
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     methods = tuple(methods)
@@ -309,11 +314,11 @@ def run_experiment(
         raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
     if not methods:
         raise ValueError("need at least one method")
+    trim = TrimSpec(trim_fraction)
+    workers = resolve_max_workers(max_workers)
 
     sigma1, sigma2 = gen_correlations(spec, derive_rng(seed, 0, 0))
     gen = _RoundGenerator(spec, sigma1, sigma2)
-    cap = default_max_factors(spec.n + spec.m)
-    trim = TrimSpec(trim_fraction)
     need_corr = any(m in ("noodle", "sandwich") for m in methods)
 
     def one_round(r: int) -> tuple[list[RoundRecord], list[RoundFailure]]:
@@ -331,14 +336,10 @@ def run_experiment(
         for method in methods:
             try:
                 if method == "noodle":
-                    fit = fit_noodle(
-                        x, build_noodle_loadings(ce, max_factors=cap), estimator, trim
-                    )
+                    fit = fit_noodle(x, build_noodle_loadings(ce), estimator, trim)
                     val = fdp_noodle(fit, rej, threshold)
                 elif method == "sandwich":
-                    fit = fit_sandwich(
-                        x, build_sandwich_loadings(ce, max_factors=cap), estimator, trim
-                    )
+                    fit = fit_sandwich(x, build_sandwich_loadings(ce), estimator, trim)
                     val = fdp_sandwich(fit, rej, threshold)
                 else:
                     val = fdp_pfa(ds, x, threshold)
@@ -347,7 +348,6 @@ def run_experiment(
                 failures.append(RoundFailure(r, method, repr(exc)))
         return records, failures
 
-    workers = resolve_max_workers(max_workers)
     indices = range(1, rounds + 1)
     if workers == 1:
         outcomes = [one_round(r) for r in indices]

@@ -79,6 +79,32 @@ class TwoSampleDataset:
         return int(self.treatment.shape[2])
 
 
+def residuals(ds: TwoSampleDataset, sigma_hat: np.ndarray | None = None) -> np.ndarray:
+    """Observations centred at their group means, shape ``(n + m, p, q)``.
+
+    Treatment residuals come first.  With ``sigma_hat`` given, the stack is
+    divided cell-wise by it in place (the correlation scale); a ``sigma_hat``
+    not of shape ``(p, q)`` raises ``ValueError`` and one with a non-positive
+    cell raises :class:`DegenerateVariance` naming the first such cell.
+    """
+    if sigma_hat is not None:
+        sigma_hat = np.asarray(sigma_hat, dtype=np.float64)
+        if sigma_hat.shape != (ds.p, ds.q):
+            raise ValueError(
+                f"sigma_hat shape {sigma_hat.shape} does not match data ({ds.p}, {ds.q})"
+            )
+        bad = np.argwhere(sigma_hat <= 0.0)
+        if bad.size:
+            i, j = (int(v) for v in bad[0])
+            raise DegenerateVariance(i, j)
+    resid = np.concatenate(
+        [ds.treatment - ds.treatment.mean(axis=0), ds.control - ds.control.mean(axis=0)]
+    )
+    if sigma_hat is not None:
+        resid /= sigma_hat
+    return resid
+
+
 def pooled_sigma(ds: TwoSampleDataset) -> np.ndarray:
     """Cell-wise pooled standard deviation, shape ``(p, q)``.
 
@@ -152,10 +178,15 @@ def p_values(tm: TestMatrix) -> np.ndarray:
     return 2.0 * ndtr(-np.abs(tm.x))
 
 
-def rejection_count(p: np.ndarray, threshold: float) -> int:
-    """Number of p-values at or below ``threshold``."""
+def check_threshold(threshold: float) -> None:
+    """Raise ``ValueError`` unless the rejection threshold lies in ``(0, 1)``."""
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+
+
+def rejection_count(p: np.ndarray, threshold: float) -> int:
+    """Number of p-values at or below ``threshold``."""
+    check_threshold(threshold)
     return int(np.count_nonzero(np.asarray(p) <= threshold))
 
 
@@ -189,8 +220,7 @@ def true_fdp(p: np.ndarray, null_mask: np.ndarray, threshold: float) -> TrueFdp:
     mask = np.asarray(null_mask, dtype=bool)
     if mask.shape != parr.shape:
         raise ValueError(f"mask shape {mask.shape} does not match p-values {parr.shape}")
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    check_threshold(threshold)
     rejected = parr <= threshold
     r = int(np.count_nonzero(rejected))
     v = int(np.count_nonzero(rejected & mask))

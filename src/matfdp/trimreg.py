@@ -18,6 +18,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import InvalidFactorCount
+
 #: Smoothing half-width for the absolute-value loss.
 SMOOTH_EPS = 1e-6
 
@@ -87,7 +89,8 @@ def trimmed_l1_fit(
         coefficient vector.
     spec : TrimSpec
         Trimming configuration.  The kept count must be at least
-        ``n_factors + 1``.
+        ``n_factors + 1``, else :class:`~matfdp.errors.InvalidFactorCount`
+        is raised.
 
     Notes
     -----
@@ -104,7 +107,7 @@ def trimmed_l1_fit(
         )
     m_keep = int(spec.trim_fraction * total)
     if m_keep < n_factors + 1:
-        raise ValueError(
+        raise InvalidFactorCount(
             f"kept count {m_keep} is too small for {n_factors} factors "
             f"(need at least {n_factors + 1})"
         )

@@ -314,3 +314,25 @@ def test_analyze_constant_cell_exit_5(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "(2, 3)" in err and "Traceback" not in err
+
+
+def test_simulate_tiny_trim_fraction_records_failures(tmp_path, capsys):
+    # floor(0.001 * 900) = 0 kept cells: the trimmed fit cannot run, so each
+    # round records the noodle and sandwich failures and still scores pfa.
+    out = tmp_path / "sim"
+    rc = main(
+        [
+            "simulate", "--model", "1", "--p", "30", "--q", "30", "--n", "10",
+            "--m", "10", "--rounds", "2", "--trim-fraction", "0.001",
+            "--out", str(out),
+        ]
+    )
+    assert rc == 0
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    failed = sorted((f["round"], f["method"]) for f in summary["failures"])
+    assert failed == [(1, "noodle"), (1, "sandwich"), (2, "noodle"), (2, "sandwich")]
+    assert all("InvalidFactorCount" in f["error"] for f in summary["failures"])
+    assert summary["methods"]["pfa"]["rounds"] == 2
+    rows = read_csv(out / "rounds.csv")
+    assert [(r["round"], r["method"]) for r in rows] == [("1", "pfa"), ("2", "pfa")]

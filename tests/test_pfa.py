@@ -150,3 +150,16 @@ def test_threshold_and_shape_validation():
     other = random_dataset(32, p=5, q=4)
     with pytest.raises(ValueError):
         fdp_pfa(other, x, 0.1)
+
+
+def test_invalid_scale_and_factor_count_raise():
+    ds = random_dataset(17)
+    sig = pooled_sigma(ds)
+    sig[1, 2] = 0.0
+    with pytest.raises(DegenerateVariance, match=r"\(1, 2\)"):
+        build_thin_factor(ds, sig)
+    with pytest.raises(ValueError):
+        build_thin_factor(ds, sig[:, :2])
+    x = build_stats(ds)
+    with pytest.raises(ValueError):
+        fdp_pfa(ds, x, 0.5, n_factors=-1)

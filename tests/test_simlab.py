@@ -219,3 +219,23 @@ def test_resolve_max_workers(monkeypatch):
     monkeypatch.delenv("MATFDP_THREADS", raising=False)
     with pytest.raises(ValueError, match="max_workers"):
         resolve_max_workers(0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        (dict(methods=("pfa",), estimator="bogus"), "estimator"),
+        (dict(threshold=1.5), "threshold"),
+        (dict(threshold=0.0), "threshold"),
+    ],
+)
+def test_run_experiment_rejects_bad_arguments_before_drawing(monkeypatch, kwargs, match):
+    def no_draw(*args, **kw):
+        raise AssertionError("data drawn before the arguments were checked")
+
+    monkeypatch.setattr("matfdp.simlab.gen_correlations", no_draw)
+    spec = preset_spec(1, "b", p=6, q=6, n=6, m=6, signal_rows=2, signal_cols=2)
+    call = dict(threshold=0.05, rounds=2, seed=1, max_workers=1)
+    call.update(kwargs)
+    with pytest.raises(ValueError, match=match):
+        run_experiment(spec, **call)
