@@ -7,8 +7,9 @@ synthetic dataset directory matching round 1 of the corresponding simulation.
 
 Exit codes: 0 success, 2 invalid flags, 3 malformed dataset, 4 unwritable
 output path, 5 estimation failed on the data (for example a cell with zero
-variance).  ``MATFDP_THREADS`` caps the worker threads of ``simulate`` rounds
-and of ``analyze`` dataset ingestion.
+variance) or in the setup of a run (for example the correlation draw).
+``main`` maps exceptions to these codes in one place.  ``MATFDP_THREADS``
+caps the worker threads of ``simulate`` rounds only.
 """
 
 from __future__ import annotations
@@ -37,10 +38,9 @@ from .simlab import (
     gen_correlations,
     gen_round,
     preset_spec,
-    resolve_max_workers,
     run_experiment,
 )
-from .teststats import p_values, rejection_count, test_matrix
+from .teststats import check_threshold, p_values, rejection_count, test_matrix
 
 _ESTIMATOR_FLAGS = {"ls": "least_squares", "trimmed": "trimmed_l1"}
 _SWEEP_ROW_CAP = 100
@@ -133,27 +133,14 @@ def _ensure_out_dir(path: str) -> None:
 
 
 def _run_simulate(args: argparse.Namespace) -> int:
-    methods = tuple(m for m in args.methods.split(",") if m)
-    bad = [m for m in methods if m not in METHODS]
-    if bad or not methods:
-        return _fail(2, f"--methods must be a subset of {','.join(METHODS)}")
-    if not 0.0 < args.t < 1.0:
-        return _fail(2, f"--t must be in (0, 1), got {args.t}")
-    if args.rounds < 1:
-        return _fail(2, f"--rounds must be >= 1, got {args.rounds}")
-    if not 0.0 < args.trim_fraction <= 1.0:
-        return _fail(2, f"--trim-fraction must be in (0, 1], got {args.trim_fraction}")
-    try:
-        spec = _build_spec(args)
-    except ValueError as exc:
-        return _fail(2, str(exc))
-    try:
-        workers = resolve_max_workers()
-    except ValueError as exc:
-        return _fail(2, str(exc))
-
+    requested = set(filter(None, args.methods.split(",")))
+    if not requested or not requested <= set(METHODS):
+        raise ValueError(f"--methods must be a subset of {','.join(METHODS)}")
     # Keep the canonical method order in the output regardless of flag order.
-    methods = tuple(m for m in METHODS if m in methods)
+    methods = tuple(m for m in METHODS if m in requested)
+    spec = _build_spec(args)
+    # Fail on an unwritable --out before the experiment runs, not after.
+    _ensure_out_dir(args.out)
     result = run_experiment(
         spec,
         threshold=args.t,
@@ -162,50 +149,45 @@ def _run_simulate(args: argparse.Namespace) -> int:
         methods=methods,
         estimator=_ESTIMATOR_FLAGS[args.estimator],
         trim_fraction=args.trim_fraction,
-        max_workers=workers,
     )
 
-    try:
-        _ensure_out_dir(args.out)
-        with _open_out(args.out, "rounds.csv") as fh:
-            fh.write("round,method,fdp_hat,fdp_true,R\n")
-            for rec in result.records:
-                fh.write(
-                    f"{rec.round_index},{rec.method},{_fmt(rec.fdp_hat)},"
-                    f"{_fmt(rec.fdp_true)},{rec.rejections}\n"
-                )
-        summary = {
-            "schema_version": 1,
-            "config": {
-                **dataclasses.asdict(spec),
-                "command": "simulate",
-                "setting": args.setting,
-                "w_dist": spec.w_dist if spec.model == 3 else None,
-                "t": args.t,
-                "rounds": args.rounds,
-                "seed": args.seed,
-                "methods": list(methods),
-                "estimator": _ESTIMATOR_FLAGS[args.estimator],
-                "trim_fraction": args.trim_fraction,
-            },
-            "methods": {
-                name: {
-                    "bias_percent": s.bias_percent,
-                    "sd_percent": s.sd_percent,
-                    "rounds": s.rounds,
-                }
-                for name, s in result.summaries.items()
-            },
-            "failures": [
-                {"round": f.round_index, "method": f.method, "error": f.error}
-                for f in result.failures
-            ],
-        }
-        with _open_out(args.out, "summary.json") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        return _fail(4, f"cannot write output: {exc}")
+    with _open_out(args.out, "rounds.csv") as fh:
+        fh.write("round,method,fdp_hat,fdp_true,R\n")
+        for rec in result.records:
+            fh.write(
+                f"{rec.round_index},{rec.method},{_fmt(rec.fdp_hat)},"
+                f"{_fmt(rec.fdp_true)},{rec.rejections}\n"
+            )
+    summary = {
+        "schema_version": 1,
+        "config": {
+            **dataclasses.asdict(spec),
+            "command": "simulate",
+            "setting": args.setting,
+            "w_dist": spec.w_dist if spec.model == 3 else None,
+            "t": args.t,
+            "rounds": args.rounds,
+            "seed": args.seed,
+            "methods": list(methods),
+            "estimator": _ESTIMATOR_FLAGS[args.estimator],
+            "trim_fraction": args.trim_fraction,
+        },
+        "methods": {
+            name: {
+                "bias_percent": s.bias_percent,
+                "sd_percent": s.sd_percent,
+                "rounds": s.rounds,
+            }
+            for name, s in result.summaries.items()
+        },
+        "failures": [
+            {"round": f.round_index, "method": f.method, "error": f.error}
+            for f in result.failures
+        ],
+    }
+    with _open_out(args.out, "summary.json") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     print(f"wrote {os.path.join(args.out, 'rounds.csv')}")
     return 0
 
@@ -234,76 +216,63 @@ def _sweep_thresholds(pv: np.ndarray, step: int) -> list[float]:
 
 
 def _run_analyze(args: argparse.Namespace) -> int:
-    if args.threshold is not None and not 0.0 < args.threshold < 1.0:
-        return _fail(2, f"--threshold must be in (0, 1), got {args.threshold}")
+    # Flag checks come before the dataset is read.
+    if args.threshold is not None:
+        check_threshold(args.threshold)
     if args.sweep is not None and args.sweep < 1:
-        return _fail(2, f"--sweep must be >= 1, got {args.sweep}")
-    try:
-        workers = resolve_max_workers()
-    except ValueError as exc:
-        return _fail(2, str(exc))
-    try:
-        ds = read_dataset(args.data, max_workers=workers)
-    except DatasetFormatError as exc:
-        where = f" ({exc.path})" if exc.path else ""
-        return _fail(3, f"malformed dataset{where}: {exc}")
-
-    try:
-        x = test_matrix(ds)
-        pv = p_values(x)
-        ce, estimate = _analysis_fit(ds, x, args.method)
-    except MatfdpError as exc:
-        return _fail(5, f"estimation failed: {exc}")
+        raise ValueError(f"--sweep must be >= 1, got {args.sweep}")
+    ds = read_dataset(args.data)
+    x = test_matrix(ds)
+    pv = p_values(x)
+    ce, estimate = _analysis_fit(ds, x, args.method)
 
     fixed = args.threshold is not None
-    try:
-        _ensure_out_dir(args.out)
-        with _open_out(args.out, "report.csv") as fh:
-            fh.write("t,R,fdp_hat,estimated_false\n")
-            for t in [args.threshold] if fixed else _sweep_thresholds(pv, args.sweep):
-                rej = rejection_count(pv, t)
-                fdp = min(estimate(rej, t), 1.0)
-                fh.write(f"{_fmt(t)},{rej},{_fmt(fdp)},{_fmt(fdp * rej)}\n")
-        if fixed:
-            selected = (pv <= args.threshold).astype(int)
-            np.savetxt(
-                os.path.join(args.out, "selected.csv"),
-                selected,
-                fmt="%d",
-                delimiter=",",
-                newline="\n",
-            )
-        else:
-            kron = kron_eigenpairs(ce.eig1, ce.eig2)
-            with _open_out(args.out, "scree.csv") as fh:
-                fh.write("kind,rank,value\n")
-                for kind, values in (
-                    ("sigma1", ce.eig1.values),
-                    ("sigma2", ce.eig2.values),
-                    ("kron", kron.values),
-                ):
-                    for rank, val in enumerate(values, start=1):
-                        fh.write(f"{kind},{rank},{_fmt(val)}\n")
-    except OSError as exc:
-        return _fail(4, f"cannot write output: {exc}")
+    _ensure_out_dir(args.out)
+    with _open_out(args.out, "report.csv") as fh:
+        fh.write("t,R,fdp_hat,estimated_false\n")
+        for t in [args.threshold] if fixed else _sweep_thresholds(pv, args.sweep):
+            rej = rejection_count(pv, t)
+            fdp = min(estimate(rej, t), 1.0)
+            fh.write(f"{_fmt(t)},{rej},{_fmt(fdp)},{_fmt(fdp * rej)}\n")
+    if fixed:
+        selected = (pv <= args.threshold).astype(int)
+        np.savetxt(
+            os.path.join(args.out, "selected.csv"),
+            selected,
+            fmt="%d",
+            delimiter=",",
+            newline="\n",
+        )
+    else:
+        kron = kron_eigenpairs(ce.eig1, ce.eig2)
+        with _open_out(args.out, "scree.csv") as fh:
+            fh.write("kind,rank,value\n")
+            for kind, values in (
+                ("sigma1", ce.eig1.values),
+                ("sigma2", ce.eig2.values),
+                ("kron", kron.values),
+            ):
+                for rank, val in enumerate(values, start=1):
+                    fh.write(f"{kind},{rank},{_fmt(val)}\n")
     print(f"wrote {os.path.join(args.out, 'report.csv')}")
     return 0
 
 
 def _run_gen_synthetic(args: argparse.Namespace) -> int:
-    try:
-        spec = _build_spec(args)
-    except ValueError as exc:
-        return _fail(2, str(exc))
+    spec = _build_spec(args)
     sigma1, sigma2 = gen_correlations(spec, derive_rng(args.seed, 0, 0))
     # Same stream as simulate round 1, so the directory reproduces that round.
     ds, _ = gen_round(spec, sigma1, sigma2, derive_rng(args.seed, 1, 1))
-    try:
-        manifest = write_dataset(args.out, ds)
-    except OSError as exc:
-        return _fail(4, f"cannot write output: {exc}")
+    manifest = write_dataset(args.out, ds)
     print(f"wrote {manifest}")
     return 0
+
+
+_COMMANDS = {
+    "simulate": _run_simulate,
+    "analyze": _run_analyze,
+    "gen-synthetic": _run_gen_synthetic,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -312,11 +281,19 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    if args.command == "simulate":
-        return _run_simulate(args)
-    if args.command == "analyze":
-        return _run_analyze(args)
-    return _run_gen_synthetic(args)
+    # Clause order matters: DatasetFormatError is a MatfdpError, and both
+    # LinAlgError and InvalidFactorCount are also ValueErrors.
+    try:
+        return _COMMANDS[args.command](args)
+    except DatasetFormatError as exc:
+        where = f" ({exc.path})" if exc.path else ""
+        return _fail(3, f"malformed dataset{where}: {exc}")
+    except (MatfdpError, np.linalg.LinAlgError) as exc:
+        return _fail(5, f"estimation failed: {exc}")
+    except ValueError as exc:
+        return _fail(2, str(exc))
+    except OSError as exc:
+        return _fail(4, f"cannot write output: {exc}")
 
 
 def entrypoint() -> None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -54,9 +53,7 @@ def _write_matrix(path: str, mat: np.ndarray) -> None:
     np.savetxt(path, mat, fmt=FLOAT_FMT, delimiter=",", newline="\n")
 
 
-def read_dataset(
-    directory: str | os.PathLike, max_workers: int | None = None
-) -> TwoSampleDataset:
+def read_dataset(directory: str | os.PathLike) -> TwoSampleDataset:
     """Read a dataset directory back into memory.
 
     Raises
@@ -79,6 +76,8 @@ def read_dataset(
         raise DatasetFormatError(
             f"manifest is not valid JSON: {exc}", path=manifest_path
         ) from exc
+    if not isinstance(manifest, dict):
+        raise DatasetFormatError("manifest must be a JSON object", path=manifest_path)
 
     for key in ("p", "q", "n", "m", "treatment", "control"):
         if key not in manifest:
@@ -91,8 +90,12 @@ def read_dataset(
         raise DatasetFormatError(
             f"manifest dimensions must be integers: {exc}", path=manifest_path
         ) from exc
-    treatment_files = list(manifest["treatment"])
-    control_files = list(manifest["control"])
+    treatment_files, control_files = manifest["treatment"], manifest["control"]
+    for key, names in (("treatment", treatment_files), ("control", control_files)):
+        if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
+            raise DatasetFormatError(
+                f"manifest {key!r} must be a list of file names", path=manifest_path
+            )
     if len(treatment_files) != n or len(control_files) != m:
         raise DatasetFormatError(
             f"manifest group sizes (n={n}, m={m}) do not match file lists "
@@ -100,39 +103,29 @@ def read_dataset(
             path=manifest_path,
         )
 
-    all_files = treatment_files + control_files
-    paths = [os.path.join(directory, name) for name in all_files]
-
-    def parse(path: str) -> "np.ndarray | DatasetFormatError":
-        try:
-            mat = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-        except OSError as exc:
-            return DatasetFormatError(f"cannot read {path}: {exc}", path=path)
-        except ValueError as exc:
-            return DatasetFormatError(f"cannot parse {path}: {exc}", path=path)
-        if mat.shape != (p, q):
-            return DatasetFormatError(
-                f"{path} has shape {mat.shape}, expected ({p}, {q})", path=path
-            )
-        if not np.all(np.isfinite(mat)):
-            return DatasetFormatError(f"{path} contains non-finite entries", path=path)
-        return mat
-
-    workers = max_workers or min(8, os.cpu_count() or 1)
-    if workers > 1 and len(paths) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parsed = list(pool.map(parse, paths))
-    else:
-        parsed = [parse(path) for path in paths]
-
-    # Report the first failure in manifest order regardless of parse order.
-    for item in parsed:
-        if isinstance(item, DatasetFormatError):
-            raise item
-
+    parsed = [
+        _read_matrix(os.path.join(directory, name), p, q)
+        for name in treatment_files + control_files
+    ]
     try:
         return TwoSampleDataset(
             treatment=np.stack(parsed[:n]), control=np.stack(parsed[n:])
         )
     except ValueError as exc:
         raise DatasetFormatError(str(exc), path=manifest_path) from exc
+
+
+def _read_matrix(path: str, p: int, q: int) -> np.ndarray:
+    try:
+        mat = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    except OSError as exc:
+        raise DatasetFormatError(f"cannot read {path}: {exc}", path=path) from exc
+    except ValueError as exc:
+        raise DatasetFormatError(f"cannot parse {path}: {exc}", path=path) from exc
+    if mat.shape != (p, q):
+        raise DatasetFormatError(
+            f"{path} has shape {mat.shape}, expected ({p}, {q})", path=path
+        )
+    if not np.all(np.isfinite(mat)):
+        raise DatasetFormatError(f"{path} contains non-finite entries", path=path)
+    return mat

@@ -11,6 +11,7 @@ import pytest
 
 from matfdp.cli import main
 from matfdp.datafiles import read_dataset, write_dataset
+from matfdp.errors import NotPsd
 from matfdp.rng import derive_rng
 from matfdp.simlab import gen_correlations, gen_round, preset_spec, run_experiment
 from matfdp.teststats import TwoSampleDataset
@@ -336,3 +337,91 @@ def test_simulate_tiny_trim_fraction_records_failures(tmp_path, capsys):
     assert summary["methods"]["pfa"]["rounds"] == 2
     rows = read_csv(out / "rounds.csv")
     assert [(r["round"], r["method"]) for r in rows] == [("1", "pfa"), ("2", "pfa")]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda manifest: 5,
+        lambda manifest: None,
+        lambda manifest: {**manifest, "treatment": 7},
+        # Right length, so only the element type is wrong.
+        lambda manifest: {**manifest, "treatment": [3, *manifest["treatment"][1:]]},
+    ],
+    ids=["number", "null", "treatment-number", "treatment-int-list"],
+)
+def test_malformed_manifest_exit_3(tmp_path, capsys, edit):
+    data = tmp_path / "data"
+    assert main(["gen-synthetic", *GEN_FLAGS, "--seed", "1", "--out", str(data)]) == 0
+    capsys.readouterr()
+    manifest = data / "manifest.json"
+    manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+
+    rc = main(
+        [
+            "analyze", "--data", str(data), "--method", "noodle",
+            "--threshold", "0.1", "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: malformed dataset")
+    assert "manifest" in err
+
+
+def test_simulate_checks_out_before_running(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("run_experiment reached with an unwritable --out")
+
+    monkeypatch.setattr("matfdp.cli.run_experiment", unreachable)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    rc = main(["simulate", *GEN_FLAGS, "--rounds", "2", "--out", str(blocker / "sub")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: cannot write output")
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+def test_setup_failure_exit_5(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("matfdp.simlab.gen_correlations", _raise(NotPsd("drawn sigma1")))
+    rc = main(["simulate", *GEN_FLAGS, "--rounds", "2", "--out", str(tmp_path / "sim")])
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "drawn sigma1" in err
+
+
+def test_linalg_error_in_analyze_exit_5(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "data"
+    assert main(["gen-synthetic", *GEN_FLAGS, "--seed", "1", "--out", str(data)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(
+        "matfdp.cli.estimate_correlations",
+        _raise(np.linalg.LinAlgError("Eigenvalues did not converge")),
+    )
+    rc = main(
+        [
+            "analyze", "--data", str(data), "--method", "sandwich",
+            "--threshold", "0.1", "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "did not converge" in err
+
+
+def test_bad_thread_count_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("MATFDP_THREADS", "x")
+    rc = main(["simulate", *GEN_FLAGS, "--rounds", "2", "--out", str(tmp_path / "sim")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "MATFDP_THREADS" in err

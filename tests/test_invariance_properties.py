@@ -92,7 +92,7 @@ def datasets(draw):
 def test_dataset_round_trip_is_bit_exact(ds):
     with tempfile.TemporaryDirectory() as directory:
         write_dataset(directory, ds)
-        back = read_dataset(directory, max_workers=1)
+        back = read_dataset(directory)
     for before, after in ((ds.treatment, back.treatment), (ds.control, back.control)):
         assert after.shape == before.shape
         assert np.array_equal(after.view(np.uint64), before.view(np.uint64))
