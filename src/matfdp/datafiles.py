@@ -59,9 +59,10 @@ def read_dataset(directory: str | os.PathLike) -> TwoSampleDataset:
     Raises
     ------
     DatasetFormatError
-        On a missing or malformed manifest, a group-size mismatch, or the
-        first member file (in manifest order) that fails to parse to a finite
-        ``p x q`` matrix.  The exception's ``path`` names the offending file.
+        On a missing or malformed manifest (including a non-integer
+        dimension or a member file name that is not a plain name inside
+        ``directory``), a group-size mismatch, or the first member file (in
+        manifest order) that fails to parse to a finite ``p x q`` matrix.  The exception's ``path`` names the offending file.
     """
     directory = os.fspath(directory)
     manifest_path = os.path.join(directory, MANIFEST_NAME)
@@ -84,18 +85,28 @@ def read_dataset(directory: str | os.PathLike) -> TwoSampleDataset:
             raise DatasetFormatError(
                 f"manifest is missing key {key!r}", path=manifest_path
             )
-    try:
-        p, q, n, m = (int(manifest[k]) for k in ("p", "q", "n", "m"))
-    except (TypeError, ValueError) as exc:
-        raise DatasetFormatError(
-            f"manifest dimensions must be integers: {exc}", path=manifest_path
-        ) from exc
+    p, q, n, m = (manifest[k] for k in ("p", "q", "n", "m"))
+    for key, value in zip("pqnm", (p, q, n, m)):
+        # bool is an int subclass; a float would be truncated silently.
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise DatasetFormatError(
+                f"manifest dimension {key!r} must be an integer, got {value!r}",
+                path=manifest_path,
+            )
     treatment_files, control_files = manifest["treatment"], manifest["control"]
     for key, names in (("treatment", treatment_files), ("control", control_files)):
         if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
             raise DatasetFormatError(
                 f"manifest {key!r} must be a list of file names", path=manifest_path
             )
+        for name in names:
+            # A member file must live in the dataset directory itself.
+            if name in ("", ".", "..") or os.path.isabs(name) or os.path.basename(name) != name:
+                raise DatasetFormatError(
+                    f"manifest {key!r} entry {name!r} is not a file name in the "
+                    "dataset directory",
+                    path=manifest_path,
+                )
     if len(treatment_files) != n or len(control_files) != m:
         raise DatasetFormatError(
             f"manifest group sizes (n={n}, m={m}) do not match file lists "

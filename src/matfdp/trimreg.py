@@ -5,7 +5,14 @@ contaminate a least-squares fit of the realised factors.  The trimmed fit keeps
 only the cells with the smallest absolute statistics and solves an L1
 regression of those entries on their loading rows.  The L1 problem is smoothed
 (``|r| ~ sqrt(r^2 + eps^2)``) and solved by iteratively reweighted least
-squares with a damped step, which keeps the objective monotone.
+squares from the least-squares warm start.  Each step majorises the smoothed
+loss by a weighted least-squares problem with weights ``1 / sqrt(r^2 + eps^2)``
+and solves it through its ``k x k`` normal equations ``(D'WD) w = D'Wz``, so an
+iteration costs a few passes over the kept design and one ``k x k`` solve
+instead of an SVD of the weighted design.  A backtracking guard keeps the
+objective monotone.  The loop stops when no coefficient moves more than
+``STEP_TOL`` or after ``MAX_ITERS`` iterations; ``TrimmedFit.converged`` says
+which.
 
 Loading rows are requested lazily through an accessor so callers with
 separable loadings never materialise a dense ``(p*q, h)`` design.
@@ -59,7 +66,10 @@ class TrimmedFit:
     is the minimum-norm least-squares solution over all cells instead.
     ``kept`` holds the sorted flat indices of the cells the fit used.
     ``objectives`` traces the smoothed L1 objective, starting at the
-    least-squares warm start; it is non-increasing.
+    least-squares warm start; it is non-increasing.  ``converged`` is False
+    when the reweighting loop ran ``MAX_ITERS`` iterations without its step
+    falling below ``STEP_TOL``; the zero-factor and fallback results, which
+    run no loop, report True.
     """
 
     w: np.ndarray
@@ -67,6 +77,7 @@ class TrimmedFit:
     iterations: int
     kept: np.ndarray
     objectives: np.ndarray = field(default_factory=lambda: np.empty(0))
+    converged: bool = True
 
 
 def trimmed_l1_fit(
@@ -125,31 +136,37 @@ def trimmed_l1_fit(
         w_full, _, _, _ = np.linalg.lstsq(full, zv, rcond=None)
         return TrimmedFit(w=w_full, used_fallback=True, iterations=0, kept=kept)
 
-    def objective(coef: np.ndarray) -> float:
-        r = zk - design @ coef
-        return float(np.mean(np.sqrt(r * r + SMOOTH_EPS * SMOOTH_EPS)))
+    # The transposed copy makes the per-iteration products row-contiguous.
+    design_t = np.ascontiguousarray(design.T)
 
-    obj = objective(w)
+    def objective(coef: np.ndarray) -> tuple[float, np.ndarray]:
+        """Smoothed L1 objective and the smoothed ``|r|`` it averages."""
+        r = zk - coef @ design_t
+        smooth_abs = np.sqrt(r * r + SMOOTH_EPS * SMOOTH_EPS)
+        return float(np.mean(smooth_abs)), smooth_abs
+
+    obj, smooth_abs = objective(w)
     trace = [obj]
     iterations = 0
+    converged = False
     for iterations in range(1, MAX_ITERS + 1):
-        r = zk - design @ w
-        # Quarter-power weights turn the weighted LS into the standard
-        # majorisation of the smoothed absolute loss.
-        root_wt = (r * r + SMOOTH_EPS * SMOOTH_EPS) ** -0.25
-        sol, _, _, _ = np.linalg.lstsq(design * root_wt[:, None], zk * root_wt, rcond=None)
-        step = sol - w
+        # Weighting by 1 / smoothed |r| makes the weighted LS the standard
+        # majorisation of the smoothed absolute loss; the k x k normal
+        # equations solve it.  ``smooth_abs`` belongs to the current ``w``.
+        weighted = design_t / smooth_abs
+        step = np.linalg.solve(weighted @ design, weighted @ zk) - w
         alpha = 1.0
-        cand_obj = objective(w + step)
+        cand_obj, smooth_abs = objective(w + step)
         for _ in range(_BACKTRACK_LIMIT):
             if cand_obj <= obj + 1e-15:
                 break
             alpha *= 0.5
-            cand_obj = objective(w + alpha * step)
+            cand_obj, smooth_abs = objective(w + alpha * step)
         w = w + alpha * step
         obj = min(obj, cand_obj)
         trace.append(obj)
         if np.max(np.abs(alpha * step)) < STEP_TOL:
+            converged = True
             break
     return TrimmedFit(
         w=w,
@@ -157,4 +174,5 @@ def trimmed_l1_fit(
         iterations=iterations,
         kept=kept,
         objectives=np.asarray(trace),
+        converged=converged,
     )

@@ -369,6 +369,46 @@ def test_malformed_manifest_exit_3(tmp_path, capsys, edit):
     assert "manifest" in err
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda manifest, data: {**manifest, "p": manifest["p"] + 0.9},
+        lambda manifest, data: {**manifest, "q": True},
+        lambda manifest, data: {**manifest, "n": str(manifest["n"])},
+        # Each name below names a readable, well-formed member file.
+        lambda manifest, data: {
+            **manifest,
+            "treatment": [str(data / manifest["control"][0]), *manifest["treatment"][1:]],
+        },
+        lambda manifest, data: {
+            **manifest,
+            "treatment": [f"../data/{manifest['control'][0]}", *manifest["treatment"][1:]],
+        },
+        lambda manifest, data: {**manifest, "control": ["..", *manifest["control"][1:]]},
+        lambda manifest, data: {**manifest, "control": ["", *manifest["control"][1:]]},
+    ],
+    ids=["float-dim", "bool-dim", "string-dim", "absolute-name", "parent-name", "dotdot",
+         "empty-name"],
+)
+def test_untrusted_dataset_fields_exit_3(tmp_path, capsys, edit):
+    data = tmp_path / "data"
+    assert main(["gen-synthetic", *GEN_FLAGS, "--seed", "1", "--out", str(data)]) == 0
+    capsys.readouterr()
+    manifest = data / "manifest.json"
+    manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()), data)))
+
+    rc = main(
+        [
+            "analyze", "--data", str(data), "--method", "noodle",
+            "--threshold", "0.1", "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: malformed dataset")
+    assert "manifest" in err
+
+
 def test_simulate_checks_out_before_running(tmp_path, capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("run_experiment reached with an unwritable --out")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import matfdp.trimreg as trimreg
 from matfdp.trimreg import TrimSpec, trimmed_l1_fit
 
 
@@ -49,6 +50,31 @@ def test_noiseless_exact_recovery():
     fit = trimmed_l1_fit(z, accessor_from_matrix(a), 3, TrimSpec(trim_fraction=1.0))
     assert np.max(np.abs(fit.w - w_true)) <= 1e-6
     assert not fit.used_fallback
+
+
+def test_converged_flag():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((40, 3))
+    z = a @ np.array([1.5, -0.25, 2.0])
+    fit = trimmed_l1_fit(z, accessor_from_matrix(a), 3, TrimSpec(trim_fraction=1.0))
+    assert fit.converged is True
+    assert fit.iterations < trimreg.MAX_ITERS
+    # The zero-factor and rank-deficient returns run no loop.
+    empty = trimmed_l1_fit(z, accessor_from_matrix(np.zeros((40, 0))), 0)
+    assert empty.converged is True
+    dup = np.column_stack([a[:, 0], a[:, 0]])
+    fallback = trimmed_l1_fit(z, accessor_from_matrix(dup), 2)
+    assert fallback.used_fallback and fallback.converged is True
+
+
+def test_iteration_cap_reports_not_converged(monkeypatch):
+    monkeypatch.setattr(trimreg, "MAX_ITERS", 3)
+    rng = np.random.default_rng(23)
+    a = rng.standard_normal((60, 4))
+    z = a @ rng.standard_normal(4) + rng.laplace(scale=0.5, size=60)
+    fit = trimmed_l1_fit(z, accessor_from_matrix(a), 4)
+    assert fit.converged is False
+    assert fit.iterations == 3
 
 
 def test_outlier_is_trimmed_to_median_like_fit():
@@ -100,6 +126,26 @@ def test_matches_linear_programming_oracle():
         # Smoothed IRLS reaches the LP optimum up to the smoothing scale.
         assert f_irls <= f_lp + 1e-5 * max(1.0, abs(f_lp))
         assert np.max(np.abs(fit.w - w_lp)) <= 5e-4
+
+
+def test_realistic_size_matches_dual_lp_oracle():
+    # Column scales 1..1e4 square into a badly conditioned Gram matrix, the
+    # case where normal-equation steps could lose accuracy.
+    rng = np.random.default_rng(0)
+    n, h = 2000, 6
+    scales = np.logspace(0, 4, h)
+    a = rng.standard_normal((n, h)) * scales
+    z = a @ (rng.standard_normal(h) / scales) + rng.laplace(scale=0.5, size=n)
+    fit = trimmed_l1_fit(z, accessor_from_matrix(a), h, TrimSpec(trim_fraction=0.9))
+    ak, zk = a[fit.kept], z[fit.kept]
+    # Dual of min |zk - ak w|_1: max zk'u s.t. ak'u = 0, |u| <= 1.
+    res = linprog(-zk, A_eq=ak.T, b_eq=np.zeros(h), bounds=(-1, 1), method="highs-ds")
+    assert res.success
+    f_star = -res.fun
+    w_lp = -res.eqlin.marginals
+    assert l1_objective(z, a, fit.kept, w_lp) == pytest.approx(f_star, rel=1e-12)
+    assert l1_objective(z, a, fit.kept, fit.w) <= f_star * (1 + 1e-6)
+    assert np.all(np.diff(fit.objectives) <= 0)
 
 
 def test_rank_deficient_falls_back_to_least_squares():
