@@ -38,7 +38,6 @@ from .linalg import (
     KronEigenIndex,
     corr_from_cov,
     kron_eigenpairs,
-    sample_matrix_normal,
     sample_matrix_normal_stack,
     sym_eigen,
     symmetric_sqrt,
@@ -127,7 +126,6 @@ __all__ = [
     "rejection_count",
     "residuals",
     "run_experiment",
-    "sample_matrix_normal",
     "sample_matrix_normal_stack",
     "sandwich_loadings_from_corr",
     "sym_eigen",

@@ -182,37 +182,15 @@ def symmetric_sqrt(m) -> np.ndarray:
     return (es.vectors * np.sqrt(clamped)) @ es.vectors.T
 
 
-def sample_matrix_normal(
-    mu, u, v, rng: np.random.Generator
-) -> np.ndarray:
-    """One draw from the matrix normal distribution.
-
-    The draw is ``mu + sqrt(u) @ g @ sqrt(v)`` with ``g`` a matrix of
-    independent standard normals, so ``vec`` of the result has covariance
-    ``v kron u``.
-
-    Parameters
-    ----------
-    mu : array_like
-        Mean matrix, shape ``(p, q)``.
-    u : array_like
-        Row covariance, ``p x p`` symmetric positive semidefinite.
-    v : array_like
-        Column covariance, ``q x q`` symmetric positive semidefinite.
-    rng : numpy.random.Generator
-        Source of randomness; the draw is deterministic given its state.
-    """
-    return sample_matrix_normal_stack(mu, u, v, 1, rng)[0]
-
-
 def sample_matrix_normal_stack(
     mu, u, v, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Stack of ``count`` matrix-normal draws, shape ``(count, p, q)``.
 
-    Consumes the same normal stream as ``count`` sequential calls of
-    :func:`sample_matrix_normal`, so the two are interchangeable for a given
-    generator state.
+    Draw ``s`` is ``mu + sqrt(u) @ g_s @ sqrt(v)`` with ``g_s`` a matrix of
+    independent standard normals, so ``vec`` of each draw has covariance
+    ``v kron u``.  ``u`` (``p x p``) and ``v`` (``q x q``) must be symmetric
+    positive semidefinite; the stack is deterministic given ``rng``'s state.
     """
     mean = as_matrix(mu, "mu")
     u_half = symmetric_sqrt(u)

@@ -83,21 +83,14 @@ def _least_squares_fit(x: TestMatrix, loadings: PairLoadings) -> FactorFit:
     return FactorFit(loadings=loadings, factors=factors, common_part=loadings.expand(proj))
 
 
-def _loading_row_accessor(loadings: PairLoadings, row_scale, col_scale) -> callable:
-    """Trimmed-fit design rows: ``(row_scale * nu_b)[r] * (col_scale * gamma_a)[c]``.
+def _design(loadings: PairLoadings) -> np.ndarray:
+    """Trimmed-fit design, ``(p*q, h)`` in vec order.
 
-    One column per pair.  The two per-pair scales multiply to ``sqrt(theta)``;
-    how the weight is split between them only changes rounding.
+    Row ``c * p + r`` holds ``gamma_a[c] * (sqrt(theta) * nu_b)[r]`` per pair.
     """
     v1, g1 = loadings.vector_factors()
-    v1 = v1 * row_scale
-    g1 = g1 * col_scale
-    p = loadings.p
-
-    def rows(indices: np.ndarray) -> np.ndarray:
-        return v1[indices % p] * g1[indices // p]
-
-    return rows
+    v1 = v1 * _sqrt_weights(loadings)
+    return (g1[:, None, :] * v1[None, :, :]).reshape(loadings.p * loadings.q, loadings.h)
 
 
 def _from_factors(loadings: PairLoadings, factors: np.ndarray, fallback: bool) -> FactorFit:
@@ -131,12 +124,7 @@ def fit_noodle(
     """
     if not _needs_trimmed_fit(x, loadings, estimator):
         return _least_squares_fit(x, loadings)
-    fit = trimmed_l1_fit(
-        vec(x.x),
-        _loading_row_accessor(loadings, _sqrt_weights(loadings), 1.0),
-        loadings.h,
-        trim if trim is not None else TrimSpec(),
-    )
+    fit = trimmed_l1_fit(vec(x.x), _design(loadings), trim if trim is not None else TrimSpec())
     return _from_factors(loadings, fit.w, fit.used_fallback)
 
 

@@ -13,15 +13,11 @@ instead of an SVD of the weighted design.  A backtracking guard keeps the
 objective monotone.  The loop stops when no coefficient moves more than
 ``STEP_TOL`` or after ``MAX_ITERS`` iterations; ``TrimmedFit.converged`` says
 which.
-
-Loading rows are requested lazily through an accessor so callers with
-separable loadings never materialise a dense ``(p*q, h)`` design.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -37,8 +33,6 @@ STEP_TOL = 1e-8
 MAX_ITERS = 200
 
 _BACKTRACK_LIMIT = 30
-
-RowAccessor = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -80,28 +74,20 @@ class TrimmedFit:
     converged: bool = True
 
 
-def trimmed_l1_fit(
-    z,
-    loading_rows: RowAccessor,
-    n_factors: int,
-    spec: TrimSpec = TrimSpec(),
-) -> TrimmedFit:
+def trimmed_l1_fit(z, design, spec: TrimSpec = TrimSpec()) -> TrimmedFit:
     """Fit realised factors to the smallest-magnitude entries of ``z``.
 
     Parameters
     ----------
     z : array_like
         Statistic vector, length ``total``.
-    loading_rows : callable
-        ``loading_rows(indices)`` returns the design rows for those flat
-        indices as an ``(len(indices), n_factors)`` array.
-    n_factors : int
-        Number of columns in the design.  Zero is a no-op returning an empty
+    design : array_like
+        Loading matrix, shape ``(total, k)``; row ``l`` belongs to entry ``l``
+        of ``z``.  With ``k = 0`` the fit is a no-op returning an empty
         coefficient vector.
     spec : TrimSpec
-        Trimming configuration.  The kept count must be at least
-        ``n_factors + 1``, else :class:`~matfdp.errors.InvalidFactorCount`
-        is raised.
+        Trimming configuration.  The kept count must be at least ``k + 1``,
+        else :class:`~matfdp.errors.InvalidFactorCount` is raised.
 
     Notes
     -----
@@ -109,9 +95,11 @@ def trimmed_l1_fit(
     smallest ``|z|``; ties are broken by index, so the fit is deterministic.
     """
     zv = np.asarray(z, dtype=np.float64).ravel()
+    design = np.asarray(design, dtype=np.float64)
     total = zv.size
-    if n_factors < 0:
-        raise ValueError(f"n_factors must be >= 0, got {n_factors}")
+    if design.ndim != 2 or design.shape[0] != total:
+        raise ValueError(f"design shape {design.shape} does not have {total} rows")
+    n_factors = design.shape[1]
     if n_factors == 0:
         return TrimmedFit(
             w=np.empty(0), used_fallback=False, iterations=0, kept=np.empty(0, dtype=np.intp)
@@ -123,25 +111,19 @@ def trimmed_l1_fit(
             f"(need at least {n_factors + 1})"
         )
     kept = np.sort(np.argsort(np.abs(zv), kind="stable")[:m_keep])
-    design = np.asarray(loading_rows(kept), dtype=np.float64)
-    if design.shape != (m_keep, n_factors):
-        raise ValueError(
-            f"loading_rows returned shape {design.shape}, expected {(m_keep, n_factors)}"
-        )
-    zk = zv[kept]
+    dk, zk = design[kept], zv[kept]
 
-    w, _, rank, _ = np.linalg.lstsq(design, zk, rcond=None)
+    w, _, rank, _ = np.linalg.lstsq(dk, zk, rcond=None)
     if rank < n_factors:
-        full = np.asarray(loading_rows(np.arange(total)), dtype=np.float64)
-        w_full, _, _, _ = np.linalg.lstsq(full, zv, rcond=None)
+        w_full, _, _, _ = np.linalg.lstsq(design, zv, rcond=None)
         return TrimmedFit(w=w_full, used_fallback=True, iterations=0, kept=kept)
 
     # The transposed copy makes the per-iteration products row-contiguous.
-    design_t = np.ascontiguousarray(design.T)
+    dk_t = np.ascontiguousarray(dk.T)
 
     def objective(coef: np.ndarray) -> tuple[float, np.ndarray]:
         """Smoothed L1 objective and the smoothed ``|r|`` it averages."""
-        r = zk - coef @ design_t
+        r = zk - coef @ dk_t
         smooth_abs = np.sqrt(r * r + SMOOTH_EPS * SMOOTH_EPS)
         return float(np.mean(smooth_abs)), smooth_abs
 
@@ -153,8 +135,8 @@ def trimmed_l1_fit(
         # Weighting by 1 / smoothed |r| makes the weighted LS the standard
         # majorisation of the smoothed absolute loss; the k x k normal
         # equations solve it.  ``smooth_abs`` belongs to the current ``w``.
-        weighted = design_t / smooth_abs
-        step = np.linalg.solve(weighted @ design, weighted @ zk) - w
+        weighted = dk_t / smooth_abs
+        step = np.linalg.solve(weighted @ dk, weighted @ zk) - w
         alpha = 1.0
         cand_obj, smooth_abs = objective(w + step)
         for _ in range(_BACKTRACK_LIMIT):

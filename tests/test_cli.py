@@ -366,7 +366,7 @@ def test_malformed_manifest_exit_3(tmp_path, capsys, edit):
     assert rc == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: malformed dataset")
-    assert "manifest" in err
+    assert f"malformed dataset ({manifest}):" in err
 
 
 @pytest.mark.parametrize(
@@ -406,7 +406,7 @@ def test_untrusted_dataset_fields_exit_3(tmp_path, capsys, edit):
     assert rc == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: malformed dataset")
-    assert "manifest" in err
+    assert f"malformed dataset ({manifest}):" in err
 
 
 def test_simulate_checks_out_before_running(tmp_path, capsys, monkeypatch):

@@ -5,7 +5,6 @@ from matfdp.errors import DegenerateVariance, InvalidMatrix, NotPsd
 from matfdp.linalg import (
     corr_from_cov,
     kron_eigenpairs,
-    sample_matrix_normal,
     sample_matrix_normal_stack,
     sym_eigen,
     symmetric_sqrt,
@@ -141,19 +140,10 @@ def test_sampler_identity_mean():
 
 
 def test_sampler_determinism():
-    a = sample_matrix_normal(np.zeros((3, 4)), np.eye(3), np.eye(4), derive_rng(7, 3, 1))
-    b = sample_matrix_normal(np.zeros((3, 4)), np.eye(3), np.eye(4), derive_rng(7, 3, 1))
+    mu, u, v = np.zeros((3, 4)), np.eye(3), np.eye(4)
+    a = sample_matrix_normal_stack(mu, u, v, 2, derive_rng(7, 3, 1))
+    b = sample_matrix_normal_stack(mu, u, v, 2, derive_rng(7, 3, 1))
     assert np.array_equal(a, b)
-
-
-def test_sampler_stack_matches_sequential():
-    u = random_spd(np.random.default_rng(1), 3)
-    v = random_spd(np.random.default_rng(2), 2)
-    mu = np.arange(6.0).reshape(3, 2)
-    stack = sample_matrix_normal_stack(mu, u, v, 4, derive_rng(5, 1, 0))
-    rng = derive_rng(5, 1, 0)
-    singles = np.stack([sample_matrix_normal(mu, u, v, rng) for _ in range(4)])
-    assert np.allclose(stack, singles, atol=1e-12)
 
 
 def test_sampler_vec_covariance_monte_carlo():
@@ -170,7 +160,7 @@ def test_sampler_vec_covariance_monte_carlo():
 
 def test_sampler_rejects_shape_mismatch():
     with pytest.raises(InvalidMatrix):
-        sample_matrix_normal(np.zeros((2, 3)), np.eye(3), np.eye(3), derive_rng(0))
+        sample_matrix_normal_stack(np.zeros((2, 3)), np.eye(3), np.eye(3), 1, derive_rng(0))
 
 
 def test_corr_from_cov_basic():

@@ -161,6 +161,17 @@ def test_trimmed_estimator_recovers_planted_factors():
     assert np.max(np.abs(fit.factors.reshape((2, 2), order="F") - w_true)) < 0.3
 
 
+def test_trimmed_fit_is_the_noodle_fit_on_grid_loadings():
+    # Sandwich is the noodle model on the grid, so both run one design.
+    rng = np.random.default_rng(51)
+    sl = sandwich_loadings_from_corr(random_corr(rng, 12), random_corr(rng, 10), 2, 3)
+    x = stat_matrix(rng.standard_normal((12, 10)))
+    nf = fit_noodle(x, sl, estimator="trimmed_l1")
+    sf = fit_sandwich(x, sl, estimator="trimmed_l1")
+    assert np.array_equal(sf.factors, nf.factors)
+    assert np.array_equal(sf.common_part, nf.common_part)
+
+
 def test_oracle_matches_manual_computation():
     rng = np.random.default_rng(45)
     s1 = random_corr(rng, 3)

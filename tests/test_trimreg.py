@@ -6,15 +6,6 @@ import matfdp.trimreg as trimreg
 from matfdp.trimreg import TrimSpec, trimmed_l1_fit
 
 
-def accessor_from_matrix(a):
-    a = np.asarray(a, dtype=np.float64)
-
-    def rows(idx):
-        return a[np.asarray(idx), :]
-
-    return rows
-
-
 def l1_objective(z, a, kept, w):
     return float(np.abs(z[kept] - a[kept] @ w).sum())
 
@@ -36,7 +27,7 @@ def l1_oracle(z, a, kept):
 
 def test_zero_factors_is_noop():
     z = np.array([1.0, -2.0, 3.0])
-    fit = trimmed_l1_fit(z, accessor_from_matrix(np.zeros((3, 0))), 0)
+    fit = trimmed_l1_fit(z, np.zeros((3, 0)))
     assert fit.w.shape == (0,)
     assert fit.iterations == 0
     assert not fit.used_fallback
@@ -47,7 +38,7 @@ def test_noiseless_exact_recovery():
     a = rng.standard_normal((40, 3))
     w_true = np.array([1.5, -0.25, 2.0])
     z = a @ w_true
-    fit = trimmed_l1_fit(z, accessor_from_matrix(a), 3, TrimSpec(trim_fraction=1.0))
+    fit = trimmed_l1_fit(z, a, TrimSpec(trim_fraction=1.0))
     assert np.max(np.abs(fit.w - w_true)) <= 1e-6
     assert not fit.used_fallback
 
@@ -56,14 +47,14 @@ def test_converged_flag():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((40, 3))
     z = a @ np.array([1.5, -0.25, 2.0])
-    fit = trimmed_l1_fit(z, accessor_from_matrix(a), 3, TrimSpec(trim_fraction=1.0))
+    fit = trimmed_l1_fit(z, a, TrimSpec(trim_fraction=1.0))
     assert fit.converged is True
     assert fit.iterations < trimreg.MAX_ITERS
     # The zero-factor and rank-deficient returns run no loop.
-    empty = trimmed_l1_fit(z, accessor_from_matrix(np.zeros((40, 0))), 0)
+    empty = trimmed_l1_fit(z, np.zeros((40, 0)))
     assert empty.converged is True
     dup = np.column_stack([a[:, 0], a[:, 0]])
-    fallback = trimmed_l1_fit(z, accessor_from_matrix(dup), 2)
+    fallback = trimmed_l1_fit(z, dup)
     assert fallback.used_fallback and fallback.converged is True
 
 
@@ -72,7 +63,7 @@ def test_iteration_cap_reports_not_converged(monkeypatch):
     rng = np.random.default_rng(23)
     a = rng.standard_normal((60, 4))
     z = a @ rng.standard_normal(4) + rng.laplace(scale=0.5, size=60)
-    fit = trimmed_l1_fit(z, accessor_from_matrix(a), 4)
+    fit = trimmed_l1_fit(z, a)
     assert fit.converged is False
     assert fit.iterations == 3
 
@@ -82,7 +73,7 @@ def test_outlier_is_trimmed_to_median_like_fit():
     # the huge observation, so the solution sits at 1 exactly.
     z = np.array([1.0, 1.0, 1.0, 100.0])
     a = np.ones((4, 1))
-    fit = trimmed_l1_fit(z, accessor_from_matrix(a), 1, TrimSpec(trim_fraction=0.75))
+    fit = trimmed_l1_fit(z, a, TrimSpec(trim_fraction=0.75))
     assert fit.w[0] == pytest.approx(1.0, abs=1e-6)
     assert fit.kept.tolist() == [0, 1, 2]
 
@@ -90,7 +81,7 @@ def test_outlier_is_trimmed_to_median_like_fit():
 def test_kept_set_is_smallest_magnitudes():
     z = np.array([5.0, -1.0, 0.5, -7.0, 2.0])
     a = np.ones((5, 1))
-    fit = trimmed_l1_fit(z, accessor_from_matrix(a), 1, TrimSpec(trim_fraction=0.6))
+    fit = trimmed_l1_fit(z, a, TrimSpec(trim_fraction=0.6))
     assert fit.kept.tolist() == [1, 2, 4]
 
 
@@ -98,8 +89,8 @@ def test_scaling_equivariance():
     rng = np.random.default_rng(11)
     a = rng.standard_normal((30, 2))
     z = a @ np.array([2.0, -1.0]) + 0.01 * rng.standard_normal(30)
-    fit1 = trimmed_l1_fit(z, accessor_from_matrix(a), 2)
-    fit2 = trimmed_l1_fit(3.0 * z, accessor_from_matrix(a), 2)
+    fit1 = trimmed_l1_fit(z, a)
+    fit2 = trimmed_l1_fit(3.0 * z, a)
     assert np.allclose(fit2.w, 3.0 * fit1.w, atol=1e-6)
 
 
@@ -107,7 +98,7 @@ def test_objectives_non_increasing():
     rng = np.random.default_rng(23)
     a = rng.standard_normal((60, 4))
     z = a @ rng.standard_normal(4) + rng.laplace(scale=0.5, size=60)
-    fit = trimmed_l1_fit(z, accessor_from_matrix(a), 4)
+    fit = trimmed_l1_fit(z, a)
     obj = np.asarray(fit.objectives)
     assert obj.size >= 1
     assert np.all(np.diff(obj) <= 1e-12)
@@ -120,7 +111,7 @@ def test_matches_linear_programming_oracle():
         a = rng.standard_normal((n, h))
         z = a @ rng.standard_normal(h) + rng.laplace(scale=0.3, size=n)
         spec = TrimSpec(trim_fraction=0.9)
-        fit = trimmed_l1_fit(z, accessor_from_matrix(a), h, spec)
+        fit = trimmed_l1_fit(z, a, spec)
         w_lp, f_lp = l1_oracle(z, a, fit.kept)
         f_irls = l1_objective(z, a, fit.kept, fit.w)
         # Smoothed IRLS reaches the LP optimum up to the smoothing scale.
@@ -136,7 +127,7 @@ def test_realistic_size_matches_dual_lp_oracle():
     scales = np.logspace(0, 4, h)
     a = rng.standard_normal((n, h)) * scales
     z = a @ (rng.standard_normal(h) / scales) + rng.laplace(scale=0.5, size=n)
-    fit = trimmed_l1_fit(z, accessor_from_matrix(a), h, TrimSpec(trim_fraction=0.9))
+    fit = trimmed_l1_fit(z, a, TrimSpec(trim_fraction=0.9))
     ak, zk = a[fit.kept], z[fit.kept]
     # Dual of min |zk - ak w|_1: max zk'u s.t. ak'u = 0, |u| <= 1.
     res = linprog(-zk, A_eq=ak.T, b_eq=np.zeros(h), bounds=(-1, 1), method="highs-ds")
@@ -153,7 +144,7 @@ def test_rank_deficient_falls_back_to_least_squares():
     col = rng.standard_normal(20)
     a = np.column_stack([col, col])  # duplicated factor, rank 1
     z = 2.0 * col
-    fit = trimmed_l1_fit(z, accessor_from_matrix(a), 2)
+    fit = trimmed_l1_fit(z, a)
     assert fit.used_fallback
     # Min-norm solution splits the coefficient across the duplicates.
     assert np.allclose(fit.w, [1.0, 1.0], atol=1e-8)
@@ -164,7 +155,7 @@ def test_too_few_kept_rows_raises():
     a = np.ones((4, 3))
     z = np.arange(4.0)
     with pytest.raises(ValueError):
-        trimmed_l1_fit(z, accessor_from_matrix(a), 3, TrimSpec(trim_fraction=0.5))
+        trimmed_l1_fit(z, a, TrimSpec(trim_fraction=0.5))
 
 
 def test_trim_fraction_validation():
@@ -174,11 +165,9 @@ def test_trim_fraction_validation():
         TrimSpec(trim_fraction=1.5)
 
 
-def test_accessor_shape_mismatch_rejected():
+def test_design_rows_mismatch_rejected():
     z = np.arange(6.0)
-
-    def bad_rows(idx):
-        return np.ones((len(idx), 2))
-
     with pytest.raises(ValueError):
-        trimmed_l1_fit(z, bad_rows, 3)
+        trimmed_l1_fit(z, np.ones((5, 2)))
+    with pytest.raises(ValueError):
+        trimmed_l1_fit(z, np.ones(6))
