@@ -41,6 +41,7 @@ from .simlab import (
     run_experiment,
 )
 from .teststats import check_threshold, p_values, rejection_count, test_matrix
+from .trimreg import TrimSpec
 
 _ESTIMATOR_FLAGS = {"ls": "least_squares", "trimmed": "trimmed_l1"}
 _SWEEP_ROW_CAP = 100
@@ -86,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="comma-separated subset of noodle,sandwich,pfa",
             )
             p.add_argument("--estimator", choices=tuple(_ESTIMATOR_FLAGS), default="trimmed")
-            p.add_argument("--trim-fraction", type=float, default=0.9)
+            p.add_argument("--trim-fraction", type=float, default=TrimSpec.trim_fraction)
 
     sim = sub.add_parser("simulate", help="run a Monte-Carlo experiment")
     add_model_flags(sim, with_sim=True)

@@ -62,7 +62,8 @@ def read_dataset(directory: str | os.PathLike) -> TwoSampleDataset:
         On a missing or malformed manifest (including a non-integer
         dimension or a member file name that is not a plain name inside
         ``directory``), a group-size mismatch, or the first member file (in
-        manifest order) that fails to parse to a finite ``p x q`` matrix.  The exception's ``path`` names the offending file.
+        manifest order) that fails to parse to a finite ``p x q`` matrix.
+        The exception's ``path`` names the offending file.
     """
     directory = os.fspath(directory)
     manifest_path = os.path.join(directory, MANIFEST_NAME)

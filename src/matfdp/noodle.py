@@ -105,7 +105,7 @@ def fit_noodle(
     x: TestMatrix,
     loadings: PairLoadings,
     estimator: str = "least_squares",
-    trim: TrimSpec | None = None,
+    trim: TrimSpec = TrimSpec(),
 ) -> FactorFit:
     """Estimate realised factors and the common component.
 
@@ -118,13 +118,12 @@ def fit_noodle(
     estimator : str
         ``"least_squares"`` for the closed-form projection, ``"trimmed_l1"``
         to refit the factors robustly on the low-magnitude cells.
-    trim : TrimSpec, optional
-        Trimming configuration for the robust path; defaults to
-        ``TrimSpec()``.
+    trim : TrimSpec
+        Trimming configuration for the robust path.
     """
     if not _needs_trimmed_fit(x, loadings, estimator):
         return _least_squares_fit(x, loadings)
-    fit = trimmed_l1_fit(vec(x.x), _design(loadings), trim if trim is not None else TrimSpec())
+    fit = trimmed_l1_fit(vec(x.x), _design(loadings), trim)
     return _from_factors(loadings, fit.w, fit.used_fallback)
 
 

@@ -37,7 +37,7 @@ def fit_sandwich(
     x: TestMatrix,
     loadings: PairLoadings,
     estimator: str = "least_squares",
-    trim: TrimSpec | None = None,
+    trim: TrimSpec = TrimSpec(),
 ) -> FactorFit:
     """Estimate the realised factors and the common component on the grid.
 
@@ -50,7 +50,7 @@ def fit_sandwich(
         return _least_squares_fit(x, loadings)
     # The same fit as fit_noodle, called through this module's own name for
     # trimmed_l1_fit so the benchmark's traced run can reach that binding.
-    fit = trimmed_l1_fit(vec(x.x), _design(loadings), trim if trim is not None else TrimSpec())
+    fit = trimmed_l1_fit(vec(x.x), _design(loadings), trim)
     return _from_factors(loadings, fit.w, fit.used_fallback)
 
 

@@ -292,7 +292,7 @@ def run_experiment(
     seed: int,
     methods: tuple[str, ...] = METHODS,
     estimator: str = "trimmed_l1",
-    trim_fraction: float = 0.9,
+    trim_fraction: float = TrimSpec.trim_fraction,
     max_workers: int | None = None,
 ) -> ExperimentResult:
     """Run one simulation experiment.
@@ -348,12 +348,8 @@ def run_experiment(
                 failures.append(RoundFailure(r, method, repr(exc)))
         return records, failures
 
-    indices = range(1, rounds + 1)
-    if workers == 1:
-        outcomes = [one_round(r) for r in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one_round, indices))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        outcomes = list(pool.map(one_round, range(1, rounds + 1)))
 
     records: list[RoundRecord] = []
     failures: list[RoundFailure] = []

@@ -33,7 +33,6 @@ from matfdp.pfa import build_thin_factor, fdp_pfa
 from matfdp.sandwich import fdp_sandwich, fit_sandwich
 from matfdp.simlab import preset_spec, run_experiment
 from matfdp.teststats import (
-    TestMatrix,
     TwoSampleDataset,
     p_values,
     rejection_count,
@@ -41,21 +40,14 @@ from matfdp.teststats import (
 )
 from matfdp.trimreg import TrimSpec, trimmed_l1_fit
 
+from helpers import random_spd, stat_matrix
+
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     tail = f" ({detail})" if detail else ""
     print(f"[acceptance {num:02d}] {name}: {status}{tail}")
     assert ok, f"criterion {num}: {name}{tail}"
-
-
-def _random_spd(dim: int, rng: np.random.Generator) -> np.ndarray:
-    a = rng.standard_normal((dim, dim))
-    return a @ a.T + 0.5 * np.eye(dim)
-
-
-def _stat_matrix(x: np.ndarray) -> TestMatrix:
-    return TestMatrix(x=x, sigma_hat=np.ones_like(x), scale=1.0)
 
 
 def test_01_kron_eigen_matches_dense():
@@ -66,8 +58,8 @@ def test_01_kron_eigen_matches_dense():
     for _ in range(50):
         p = int(rng.integers(2, 9))
         q = int(rng.integers(2, 9))
-        s1 = _random_spd(p, rng)
-        s2 = _random_spd(q, rng)
+        s1 = random_spd(rng, p, spread=0.5)
+        s2 = random_spd(rng, q, spread=0.5)
         e1 = sym_eigen(s1)
         e2 = sym_eigen(s2)
         kron = kron_eigenpairs(e1, e2)
@@ -107,11 +99,11 @@ def test_02_two_sided_projection_identity():
     for _ in range(50):
         p = int(rng.integers(2, 9))
         q = int(rng.integers(2, 9))
-        s1 = _random_spd(p, rng)
-        s2 = _random_spd(q, rng)
+        s1 = random_spd(rng, p, spread=0.5)
+        s2 = random_spd(rng, q, spread=0.5)
         k1 = int(rng.integers(1, p + 1))
         k2 = int(rng.integers(1, q + 1))
-        x = _stat_matrix(rng.standard_normal((p, q)))
+        x = stat_matrix(rng.standard_normal((p, q)))
         loadings = sandwich_loadings_from_corr(s1, s2, k1, k2)
         fit = fit_sandwich(x, loadings)
 
@@ -131,7 +123,7 @@ def test_02_two_sided_projection_identity():
         q2 = np.linalg.qr(rng2.standard_normal((4, 4)))[0]
         s1 = q1 @ np.diag([4.0, 3.0, 0.1, 0.05, 0.02]) @ q1.T
         s2 = q2 @ np.diag([2.0, 1.5, 0.04, 0.01]) @ q2.T
-        x = _stat_matrix(rng2.standard_normal((5, 4)))
+        x = stat_matrix(rng2.standard_normal((5, 4)))
         nf = fit_noodle(x, noodle_loadings_from_corr(s1, s2, 4))
         sf = fit_sandwich(x, sandwich_loadings_from_corr(s1, s2, 2, 2))
         worst_fdp = max(
@@ -185,8 +177,8 @@ def test_04_correlation_estimates_have_unit_diagonals():
         q = int(rng.integers(2, 10))
         n = int(rng.integers(3, 8))
         m = int(rng.integers(3, 8))
-        u = _random_spd(p, rng)
-        v = _random_spd(q, rng)
+        u = random_spd(rng, p, spread=0.5)
+        v = random_spd(rng, q, spread=0.5)
         mu = np.zeros((p, q))
         y = sample_matrix_normal_stack(mu, u, v, n, rng)
         z = sample_matrix_normal_stack(mu, u, v, m, rng)
@@ -326,8 +318,8 @@ def test_07_trimmed_fit_examples():
 
 def test_08_sampler_covariance_law():
     rng = np.random.default_rng(88)
-    u = _random_spd(3, rng)
-    v = _random_spd(3, rng)
+    u = random_spd(rng, 3, spread=0.5)
+    v = random_spd(rng, 3, spread=0.5)
     draws = sample_matrix_normal_stack(np.zeros((3, 3)), u, v, 10_000, rng)
     vecs = draws.transpose(0, 2, 1).reshape(draws.shape[0], 9)
     emp = vecs.T @ vecs / draws.shape[0]
@@ -341,8 +333,8 @@ def test_09_thin_factor_route_matches_dense():
     rng = np.random.default_rng(99)
     worst = 0.0
     for p, q in ((4, 4), (8, 8), (2, 5)):
-        u = _random_spd(p, rng)
-        v = _random_spd(q, rng)
+        u = random_spd(rng, p, spread=0.5)
+        v = random_spd(rng, q, spread=0.5)
         mu = np.zeros((p, q))
         y = sample_matrix_normal_stack(mu, u, v, 4, rng)
         z = sample_matrix_normal_stack(mu, u, v, 4, rng)

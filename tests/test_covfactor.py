@@ -16,22 +16,7 @@ from matfdp.rng import derive_rng
 from matfdp.teststats import TwoSampleDataset, pooled_sigma
 from matfdp.linalg import sample_matrix_normal_stack
 
-
-def random_corr(rng, dim):
-    a = rng.standard_normal((dim, dim))
-    c = a @ a.T + dim * np.eye(dim)
-    d = 1.0 / np.sqrt(np.diag(c))
-    out = c * np.outer(d, d)
-    np.fill_diagonal(out, 1.0)
-    return out
-
-
-def side_loadings(sl):
-    """Scaled grid blocks ``sqrt(lam_b) nu_b``, ``(p, k1)``, and ``sqrt(xi_a) gamma_a``."""
-    lam = np.clip(sl.eig1.values[: sl.k1], 0.0, None)
-    xi = np.clip(sl.eig2.values[: sl.k2], 0.0, None)
-    left = sl.eig1.vectors[:, : sl.k1] * np.sqrt(lam)
-    return left, sl.eig2.vectors[:, : sl.k2] * np.sqrt(xi)
+from helpers import random_corr, side_loadings
 
 
 def correlated_dataset(seed, n=8, m=9, p=5, q=6):

@@ -25,17 +25,10 @@ from matfdp.pfa import fdp_pfa
 from matfdp.sandwich import fdp_sandwich, fit_sandwich
 from matfdp.teststats import TwoSampleDataset, p_values, rejection_count, test_matrix
 
+from helpers import random_corr
+
 # Same settings as tests/test_pair_properties.py: derandomized, few examples.
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
-
-
-def random_corr(rng, dim):
-    a = rng.standard_normal((dim, dim))
-    c = a @ a.T + dim * np.eye(dim)
-    d = 1.0 / np.sqrt(np.diag(c))
-    out = c * np.outer(d, d)
-    np.fill_diagonal(out, 1.0)
-    return out
 
 
 def estimates(ds, t):

@@ -13,10 +13,7 @@ from matfdp.linalg import (
 )
 from matfdp.rng import derive_rng
 
-
-def random_spd(rng, dim, spread=1.0):
-    a = rng.standard_normal((dim, dim))
-    return a @ a.T + spread * np.eye(dim)
+from helpers import random_spd
 
 
 def test_sym_eigen_diagonal():

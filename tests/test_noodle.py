@@ -4,28 +4,9 @@ import pytest
 from matfdp.covfactor import noodle_loadings_from_corr
 from matfdp.linalg import unvec, vec
 from matfdp.noodle import fdp_noodle, fdp_oracle_noodle, fit_noodle
-from matfdp.teststats import TestMatrix
 from scipy.special import ndtr, ndtri
 
-
-def random_corr(rng, dim):
-    a = rng.standard_normal((dim, dim))
-    c = a @ a.T + dim * np.eye(dim)
-    d = 1.0 / np.sqrt(np.diag(c))
-    out = c * np.outer(d, d)
-    np.fill_diagonal(out, 1.0)
-    return out
-
-
-def stat_matrix(x):
-    return TestMatrix(x=np.asarray(x, dtype=np.float64), sigma_hat=np.ones_like(x), scale=1.0)
-
-
-def kron_columns(loadings):
-    v1, g1 = loadings.vector_factors()
-    return np.stack(
-        [np.kron(g1[:, k], v1[:, k]) for k in range(loadings.h)], axis=1
-    )
+from helpers import dense_columns, random_corr, stat_matrix
 
 
 def test_zero_factor_fit_is_empty():
@@ -57,7 +38,7 @@ def test_least_squares_matches_dense_projection():
         nl = noodle_loadings_from_corr(s1, s2, h)
         x = rng.standard_normal((p, q))
         fit = fit_noodle(stat_matrix(x), nl)
-        rho = kron_columns(nl)
+        rho = dense_columns(nl)
         proj = rho @ (rho.T @ vec(x))
         assert np.max(np.abs(vec(fit.common_part) - proj)) <= 1e-10
         # Realised factors match the scaled design pseudo-inverse.
@@ -162,7 +143,7 @@ def test_oracle_full_mask_matches_dense_recomputation():
     t = 0.01
     r = 6
     est = fdp_oracle_noodle(s1, s2, h, w, np.ones((3, 4), dtype=bool), r, t)
-    rho = kron_columns(nl)
+    rho = dense_columns(nl)
     zeta = rho @ (np.sqrt(nl.values) * w)
     z = ndtri(t / 2.0)
     a = 1.0 / np.sqrt(1.0 - vec(nl.row_norms_sq))

@@ -12,23 +12,11 @@ from matfdp.covfactor import (
 from matfdp.linalg import vec
 from matfdp.noodle import fdp_noodle, fit_noodle
 from matfdp.sandwich import fdp_sandwich, fit_sandwich
-from matfdp.teststats import TestMatrix
+
+from helpers import dense_columns, random_corr, stat_matrix
 
 # Derandomized so a failure reproduces; few examples keep the suite fast.
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
-
-
-def random_corr(rng, dim):
-    a = rng.standard_normal((dim, dim))
-    c = a @ a.T + dim * np.eye(dim)
-    d = 1.0 / np.sqrt(np.diag(c))
-    out = c * np.outer(d, d)
-    np.fill_diagonal(out, 1.0)
-    return out
-
-
-def stat_matrix(x):
-    return TestMatrix(x=np.asarray(x, dtype=np.float64), sigma_hat=np.ones_like(x), scale=1.0)
 
 
 @st.composite
@@ -44,13 +32,6 @@ def pair_cases(draw):
         k1, k2 = draw(st.integers(0, p)), draw(st.integers(0, q))
         loadings = sandwich_loadings_from_corr(s1, s2, k1, k2)
     return loadings, 2.0 * rng.standard_normal((p, q))
-
-
-def dense_columns(loadings):
-    """Explicit unit loading columns ``kron(gamma_a, nu_b)``, shape ``(p*q, h)``."""
-    v1, g1 = loadings.vector_factors()
-    cols = [np.kron(g1[:, k], v1[:, k]) for k in range(loadings.h)]
-    return np.stack(cols, axis=1) if cols else np.zeros((loadings.p * loadings.q, 0))
 
 
 @PROPERTY

@@ -13,14 +13,7 @@ from matfdp.teststats import (
 )
 from matfdp.teststats import test_matrix as build_stats
 
-
-def random_corr(rng, dim):
-    a = rng.standard_normal((dim, dim))
-    c = a @ a.T + dim * np.eye(dim)
-    d = 1.0 / np.sqrt(np.diag(c))
-    out = c * np.outer(d, d)
-    np.fill_diagonal(out, 1.0)
-    return out
+from helpers import random_corr
 
 
 def random_dataset(seed, n=7, m=8, p=4, q=4, correlated=False):

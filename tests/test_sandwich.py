@@ -9,28 +9,8 @@ from matfdp.covfactor import (
 from matfdp.linalg import vec
 from matfdp.noodle import fdp_noodle, fit_noodle
 from matfdp.sandwich import fdp_oracle_sandwich, fdp_sandwich, fit_sandwich
-from matfdp.teststats import TestMatrix
 
-
-def random_corr(rng, dim):
-    a = rng.standard_normal((dim, dim))
-    c = a @ a.T + dim * np.eye(dim)
-    d = 1.0 / np.sqrt(np.diag(c))
-    out = c * np.outer(d, d)
-    np.fill_diagonal(out, 1.0)
-    return out
-
-
-def side_loadings(sl):
-    """Scaled grid blocks ``sqrt(lam_b) nu_b``, ``(p, k1)``, and ``sqrt(xi_a) gamma_a``."""
-    lam = np.clip(sl.eig1.values[: sl.k1], 0.0, None)
-    xi = np.clip(sl.eig2.values[: sl.k2], 0.0, None)
-    left = sl.eig1.vectors[:, : sl.k1] * np.sqrt(lam)
-    return left, sl.eig2.vectors[:, : sl.k2] * np.sqrt(xi)
-
-
-def stat_matrix(x):
-    return TestMatrix(x=np.asarray(x, dtype=np.float64), sigma_hat=np.ones_like(x), scale=1.0)
+from helpers import random_corr, side_loadings, stat_matrix
 
 
 def test_zero_factor_fit_is_empty():

@@ -119,24 +119,42 @@ def test_matches_linear_programming_oracle():
         assert np.max(np.abs(fit.w - w_lp)) <= 5e-4
 
 
-def test_realistic_size_matches_dual_lp_oracle():
-    # Column scales 1..1e4 square into a badly conditioned Gram matrix, the
-    # case where normal-equation steps could lose accuracy.
+def realistic_problem():
+    """A 2000 x 6 design and its statistic vector with Laplace noise.
+
+    Column scales 1..1e4 square into a badly conditioned Gram matrix, the
+    case where normal-equation steps could lose accuracy.
+    """
     rng = np.random.default_rng(0)
     n, h = 2000, 6
     scales = np.logspace(0, 4, h)
     a = rng.standard_normal((n, h)) * scales
     z = a @ (rng.standard_normal(h) / scales) + rng.laplace(scale=0.5, size=n)
+    return z, a
+
+
+def test_realistic_size_matches_dual_lp_oracle():
+    z, a = realistic_problem()
     fit = trimmed_l1_fit(z, a, TrimSpec(trim_fraction=0.9))
     ak, zk = a[fit.kept], z[fit.kept]
     # Dual of min |zk - ak w|_1: max zk'u s.t. ak'u = 0, |u| <= 1.
-    res = linprog(-zk, A_eq=ak.T, b_eq=np.zeros(h), bounds=(-1, 1), method="highs-ds")
+    res = linprog(-zk, A_eq=ak.T, b_eq=np.zeros(a.shape[1]), bounds=(-1, 1), method="highs-ds")
     assert res.success
     f_star = -res.fun
     w_lp = -res.eqlin.marginals
     assert l1_objective(z, a, fit.kept, w_lp) == pytest.approx(f_star, rel=1e-12)
     assert l1_objective(z, a, fit.kept, fit.w) <= f_star * (1 + 1e-6)
     assert np.all(np.diff(fit.objectives) <= 0)
+
+
+def test_trace_ends_at_the_returned_iterate():
+    z, a = realistic_problem()
+    fit = trimmed_l1_fit(z, a, TrimSpec(trim_fraction=0.9))
+    # One entry for the warm start, then one per iteration.
+    assert len(fit.objectives) == fit.iterations + 1
+    r = z[fit.kept] - a[fit.kept] @ fit.w
+    smoothed = np.mean(np.sqrt(r * r + trimreg.SMOOTH_EPS**2))
+    assert fit.objectives[-1] == pytest.approx(smoothed, rel=1e-12)
 
 
 def test_rank_deficient_falls_back_to_least_squares():
