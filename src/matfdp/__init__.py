@@ -44,10 +44,10 @@ from .linalg import (
     unvec,
     vec,
 )
-from .noodle import FactorFit, fdp_noodle, fdp_oracle_noodle, fit_noodle
+from .noodle import FactorFit, fdp_noodle, fdp_oracle, fit_noodle
 from .pfa import ThinFactor, build_thin_factor, fdp_pfa
 from .rng import derive_rng
-from .sandwich import fdp_oracle_sandwich, fdp_sandwich, fit_sandwich
+from .sandwich import fdp_sandwich, fit_sandwich
 from .simlab import (
     METHODS,
     ExperimentResult,
@@ -109,8 +109,7 @@ __all__ = [
     "eigenvalue_ratio",
     "estimate_correlations",
     "fdp_noodle",
-    "fdp_oracle_noodle",
-    "fdp_oracle_sandwich",
+    "fdp_oracle",
     "fdp_pfa",
     "fdp_sandwich",
     "fit_noodle",

@@ -250,8 +250,8 @@ def build_noodle_loadings(ce: CorrEstimates, h: int | None = None) -> PairLoadin
 def noodle_loadings_from_corr(sigma1, sigma2, h: int) -> PairLoadings:
     """Top-``h`` pairs built directly from known correlation matrices.
 
-    Used by the oracle estimators and by tests; factor count is explicit
-    because there is no sample size to drive a data-based cap.
+    Used with :func:`~matfdp.noodle.fdp_oracle` and by tests; the factor count
+    is explicit because there is no sample size to drive a data-based cap.
     """
     e1 = sym_eigen(sigma1)
     e2 = sym_eigen(sigma2)

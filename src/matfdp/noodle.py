@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .covfactor import PairLoadings, noodle_loadings_from_corr
+from .covfactor import PairLoadings
 from .linalg import vec
 from .teststats import TestMatrix, check_threshold
 from .trimreg import TrimSpec, trimmed_l1_fit
@@ -162,35 +162,22 @@ def fdp_noodle(fit: FactorFit, rejections: int, threshold: float) -> float:
     return _plugin_estimate(fit.loadings.row_norms_sq, common, rejections, threshold)
 
 
-def _oracle(
+def fdp_oracle(
     loadings: PairLoadings, factors, null_mask, rejections: int, threshold: float
 ) -> float:
-    """Plug-in sum over the true null cells with known realised factors per pair."""
+    """Plug-in sum over the true null cells (``null_mask`` is ``True`` there).
+
+    ``factors`` holds the known realised factors, shape ``(loadings.h,)`` in
+    the order of :attr:`FactorFit.factors`: ``W.ravel(order="F")`` for a grid
+    factor matrix ``W``.  The plug-in estimate approximates this sum from
+    above by summing over every cell.
+    """
     mask = np.asarray(null_mask, dtype=bool)
     p, q = loadings.p, loadings.q
     if mask.shape != (p, q):
         raise ValueError(f"mask shape {mask.shape} does not match ({p}, {q})")
-    w = np.asarray(factors, dtype=np.float64).ravel()
-    if w.size != loadings.h:
-        raise ValueError(f"expected {loadings.h} realised factors, got {w.size}")
+    w = np.asarray(factors, dtype=np.float64)
+    if w.shape != (loadings.h,):
+        raise ValueError(f"factors shape {w.shape} does not match ({loadings.h},)")
     common = loadings.expand(_sqrt_weights(loadings) * w) if loadings.h else None
     return _plugin_estimate(loadings.row_norms_sq, common, rejections, threshold, mask)
-
-
-def fdp_oracle_noodle(
-    sigma1,
-    sigma2,
-    n_factors: int,
-    factors,
-    null_mask,
-    rejections: int,
-    threshold: float,
-) -> float:
-    """Oracle variant: known correlations, known realised factors, known nulls.
-
-    The sum runs over true null cells only (``null_mask`` is ``True`` there),
-    which is the quantity the plug-in estimate approximates from above by
-    summing over every cell.
-    """
-    loadings = noodle_loadings_from_corr(sigma1, sigma2, n_factors)
-    return _oracle(loadings, factors, null_mask, rejections, threshold)

@@ -2,23 +2,23 @@
 
 Sandwich keeps the top ``k1`` eigenpairs of the row correlation and the top
 ``k2`` eigenpairs of the column correlation and uses every pair of the grid
-(:func:`~matfdp.covfactor.build_sandwich_loadings`).  The fit, the plug-in
-estimate and the oracle are those of :mod:`matfdp.noodle`.  On the grid the
-least-squares common component is the two-sided projection
+(:func:`~matfdp.covfactor.build_sandwich_loadings`), row index fastest.  The
+fit, the plug-in estimate and the oracle (:func:`~matfdp.noodle.fdp_oracle`)
+are those of :mod:`matfdp.noodle`: the realised factor matrix is
+``W = fit.factors.reshape((k1, k2), order="F")`` and the oracle takes
+``W.ravel(order="F")``.  On the grid the least-squares common component is
+the two-sided projection
 
     eta = (sum_b nu_b nu_b') X (sum_a gamma_a gamma_a'),
 
-computed as three small matrix products (cost ``O(p q (k1 + k2))``), and the
-realised factor matrix is ``fit.factors.reshape((k1, k2), order="F")``.  The
+computed as three small matrix products (cost ``O(p q (k1 + k2))``).  The
 trimmed fit runs on noodle's dense ``(p q) x (k1 k2)`` design of the grid
 pairs, so on the same loadings it gives noodle's trimmed fit bit for bit.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .covfactor import PairLoadings, sandwich_loadings_from_corr
+from .covfactor import PairLoadings
 from .linalg import vec
 from .noodle import (
     FactorFit,
@@ -26,7 +26,6 @@ from .noodle import (
     _from_factors,
     _least_squares_fit,
     _needs_trimmed_fit,
-    _oracle,
     fdp_noodle,
 )
 from .teststats import TestMatrix
@@ -57,23 +56,3 @@ def fit_sandwich(
 #: Plug-in FDP estimate; identical to the noodle one on grid loadings.
 fdp_sandwich = fdp_noodle
 
-
-def fdp_oracle_sandwich(
-    sigma1,
-    sigma2,
-    k1: int,
-    k2: int,
-    factors,
-    null_mask,
-    rejections: int,
-    threshold: float,
-) -> float:
-    """Oracle variant with known correlations, factor matrix, and null set.
-
-    ``factors`` is the ``(k1, k2)`` realised factor matrix.
-    """
-    loadings = sandwich_loadings_from_corr(sigma1, sigma2, k1, k2)
-    w = np.asarray(factors, dtype=np.float64)
-    if w.shape != (k1, k2):
-        raise ValueError(f"factor matrix shape {w.shape} does not match ({k1}, {k2})")
-    return _oracle(loadings, w.ravel(order="F"), null_mask, rejections, threshold)

@@ -146,6 +146,8 @@ def _draw_loadings(dist, shape: tuple[int, int], rng: np.random.Generator) -> np
 
 
 def _draw_noise_entries(dist: str, shape, rng: np.random.Generator) -> np.ndarray:
+    if dist == "normal":
+        return rng.standard_normal(shape)
     if dist == "exp1":
         # Centred so the factor construction keeps the covariance exact.
         return rng.exponential(1.0, size=shape) - 1.0
@@ -184,27 +186,25 @@ class _RoundGenerator:
             mask[: spec.signal_rows, : spec.signal_cols] = False
         self.mu = mu
         self.mask = mask
+        # Noise is left @ E @ right: left @ left.T = sigma1, right.T @ right = sigma2.
+        self.noise_dist = spec.w_dist if spec.model == 3 else "normal"
         if spec.model == 3:
             e1 = sym_eigen(sigma1)
             e2 = sym_eigen(sigma2)
             self.left = e1.vectors * np.sqrt(np.clip(e1.values, 0.0, None))
-            self.right = e2.vectors * np.sqrt(np.clip(e2.values, 0.0, None))
+            self.right = (e2.vectors * np.sqrt(np.clip(e2.values, 0.0, None))).T
         else:
-            self.u_half = symmetric_sqrt(sigma1)
-            self.v_half = symmetric_sqrt(sigma2)
+            self.left = symmetric_sqrt(sigma1)
+            self.right = symmetric_sqrt(sigma2)
+
+    def _noise(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        # The draw stays a temporary, freed after its first product: peak memory.
+        shape = (count, self.spec.p, self.spec.q)
+        return self.left @ _draw_noise_entries(self.noise_dist, shape, rng) @ self.right
 
     def generate(self, rng: np.random.Generator) -> tuple[TwoSampleDataset, np.ndarray]:
-        spec = self.spec
-        shape_y = (spec.n, spec.p, spec.q)
-        shape_z = (spec.m, spec.p, spec.q)
-        if spec.model == 3:
-            wy = _draw_noise_entries(spec.w_dist, shape_y, rng)
-            wz = _draw_noise_entries(spec.w_dist, shape_z, rng)
-            y = self.mu + self.left @ wy @ self.right.T
-            z = self.left @ wz @ self.right.T
-        else:
-            y = self.mu + self.u_half @ rng.standard_normal(shape_y) @ self.v_half
-            z = self.u_half @ rng.standard_normal(shape_z) @ self.v_half
+        y = self.mu + self._noise(self.spec.n, rng)
+        z = self._noise(self.spec.m, rng)
         return TwoSampleDataset(treatment=y, control=z), self.mask
 
 

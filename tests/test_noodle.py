@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
-from matfdp.covfactor import noodle_loadings_from_corr
+from matfdp.covfactor import (
+    build_noodle_loadings,
+    build_sandwich_loadings,
+    estimate_correlations,
+    noodle_loadings_from_corr,
+)
 from matfdp.linalg import unvec, vec
-from matfdp.noodle import fdp_noodle, fdp_oracle_noodle, fit_noodle
+from matfdp.noodle import fdp_noodle, fdp_oracle, fit_noodle
+from matfdp.rng import derive_rng
+from matfdp.simlab import PRESETS, gen_correlations, gen_round, preset_spec
+from matfdp.teststats import p_values, rejection_count, test_matrix
 from scipy.special import ndtr, ndtri
 
 from helpers import dense_columns, random_corr, stat_matrix
@@ -117,19 +125,16 @@ def test_fit_shape_mismatch_and_bad_estimator():
 
 
 def test_oracle_empty_mask_is_zero():
-    s = np.eye(3)
-    assert (
-        fdp_oracle_noodle(s, s, 1, [0.5], np.zeros((3, 3), dtype=bool), 2, 0.01)
-        == 0.0
-    )
+    nl = noodle_loadings_from_corr(np.eye(3), np.eye(3), 1)
+    assert fdp_oracle(nl, [0.5], np.zeros((3, 3), dtype=bool), 2, 0.01) == 0.0
 
 
 def test_oracle_zero_factors_counts_nulls():
-    s = np.eye(3)
+    nl = noodle_loadings_from_corr(np.eye(3), np.eye(3), 0)
     mask = np.zeros((3, 3), dtype=bool)
     mask[0, :] = True
     t = 0.02
-    est = fdp_oracle_noodle(s, s, 0, [], mask, 4, t)
+    est = fdp_oracle(nl, [], mask, 4, t)
     assert est == pytest.approx(3 * t / 4, abs=0.0)
 
 
@@ -142,7 +147,7 @@ def test_oracle_full_mask_matches_dense_recomputation():
     w = rng.standard_normal(h)
     t = 0.01
     r = 6
-    est = fdp_oracle_noodle(s1, s2, h, w, np.ones((3, 4), dtype=bool), r, t)
+    est = fdp_oracle(nl, w, np.ones((3, 4), dtype=bool), r, t)
     rho = dense_columns(nl)
     zeta = rho @ (np.sqrt(nl.values) * w)
     z = ndtri(t / 2.0)
@@ -155,11 +160,34 @@ def test_oracle_partial_mask_is_dominated_by_full_mask():
     rng = np.random.default_rng(47)
     s1 = random_corr(rng, 4)
     s2 = random_corr(rng, 4)
+    nl = noodle_loadings_from_corr(s1, s2, 2)
     w = rng.standard_normal(2)
     mask = rng.random((4, 4)) < 0.5
-    full = fdp_oracle_noodle(s1, s2, 2, w, np.ones((4, 4), dtype=bool), 3, 0.01)
-    part = fdp_oracle_noodle(s1, s2, 2, w, mask, 3, 0.01)
+    full = fdp_oracle(nl, w, np.ones((4, 4), dtype=bool), 3, 0.01)
+    part = fdp_oracle(nl, w, mask, 3, 0.01)
     assert part <= full + 1e-15
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_oracle_on_fitted_factors_with_every_cell_null_is_the_plugin(preset):
+    # Noodle and grid loadings alike: summing over every cell with the fit's
+    # own loadings and factors is the plug-in estimate.
+    spec = preset_spec(*preset, p=40, q=40, n=20, m=20)
+    sigma1, sigma2 = gen_correlations(spec, derive_rng(5, 0, 0))
+    every_cell = np.ones((spec.p, spec.q), dtype=bool)
+    t = 0.01
+    for r in (1, 2):
+        ds, _ = gen_round(spec, sigma1, sigma2, derive_rng(5, r, 1))
+        x = test_matrix(ds)
+        rej = rejection_count(p_values(x), t)
+        ce = estimate_correlations(ds, x.sigma_hat)
+        for loadings in (build_noodle_loadings(ce), build_sandwich_loadings(ce)):
+            fit = fit_noodle(x, loadings, estimator="trimmed_l1")
+            oracle = fdp_oracle(fit.loadings, fit.factors, every_cell, rej, t)
+            assert oracle == fdp_noodle(fit, rej, t)
+            fit = fit_noodle(x, loadings)
+            oracle = fdp_oracle(fit.loadings, fit.factors, every_cell, rej, t)
+            assert oracle == pytest.approx(fdp_noodle(fit, rej, t), rel=1e-12)
 
 
 def test_trimmed_estimator_smoke():

@@ -7,8 +7,8 @@ from matfdp.covfactor import (
     sandwich_loadings_from_corr,
 )
 from matfdp.linalg import vec
-from matfdp.noodle import fdp_noodle, fit_noodle
-from matfdp.sandwich import fdp_oracle_sandwich, fdp_sandwich, fit_sandwich
+from matfdp.noodle import fdp_noodle, fdp_oracle, fit_noodle
+from matfdp.sandwich import fdp_sandwich, fit_sandwich
 
 from helpers import random_corr, side_loadings, stat_matrix
 
@@ -162,24 +162,28 @@ def test_oracle_matches_manual_computation():
     mask = rng.random((3, 4)) < 0.7
     t = 0.02
     r = 3
-    est = fdp_oracle_sandwich(s1, s2, k1, k2, w, mask, r, t)
+    est = fdp_oracle(sl, w.ravel(order="F"), mask, r, t)
     left, right = side_loadings(sl)
     eta = left @ w @ right.T
     z = ndtri(t / 2.0)
     a = 1.0 / np.sqrt(1.0 - sl.row_norms_sq)
     terms = ndtr(a * (z + eta)) + ndtr(a * (z - eta))
     assert est == pytest.approx(terms[mask].sum() / r, rel=1e-12)
-    assert fdp_oracle_sandwich(s1, s2, 0, 2, np.zeros((0, 2)), mask, r, t) == (
+    empty = sandwich_loadings_from_corr(s1, s2, 0, 2)
+    assert fdp_oracle(empty, np.zeros(0), mask, r, t) == (
         pytest.approx(np.count_nonzero(mask) * t / r, abs=0.0)
     )
 
 
 def test_oracle_validation():
-    s = np.eye(3)
+    sl = sandwich_loadings_from_corr(np.eye(3), np.eye(3), 1, 1)
     mask = np.ones((3, 3), dtype=bool)
     with pytest.raises(ValueError):
-        fdp_oracle_sandwich(s, s, 1, 1, np.zeros((2, 1)), mask, 1, 0.01)
+        fdp_oracle(sl, np.zeros(2), mask, 1, 0.01)
     with pytest.raises(ValueError):
-        fdp_oracle_sandwich(s, s, 1, 1, np.zeros((1, 1)), mask[:2], 1, 0.01)
+        fdp_oracle(sl, np.zeros(1), mask[:2], 1, 0.01)
     with pytest.raises(ValueError):
-        fdp_oracle_sandwich(s, s, 1, 1, np.zeros((1, 1)), mask, 1, 0.0)
+        fdp_oracle(sl, np.zeros(1), mask, 1, 0.0)
+    # The grid factor matrix itself is refused: the oracle takes its F-order ravel.
+    with pytest.raises(ValueError):
+        fdp_oracle(sl, np.zeros((1, 1)), mask, 1, 0.01)

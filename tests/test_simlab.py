@@ -103,19 +103,30 @@ def test_noise_entry_moments():
         assert abs(draws.var() - 1.0) < 0.05
 
 
-def test_model3_matches_target_covariance():
+@pytest.mark.parametrize(
+    "model, extra",
+    [
+        (1, {}),
+        (2, dict(rho1=0.5, rho2=0.3)),
+        (3, dict(w_dist="exp1")),
+        (3, dict(w_dist="scaled_t6")),
+    ],
+    ids=["model1", "model2", "model3-exp1", "model3-scaled_t6"],
+)
+def test_gen_round_matches_target_covariance(model, extra):
     spec = ModelSpec(
-        model=3, p=3, q=3, n=6000, m=2, l1=2, l2=2,
-        loading_dist=("uniform", 0.0, 1.0), w_dist="scaled_t6",
-        signal_rows=2, signal_cols=2, signal_amplitude=0.0,
+        model=model, p=3, q=3, n=6000, m=6000, l1=2, l2=2,
+        loading_dist=("uniform", 0.0, 1.0),
+        signal_rows=2, signal_cols=2, signal_amplitude=0.0, **extra,
     )
     sigma1, sigma2 = gen_correlations(spec, np.random.default_rng(9))
     ds, _ = gen_round(spec, sigma1, sigma2, np.random.default_rng(10))
-    vecs = ds.treatment.transpose(0, 2, 1).reshape(spec.n, spec.p * spec.q)
-    emp = vecs.T @ vecs / spec.n
     target = np.kron(sigma2, sigma1)
-    rel = np.linalg.norm(emp - target) / np.linalg.norm(target)
-    assert rel < 0.15
+    for group in (ds.treatment, ds.control):
+        vecs = group.transpose(0, 2, 1).reshape(len(group), spec.p * spec.q)
+        emp = vecs.T @ vecs / len(group)
+        rel = np.linalg.norm(emp - target) / np.linalg.norm(target)
+        assert rel < 0.15
 
 
 def test_gen_round_is_deterministic():
