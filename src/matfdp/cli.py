@@ -9,7 +9,8 @@ Exit codes: 0 success, 2 invalid flags, 3 malformed dataset, 4 unwritable
 output path, 5 estimation failed on the data (for example a cell with zero
 variance) or in the setup of a run (for example the correlation draw).
 ``main`` maps exceptions to these codes in one place.  ``MATFDP_THREADS``
-caps the worker threads of ``simulate`` rounds only.
+caps the worker threads of ``simulate`` rounds only; the library reads no
+environment variable.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .errors import DatasetFormatError, MatfdpError
 from .linalg import kron_eigenpairs, vec
 from .noodle import fdp_noodle, fit_noodle
 from .rng import derive_rng
-from .sandwich import fdp_sandwich, fit_sandwich
 from .simlab import (
     METHODS,
     gen_correlations,
@@ -133,6 +133,20 @@ def _ensure_out_dir(path: str) -> None:
     os.remove(probe)
 
 
+def _max_workers_from_env() -> int | None:
+    """Round worker count from ``MATFDP_THREADS``; ``None`` when it is unset."""
+    env = os.environ.get("MATFDP_THREADS")
+    if env is None:
+        return None
+    try:
+        value = int(env)
+    except ValueError as exc:
+        raise ValueError(f"MATFDP_THREADS must be an integer, got {env!r}") from exc
+    if value < 1:
+        raise ValueError(f"MATFDP_THREADS must be >= 1, got {value}")
+    return value
+
+
 def _run_simulate(args: argparse.Namespace) -> int:
     requested = set(filter(None, args.methods.split(",")))
     if not requested or not requested <= set(METHODS):
@@ -140,6 +154,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
     # Keep the canonical method order in the output regardless of flag order.
     methods = tuple(m for m in METHODS if m in requested)
     spec = _build_spec(args)
+    max_workers = _max_workers_from_env()
     # Fail on an unwritable --out before the experiment runs, not after.
     _ensure_out_dir(args.out)
     result = run_experiment(
@@ -150,6 +165,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
         methods=methods,
         estimator=_ESTIMATOR_FLAGS[args.estimator],
         trim_fraction=args.trim_fraction,
+        max_workers=max_workers,
     )
 
     with _open_out(args.out, "rounds.csv") as fh:
@@ -173,14 +189,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
             "estimator": _ESTIMATOR_FLAGS[args.estimator],
             "trim_fraction": args.trim_fraction,
         },
-        "methods": {
-            name: {
-                "bias_percent": s.bias_percent,
-                "sd_percent": s.sd_percent,
-                "rounds": s.rounds,
-            }
-            for name, s in result.summaries.items()
-        },
+        "methods": {name: dataclasses.asdict(s) for name, s in result.summaries.items()},
         "failures": [
             {"round": f.round_index, "method": f.method, "error": f.error}
             for f in result.failures
@@ -191,16 +200,6 @@ def _run_simulate(args: argparse.Namespace) -> int:
         fh.write("\n")
     print(f"wrote {os.path.join(args.out, 'rounds.csv')}")
     return 0
-
-
-def _analysis_fit(ds, x, method: str):
-    """Correlations and the estimate as a function of ``(R, t)``; counts are data-driven."""
-    ce = estimate_correlations(ds, x.sigma_hat)
-    if method == "noodle":
-        fit = fit_noodle(x, build_noodle_loadings(ce), estimator="trimmed_l1")
-        return ce, lambda rej, t: fdp_noodle(fit, rej, t)
-    fit = fit_sandwich(x, build_sandwich_loadings(ce), estimator="trimmed_l1")
-    return ce, lambda rej, t: fdp_sandwich(fit, rej, t)
 
 
 def _sweep_thresholds(pv: np.ndarray, step: int) -> list[float]:
@@ -225,7 +224,10 @@ def _run_analyze(args: argparse.Namespace) -> int:
     ds = read_dataset(args.data)
     x = test_matrix(ds)
     pv = p_values(x)
-    ce, estimate = _analysis_fit(ds, x, args.method)
+    # Sandwich is the noodle fit on the top-k1 x top-k2 grid of pairs.
+    select = build_noodle_loadings if args.method == "noodle" else build_sandwich_loadings
+    ce = estimate_correlations(ds, x.sigma_hat)
+    fit = fit_noodle(x, select(ce), estimator="trimmed_l1")
 
     fixed = args.threshold is not None
     _ensure_out_dir(args.out)
@@ -233,7 +235,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
         fh.write("t,R,fdp_hat,estimated_false\n")
         for t in [args.threshold] if fixed else _sweep_thresholds(pv, args.sweep):
             rej = rejection_count(pv, t)
-            fdp = min(estimate(rej, t), 1.0)
+            fdp = min(fdp_noodle(fit, rej, t), 1.0)
             fh.write(f"{_fmt(t)},{rej},{_fmt(fdp)},{_fmt(fdp * rej)}\n")
     if fixed:
         selected = (pv <= args.threshold).astype(int)

@@ -14,8 +14,9 @@ with the same doubly-correlated noise.
 Each experiment draws the correlation pair once, then generates fresh data
 every round, computes the realised FDP from the ground-truth null mask, and
 records each estimator's plug-in value.  Bias and spread are reported in
-percent of the difference ``estimate - realised``.  Raw (unclamped) estimates
-go into these metrics.
+percent of the difference ``estimate - realised``.  The estimates are those
+of the plug-in core, clamped to ``[0, pq/R]``; only ``analyze`` also clamps
+them to 1.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -240,49 +241,21 @@ class RoundFailure:
 
 @dataclass(frozen=True)
 class MethodSummary:
-    """Bias and spread of ``fdp_hat - fdp_true`` over completed rounds, in percent."""
+    """Bias and spread of ``fdp_hat - fdp_true`` over completed rounds, in percent.
 
-    method: str
-    bias_percent: float
-    sd_percent: float
+    Both are ``None`` when the method completed no round.
+    """
+
+    bias_percent: float | None
+    sd_percent: float | None
     rounds: int
 
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    spec: ModelSpec
-    threshold: float
-    rounds: int
-    seed: int
-    methods: tuple[str, ...]
-    estimator: str
-    trim_fraction: float
-    records: list[RoundRecord] = field(default_factory=list)
-    summaries: dict[str, MethodSummary] = field(default_factory=dict)
-    failures: list[RoundFailure] = field(default_factory=list)
-
-
-def resolve_max_workers(requested: int | None = None) -> int:
-    """Worker count for round-level parallelism.
-
-    The ``MATFDP_THREADS`` environment variable caps whatever is requested;
-    the default is the CPU count.
-    """
-    cap = os.cpu_count() or 1
-    env = os.environ.get("MATFDP_THREADS")
-    if env is not None:
-        try:
-            env_val = int(env)
-        except ValueError as exc:
-            raise ValueError(f"MATFDP_THREADS must be an integer, got {env!r}") from exc
-        if env_val < 1:
-            raise ValueError(f"MATFDP_THREADS must be >= 1, got {env_val}")
-        cap = min(cap, env_val)
-    if requested is not None:
-        if requested < 1:
-            raise ValueError(f"max_workers must be >= 1, got {requested}")
-        return min(requested, cap)
-    return max(1, cap)
+    records: list[RoundRecord]
+    summaries: dict[str, MethodSummary]
+    failures: list[RoundFailure]
 
 
 def run_experiment(
@@ -299,10 +272,11 @@ def run_experiment(
 
     The correlation pair is drawn once from the ``(seed, round 0)`` stream;
     round ``r`` draws its data from the ``(seed, round r)`` stream, so results
-    are identical for any worker count.  Per-round estimator failures are
-    recorded and the round (or just that method) is skipped; the experiment
-    never aborts on them.  Invalid arguments raise ``ValueError`` before any
-    data is drawn.
+    are identical for any worker count.  Rounds run on ``max_workers``
+    threads, at most the CPU count (the default).  Per-round estimator
+    failures are recorded and the round (or just that method) is skipped; the
+    experiment never aborts on them.  Invalid arguments raise ``ValueError``
+    before any data is drawn.
     """
     check_threshold(threshold)
     check_estimator(estimator)
@@ -314,8 +288,10 @@ def run_experiment(
         raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
     if not methods:
         raise ValueError("need at least one method")
+    if max_workers is not None and max_workers < 1:
+        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     trim = TrimSpec(trim_fraction)
-    workers = resolve_max_workers(max_workers)
+    cpus = os.cpu_count() or 1
 
     sigma1, sigma2 = gen_correlations(spec, derive_rng(seed, 0, 0))
     gen = _RoundGenerator(spec, sigma1, sigma2)
@@ -348,7 +324,7 @@ def run_experiment(
                 failures.append(RoundFailure(r, method, repr(exc)))
         return records, failures
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(max_workers or cpus, cpus)) as pool:
         outcomes = list(pool.map(one_round, range(1, rounds + 1)))
 
     records: list[RoundRecord] = []
@@ -362,25 +338,10 @@ def run_experiment(
         diffs = np.array(
             [rec.fdp_hat - rec.fdp_true for rec in records if rec.method == method]
         )
+        bias = sd = None
         if diffs.size:
             bias = 100.0 * float(diffs.mean())
             sd = 100.0 * float(diffs.std(ddof=1)) if diffs.size > 1 else 0.0
-        else:
-            bias = float("nan")
-            sd = float("nan")
-        summaries[method] = MethodSummary(
-            method=method, bias_percent=bias, sd_percent=sd, rounds=int(diffs.size)
-        )
+        summaries[method] = MethodSummary(bias, sd, int(diffs.size))
 
-    return ExperimentResult(
-        spec=spec,
-        threshold=threshold,
-        rounds=rounds,
-        seed=seed,
-        methods=methods,
-        estimator=estimator,
-        trim_fraction=trim_fraction,
-        records=records,
-        summaries=summaries,
-        failures=failures,
-    )
+    return ExperimentResult(records, summaries, failures)

@@ -10,11 +10,18 @@ import numpy as np
 import pytest
 
 from matfdp.cli import main
+from matfdp.covfactor import (
+    build_noodle_loadings,
+    build_sandwich_loadings,
+    estimate_correlations,
+)
 from matfdp.datafiles import read_dataset, write_dataset
 from matfdp.errors import NotPsd
+from matfdp.noodle import fdp_noodle, fit_noodle
 from matfdp.rng import derive_rng
+from matfdp.sandwich import fdp_sandwich, fit_sandwich
 from matfdp.simlab import gen_correlations, gen_round, preset_spec, run_experiment
-from matfdp.teststats import TwoSampleDataset
+from matfdp.teststats import TwoSampleDataset, p_values, rejection_count, test_matrix
 
 GEN_FLAGS = ["--model", "1", "--p", "8", "--q", "25", "--n", "6", "--m", "6"]
 
@@ -317,6 +324,10 @@ def test_analyze_constant_cell_exit_5(tmp_path, capsys):
     assert "(2, 3)" in err and "Traceback" not in err
 
 
+def _no_constant(name):
+    raise AssertionError(f"{name} is not valid JSON")
+
+
 def test_simulate_tiny_trim_fraction_records_failures(tmp_path, capsys):
     # floor(0.001 * 900) = 0 kept cells: the trimmed fit cannot run, so each
     # round records the noodle and sandwich failures and still scores pfa.
@@ -330,11 +341,12 @@ def test_simulate_tiny_trim_fraction_records_failures(tmp_path, capsys):
     )
     assert rc == 0
     assert "Traceback" not in capsys.readouterr().err
-    summary = json.loads((out / "summary.json").read_text())
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=_no_constant)
     failed = sorted((f["round"], f["method"]) for f in summary["failures"])
     assert failed == [(1, "noodle"), (1, "sandwich"), (2, "noodle"), (2, "sandwich")]
     assert all("InvalidFactorCount" in f["error"] for f in summary["failures"])
     assert summary["methods"]["pfa"]["rounds"] == 2
+    assert summary["methods"]["noodle"] == {"bias_percent": None, "sd_percent": None, "rounds": 0}
     rows = read_csv(out / "rounds.csv")
     assert [(r["round"], r["method"]) for r in rows] == [("1", "pfa"), ("2", "pfa")]
 
@@ -458,10 +470,50 @@ def test_linalg_error_in_analyze_exit_5(tmp_path, capsys, monkeypatch):
     assert "did not converge" in err
 
 
-def test_bad_thread_count_exit_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MATFDP_THREADS", "x")
+@pytest.mark.parametrize("value", ["x", "0"])
+def test_bad_thread_count_exit_2(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("MATFDP_THREADS", value)
     rc = main(["simulate", *GEN_FLAGS, "--rounds", "2", "--out", str(tmp_path / "sim")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "MATFDP_THREADS" in err
+
+
+def test_bad_thread_count_does_not_create_out(tmp_path, monkeypatch):
+    monkeypatch.setenv("MATFDP_THREADS", "x")
+    out = tmp_path / "sim"
+    assert main(["simulate", *GEN_FLAGS, "--rounds", "2", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mode", [["--threshold", "0.05"], ["--sweep", "10"]], ids=["fixed", "sweep"]
+)
+@pytest.mark.parametrize(
+    "method, fit, select, fdp",
+    [
+        ("noodle", fit_noodle, build_noodle_loadings, fdp_noodle),
+        ("sandwich", fit_sandwich, build_sandwich_loadings, fdp_sandwich),
+    ],
+    ids=["noodle", "sandwich"],
+)
+def test_analyze_matches_library(tmp_path, mode, method, fit, select, fdp):
+    # At seed 14 noodle keeps 2 pairs and sandwich a 2 x 2 grid, so the two differ.
+    data = tmp_path / "data"
+    out = tmp_path / "out"
+    assert main(["gen-synthetic", *GEN_FLAGS, "--seed", "14", "--out", str(data)]) == 0
+    rc = main(["analyze", "--data", str(data), "--method", method, *mode, "--out", str(out)])
+    assert rc == 0
+
+    ds = read_dataset(data)
+    x = test_matrix(ds)
+    pv = p_values(x)
+    factor_fit = fit(x, select(estimate_correlations(ds, x.sigma_hat)), estimator="trimmed_l1")
+    rows = read_csv(out / "report.csv")
+    assert rows
+    for row in rows:
+        t = float(row["t"])
+        rej = rejection_count(pv, t)
+        assert int(row["R"]) == rej
+        assert float(row["fdp_hat"]) == min(fdp(factor_fit, rej, t), 1.0)

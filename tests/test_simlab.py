@@ -13,7 +13,6 @@ from matfdp.simlab import (
     gen_correlations,
     gen_round,
     preset_spec,
-    resolve_max_workers,
     run_experiment,
 )
 from matfdp.rng import derive_rng
@@ -213,23 +212,14 @@ def test_run_experiment_validation():
         run_experiment(spec, threshold=0.05, rounds=1, seed=1, methods=())
 
 
-def test_resolve_max_workers(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+def test_run_experiment_reads_no_environment(monkeypatch):
+    spec = preset_spec(1, "b", p=8, q=8, n=6, m=6, signal_rows=2, signal_cols=2)
+    call = dict(threshold=0.1, rounds=2, seed=14, max_workers=1)
     monkeypatch.delenv("MATFDP_THREADS", raising=False)
-    assert resolve_max_workers(1) == 1
-    assert resolve_max_workers() == 4
-    monkeypatch.setenv("MATFDP_THREADS", "2")
-    assert resolve_max_workers(8) == 2
-    assert resolve_max_workers() == 2
-    monkeypatch.setenv("MATFDP_THREADS", "0")
-    with pytest.raises(ValueError, match=">= 1"):
-        resolve_max_workers()
-    monkeypatch.setenv("MATFDP_THREADS", "six")
-    with pytest.raises(ValueError, match="integer"):
-        resolve_max_workers()
-    monkeypatch.delenv("MATFDP_THREADS", raising=False)
-    with pytest.raises(ValueError, match="max_workers"):
-        resolve_max_workers(0)
+    plain = run_experiment(spec, **call)
+    monkeypatch.setenv("MATFDP_THREADS", "x")
+    assert run_experiment(spec, **call) == plain
+    assert plain.failures == [] and len(plain.records) == 2 * 3
 
 
 @pytest.mark.parametrize(
@@ -238,6 +228,7 @@ def test_resolve_max_workers(monkeypatch):
         (dict(methods=("pfa",), estimator="bogus"), "estimator"),
         (dict(threshold=1.5), "threshold"),
         (dict(threshold=0.0), "threshold"),
+        (dict(max_workers=0), "max_workers"),
     ],
 )
 def test_run_experiment_rejects_bad_arguments_before_drawing(monkeypatch, kwargs, match):
