@@ -38,7 +38,6 @@ from .linalg import (
     KronEigenIndex,
     corr_from_cov,
     kron_eigenpairs,
-    sample_matrix_normal_stack,
     sym_eigen,
     symmetric_sqrt,
     unvec,
@@ -125,7 +124,6 @@ __all__ = [
     "rejection_count",
     "residuals",
     "run_experiment",
-    "sample_matrix_normal_stack",
     "sandwich_loadings_from_corr",
     "sym_eigen",
     "symmetric_sqrt",

@@ -35,6 +35,7 @@ from .noodle import fdp_noodle, fit_noodle
 from .rng import derive_rng
 from .simlab import (
     METHODS,
+    ModelSpec,
     gen_correlations,
     gen_round,
     preset_spec,
@@ -78,6 +79,24 @@ def build_parser() -> argparse.ArgumentParser:
             help="noise entry distribution (model 3 only)",
         )
         p.add_argument("--seed", type=int, default=0)
+        p.add_argument(
+            "--signal-rows",
+            type=int,
+            default=ModelSpec.signal_rows,
+            help="rows of the top-left signal block",
+        )
+        p.add_argument(
+            "--signal-cols",
+            type=int,
+            default=ModelSpec.signal_cols,
+            help="columns of the top-left signal block",
+        )
+        p.add_argument(
+            "--signal-amplitude",
+            type=float,
+            default=ModelSpec.signal_amplitude,
+            help="treatment mean shift on the signal block",
+        )
         if with_sim:
             p.add_argument("--t", type=float, default=0.001, help="rejection threshold")
             p.add_argument("--rounds", type=int, default=500)
@@ -115,7 +134,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_spec(args: argparse.Namespace):
-    overrides = dict(p=args.p, q=args.q, n=args.n, m=args.m)
+    overrides = dict(
+        p=args.p,
+        q=args.q,
+        n=args.n,
+        m=args.m,
+        signal_rows=args.signal_rows,
+        signal_cols=args.signal_cols,
+        signal_amplitude=args.signal_amplitude,
+    )
     if args.model == 3:
         overrides["w_dist"] = args.w_dist
     return preset_spec(args.model, args.setting, **overrides)

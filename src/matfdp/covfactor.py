@@ -3,11 +3,12 @@
 The dependence model treats the ``p x q`` data matrices as doubly correlated:
 one correlation matrix across rows and one across columns, with the full
 dependence of ``vec(X)`` given by their Kronecker product.  Both correlation
-matrices are estimated from the standardised residual stack of
-:func:`~matfdp.teststats.residuals`; their eigensystems supply one kind of
-factor loadings used by the FDP estimators: pairs of a row eigenvector
-``nu_b`` and a column eigenvector ``gamma_a`` with weight ``lam_b * xi_a``
-(:class:`PairLoadings`).  Two selectors choose the pairs:
+matrices are Gram products of the standardised ``(p, n + m, q)`` residual
+stack of :func:`~matfdp.teststats.residuals`, read through two reshaped views
+of it; their eigensystems supply one kind of factor loadings used by the FDP
+estimators: pairs of a row eigenvector ``nu_b`` and a column eigenvector
+``gamma_a`` with weight ``lam_b * xi_a`` (:class:`PairLoadings`).  Two
+selectors choose the pairs:
 
 * noodle keeps the top-``h`` products of the Kronecker spectrum, and
 * sandwich keeps the full top-``k1`` x top-``k2`` grid.
@@ -36,6 +37,12 @@ NORM_SQ_CEIL = 1.0 - 1e-8
 #: Eigenvalues below this fraction of the largest are unusable for ratio
 #: selection (their ratios are numerical noise).
 RATIO_FLOOR_REL = 1e-12
+
+#: Adjacent-eigenvalue ratios within this relative distance of the largest
+#: tie for ratio selection.  On a Kronecker spectrum ``lam_1 / lam_2`` recurs
+#: at every position where ``lam_1 * xi_j`` is followed by ``lam_2 * xi_j``;
+#: without the margin, rounding in the last bit would choose among them.
+RATIO_TIE_REL = 1e-12
 
 
 def default_max_factors(n_total: int) -> int:
@@ -73,7 +80,10 @@ def estimate_correlations(ds: TwoSampleDataset, sigma_hat: np.ndarray) -> CorrEs
     Each observation is centred at its group mean and divided cell-wise by
     ``sigma_hat``; the row estimate averages outer products of the residual
     columns (normalised by ``(n + m - 2) * q``) and the column estimate does
-    the same across rows (normalised by ``(n + m - 2) * p``).
+    the same across rows (normalised by ``(n + m - 2) * p``).  Both are
+    matrix products on views of the one residual stack, the row estimate on
+    its ``(p, (n + m) q)`` reshape and the column estimate on its
+    ``((n + m) p, q)`` reshape, so the peak memory is the data plus one stack.
 
     Parameters
     ----------
@@ -85,8 +95,10 @@ def estimate_correlations(ds: TwoSampleDataset, sigma_hat: np.ndarray) -> CorrEs
     """
     resid = residuals(ds, sigma_hat)
     df = ds.n + ds.m - 2
-    s1 = np.tensordot(resid, resid, axes=[(0, 2), (0, 2)]) / (df * ds.q)
-    s2 = np.tensordot(resid, resid, axes=[(0, 1), (0, 1)]) / (df * ds.p)
+    rows = resid.reshape(ds.p, -1)
+    cols = resid.reshape(-1, ds.q)
+    s1 = (rows @ rows.T) / (df * ds.q)
+    s2 = (cols.T @ cols) / (df * ds.p)
     s1 = 0.5 * (s1 + s1.T)
     s2 = 0.5 * (s2 + s2.T)
     return CorrEstimates(
@@ -102,10 +114,11 @@ def eigenvalue_ratio(values, max_factors: int) -> int:
     """Pick a factor count by the largest ratio of adjacent eigenvalues.
 
     Returns the 1-based position ``l`` in ``1..max_factors`` maximising
-    ``values[l-1] / values[l]``; ties go to the smallest position.  Positions
-    whose eigenvalue falls below ``RATIO_FLOOR_REL`` times the largest are
-    excluded (ratios against a numerically null tail are meaningless), which
-    can lower the effective cap.
+    ``values[l-1] / values[l]``; ratios within ``RATIO_TIE_REL`` of the
+    largest tie, and ties go to the smallest position.  Positions whose
+    eigenvalue falls below ``RATIO_FLOOR_REL`` times the largest are excluded
+    (ratios against a numerically null tail are meaningless), which can lower
+    the effective cap.
 
     Raises
     ------
@@ -130,7 +143,8 @@ def eigenvalue_ratio(values, max_factors: int) -> int:
     prefix = vals[: limit + 1]
     if np.any(prefix <= 0.0):
         raise NonPositiveEigenvalue("non-positive eigenvalue inside the examined prefix")
-    return int(np.argmax(prefix[:-1] / prefix[1:])) + 1
+    ratios = prefix[:-1] / prefix[1:]
+    return int(np.argmax(ratios >= ratios.max() * (1.0 - RATIO_TIE_REL))) + 1
 
 
 def _extent(idx: np.ndarray) -> int:

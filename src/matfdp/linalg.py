@@ -3,7 +3,7 @@
 Everything downstream leans on four operations implemented here: symmetric
 eigendecomposition with a deterministic ordering and sign convention, the
 eigenpair bookkeeping for Kronecker products of two symmetric matrices,
-matrix-normal sampling through symmetric square roots, and conversion of a
+symmetric square roots of semidefinite matrices, and conversion of a
 covariance matrix to a correlation matrix.
 
 Conventions
@@ -180,29 +180,6 @@ def symmetric_sqrt(m) -> np.ndarray:
         )
     clamped = np.clip(es.values, 0.0, None)
     return (es.vectors * np.sqrt(clamped)) @ es.vectors.T
-
-
-def sample_matrix_normal_stack(
-    mu, u, v, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Stack of ``count`` matrix-normal draws, shape ``(count, p, q)``.
-
-    Draw ``s`` is ``mu + sqrt(u) @ g_s @ sqrt(v)`` with ``g_s`` a matrix of
-    independent standard normals, so ``vec`` of each draw has covariance
-    ``v kron u``.  ``u`` (``p x p``) and ``v`` (``q x q``) must be symmetric
-    positive semidefinite; the stack is deterministic given ``rng``'s state.
-    """
-    mean = as_matrix(mu, "mu")
-    u_half = symmetric_sqrt(u)
-    v_half = symmetric_sqrt(v)
-    if u_half.shape[0] != mean.shape[0] or v_half.shape[0] != mean.shape[1]:
-        raise InvalidMatrix(
-            f"shape mismatch: mu {mean.shape}, u {u_half.shape}, v {v_half.shape}"
-        )
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    g = rng.standard_normal((count,) + mean.shape)
-    return mean + u_half @ g @ v_half
 
 
 def corr_from_cov(c) -> np.ndarray:

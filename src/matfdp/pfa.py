@@ -3,8 +3,10 @@
 This estimator ignores the two-sided dependence structure and works with the
 pooled sample covariance of ``vec(X)`` directly.  That covariance is never
 formed: with the standardised residuals of
-:func:`~matfdp.teststats.residuals` stacked as columns of a thin factor ``F``
-of shape ``(p*q, n+m)`` scaled by ``1/sqrt(n+m-2)``, the covariance is
+:func:`~matfdp.teststats.residuals` laid out as columns of a thin factor ``F``
+of shape ``(p*q, n+m)`` scaled by ``1/sqrt(n+m-2)`` (column ``s`` is ``vec``
+of observation ``s``, read from the ``(p, n+m, q)`` stack by one transpose and
+reshape, and scaled in place), the covariance is
 ``F F'`` and its eigenpairs come from the small Gram matrix ``F' F``
 (decomposed by :func:`~matfdp.linalg.sym_eigen`).  For a Gram eigenpair
 ``(s, u)`` with ``s`` above a cutoff, the covariance eigenvector is
@@ -74,8 +76,9 @@ def build_thin_factor(
     resid = residuals(ds, sigma_hat)
     n_total = ds.n + ds.m
     # Column s of the factor is vec (column-major) of observation s.
-    cols = resid.transpose(0, 2, 1).reshape(n_total, ds.p * ds.q).T
-    cols = cols / np.sqrt(n_total - 2)
+    cols = resid.transpose(2, 0, 1).reshape(ds.p * ds.q, n_total)
+    # In place: cols is a copy of resid, or a view of it when p or q is 1.
+    cols /= np.sqrt(n_total - 2)
     gram = cols.T @ cols
     gram = 0.5 * (gram + gram.T)
     es = sym_eigen(gram)

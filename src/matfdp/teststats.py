@@ -80,12 +80,17 @@ class TwoSampleDataset:
 
 
 def residuals(ds: TwoSampleDataset, sigma_hat: np.ndarray | None = None) -> np.ndarray:
-    """Observations centred at their group means, shape ``(n + m, p, q)``.
+    """Observations centred at their group means, shape ``(p, n + m, q)``.
 
-    Treatment residuals come first.  With ``sigma_hat`` given, the stack is
-    divided cell-wise by it in place (the correlation scale); a ``sigma_hat``
-    not of shape ``(p, q)`` raises ``ValueError`` and one with a non-positive
-    cell raises :class:`DegenerateVariance` naming the first such cell.
+    Axis 1 is the observation axis, treatment first: ``resid[:, s, :]`` is
+    observation ``s`` minus its group mean.  The stack is one C-contiguous
+    array written in place, so ``reshape(p, -1)`` (rows) and
+    ``reshape(-1, q)`` (columns) are views and both Gram products of
+    :func:`~matfdp.covfactor.estimate_correlations` run without a copy.  With
+    ``sigma_hat`` given, the stack is divided cell-wise by it in place (the
+    correlation scale); a ``sigma_hat`` not of shape ``(p, q)`` raises
+    ``ValueError`` and one with a non-positive cell raises
+    :class:`DegenerateVariance` naming the first such cell.
     """
     if sigma_hat is not None:
         sigma_hat = np.asarray(sigma_hat, dtype=np.float64)
@@ -97,11 +102,11 @@ def residuals(ds: TwoSampleDataset, sigma_hat: np.ndarray | None = None) -> np.n
         if bad.size:
             i, j = (int(v) for v in bad[0])
             raise DegenerateVariance(i, j)
-    resid = np.concatenate(
-        [ds.treatment - ds.treatment.mean(axis=0), ds.control - ds.control.mean(axis=0)]
-    )
+    resid = np.empty((ds.p, ds.n + ds.m, ds.q))
+    for group, out in ((ds.treatment, resid[:, : ds.n]), (ds.control, resid[:, ds.n :])):
+        np.subtract(group.transpose(1, 0, 2), group.mean(axis=0)[:, None, :], out=out)
     if sigma_hat is not None:
-        resid /= sigma_hat
+        resid /= sigma_hat[:, None, :]
     return resid
 
 

@@ -1,4 +1,4 @@
-"""Shared test fixtures: random matrices and small adapters.
+"""Shared test fixtures: random matrices, matrix-normal draws and small adapters.
 
 A plain module, not a test file: pytest does not collect it, and the test
 modules import it by name because pytest puts ``tests/`` on ``sys.path``.
@@ -6,6 +6,8 @@ modules import it by name because pytest puts ``tests/`` on ``sys.path``.
 
 import numpy as np
 
+from matfdp.errors import InvalidMatrix
+from matfdp.linalg import as_matrix, symmetric_sqrt
 from matfdp.teststats import TestMatrix
 
 
@@ -22,6 +24,27 @@ def random_corr(rng, dim):
     out = c * np.outer(d, d)
     np.fill_diagonal(out, 1.0)
     return out
+
+
+def sample_matrix_normal_stack(mu, u, v, count, rng):
+    """Stack of ``count`` matrix-normal draws, shape ``(count, p, q)``.
+
+    Draw ``s`` is ``mu + sqrt(u) @ g_s @ sqrt(v)`` with ``g_s`` a matrix of
+    independent standard normals, so ``vec`` of each draw has covariance
+    ``v kron u``.  ``u`` (``p x p``) and ``v`` (``q x q``) must be symmetric
+    positive semidefinite; the stack is deterministic given ``rng``'s state.
+    """
+    mean = as_matrix(mu, "mu")
+    u_half = symmetric_sqrt(u)
+    v_half = symmetric_sqrt(v)
+    if u_half.shape[0] != mean.shape[0] or v_half.shape[0] != mean.shape[1]:
+        raise InvalidMatrix(
+            f"shape mismatch: mu {mean.shape}, u {u_half.shape}, v {v_half.shape}"
+        )
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    g = rng.standard_normal((count,) + mean.shape)
+    return mean + u_half @ g @ v_half
 
 
 def stat_matrix(x):

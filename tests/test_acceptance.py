@@ -24,7 +24,6 @@ from matfdp.covfactor import (
 )
 from matfdp.linalg import (
     kron_eigenpairs,
-    sample_matrix_normal_stack,
     sym_eigen,
     vec,
 )
@@ -40,7 +39,7 @@ from matfdp.teststats import (
 )
 from matfdp.trimreg import TrimSpec, trimmed_l1_fit
 
-from helpers import random_spd, stat_matrix
+from helpers import random_spd, sample_matrix_normal_stack, stat_matrix
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -19,13 +19,12 @@ from matfdp.covfactor import (
     estimate_correlations,
 )
 from matfdp.datafiles import read_dataset, write_dataset
-from matfdp.linalg import sample_matrix_normal_stack
 from matfdp.noodle import fdp_noodle, fit_noodle
 from matfdp.pfa import fdp_pfa
 from matfdp.sandwich import fdp_sandwich, fit_sandwich
 from matfdp.teststats import TwoSampleDataset, p_values, rejection_count, test_matrix
 
-from helpers import random_corr
+from helpers import random_corr, sample_matrix_normal_stack
 
 # Same settings as tests/test_pair_properties.py: derandomized, few examples.
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)

@@ -5,7 +5,6 @@ from matfdp.errors import DegenerateVariance, InvalidMatrix, NotPsd
 from matfdp.linalg import (
     corr_from_cov,
     kron_eigenpairs,
-    sample_matrix_normal_stack,
     sym_eigen,
     symmetric_sqrt,
     unvec,
@@ -13,7 +12,7 @@ from matfdp.linalg import (
 )
 from matfdp.rng import derive_rng
 
-from helpers import random_spd
+from helpers import random_spd, sample_matrix_normal_stack
 
 
 def test_sym_eigen_diagonal():

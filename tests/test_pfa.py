@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from matfdp.errors import DegenerateVariance
-from matfdp.linalg import sample_matrix_normal_stack, vec
+from matfdp.linalg import vec
 from matfdp.pfa import build_thin_factor, fdp_pfa
 from matfdp.rng import derive_rng
 from matfdp.teststats import (
@@ -13,7 +13,7 @@ from matfdp.teststats import (
 )
 from matfdp.teststats import test_matrix as build_stats
 
-from helpers import random_corr
+from helpers import random_corr, sample_matrix_normal_stack
 
 
 def random_dataset(seed, n=7, m=8, p=4, q=4, correlated=False):
