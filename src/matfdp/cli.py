@@ -79,24 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="noise entry distribution (model 3 only)",
         )
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--signal-rows",
-            type=int,
-            default=ModelSpec.signal_rows,
-            help="rows of the top-left signal block",
-        )
-        p.add_argument(
-            "--signal-cols",
-            type=int,
-            default=ModelSpec.signal_cols,
-            help="columns of the top-left signal block",
-        )
-        p.add_argument(
-            "--signal-amplitude",
-            type=float,
-            default=ModelSpec.signal_amplitude,
-            help="treatment mean shift on the signal block",
-        )
         if with_sim:
             p.add_argument("--t", type=float, default=0.001, help="rejection threshold")
             p.add_argument("--rounds", type=int, default=500)
@@ -139,9 +121,8 @@ def _build_spec(args: argparse.Namespace):
         q=args.q,
         n=args.n,
         m=args.m,
-        signal_rows=args.signal_rows,
-        signal_cols=args.signal_cols,
-        signal_amplitude=args.signal_amplitude,
+        signal_rows=min(ModelSpec.signal_rows, args.p),
+        signal_cols=min(ModelSpec.signal_cols, args.q),
     )
     if args.model == 3:
         overrides["w_dist"] = args.w_dist

@@ -38,12 +38,6 @@ NORM_SQ_CEIL = 1.0 - 1e-8
 #: selection (their ratios are numerical noise).
 RATIO_FLOOR_REL = 1e-12
 
-#: Adjacent-eigenvalue ratios within this relative distance of the largest
-#: tie for ratio selection.  On a Kronecker spectrum ``lam_1 / lam_2`` recurs
-#: at every position where ``lam_1 * xi_j`` is followed by ``lam_2 * xi_j``;
-#: without the margin, rounding in the last bit would choose among them.
-RATIO_TIE_REL = 1e-12
-
 
 def default_max_factors(n_total: int) -> int:
     """Cap on data-driven factor counts: ``floor(0.2 * n_total)``."""
@@ -114,11 +108,10 @@ def eigenvalue_ratio(values, max_factors: int) -> int:
     """Pick a factor count by the largest ratio of adjacent eigenvalues.
 
     Returns the 1-based position ``l`` in ``1..max_factors`` maximising
-    ``values[l-1] / values[l]``; ratios within ``RATIO_TIE_REL`` of the
-    largest tie, and ties go to the smallest position.  Positions whose
-    eigenvalue falls below ``RATIO_FLOOR_REL`` times the largest are excluded
-    (ratios against a numerically null tail are meaningless), which can lower
-    the effective cap.
+    ``values[l-1] / values[l]``; ties go to the smallest position.  Positions
+    whose eigenvalue falls below ``RATIO_FLOOR_REL`` times the largest are
+    excluded (ratios against a numerically null tail are meaningless), which
+    can lower the effective cap.
 
     Raises
     ------
@@ -143,8 +136,7 @@ def eigenvalue_ratio(values, max_factors: int) -> int:
     prefix = vals[: limit + 1]
     if np.any(prefix <= 0.0):
         raise NonPositiveEigenvalue("non-positive eigenvalue inside the examined prefix")
-    ratios = prefix[:-1] / prefix[1:]
-    return int(np.argmax(ratios >= ratios.max() * (1.0 - RATIO_TIE_REL))) + 1
+    return int(np.argmax(prefix[:-1] / prefix[1:])) + 1
 
 
 def _extent(idx: np.ndarray) -> int:

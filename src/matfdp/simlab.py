@@ -97,8 +97,6 @@ class ModelSpec:
                 f"signal block ({self.signal_rows} x {self.signal_cols}) exceeds "
                 f"matrix ({self.p} x {self.q})"
             )
-        if not math.isfinite(self.signal_amplitude):
-            raise ValueError(f"signal_amplitude must be finite, got {self.signal_amplitude}")
 
 
 def _check_loading_dist(dist) -> None:

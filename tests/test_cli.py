@@ -164,30 +164,18 @@ def test_simulate_method_subset(tmp_path):
 
 
 SMALL_FLAGS = ["--model", "1", "--p", "10", "--q", "10", "--n", "10", "--m", "10"]
-SMALL_SIGNAL = ["--signal-rows", "2", "--signal-cols", "2", "--signal-amplitude", "3.0"]
 
 
-def test_small_matrix_runs_with_signal_flags(tmp_path, capsys):
-    # The default 8 x 25 signal block does not fit a 10 x 10 matrix.
-    assert main(["simulate", *SMALL_FLAGS, "--rounds", "1", "--out", str(tmp_path / "x")]) == 2
-    assert "signal block (8 x 25) exceeds matrix" in capsys.readouterr().err
-    nan_signal = [*SMALL_SIGNAL[:-1], "nan"]
-    assert main(["gen-synthetic", *SMALL_FLAGS, *nan_signal, "--out", str(tmp_path / "x")]) == 2
-    assert "signal_amplitude must be finite" in capsys.readouterr().err
+def test_small_matrix_shrinks_the_signal_block(tmp_path):
+    # The default 8 x 25 signal block is cut to the 10 x 10 matrix.
     out = tmp_path / "sim"
-    rc = main(
-        ["simulate", *SMALL_FLAGS, *SMALL_SIGNAL, "--rounds", "1", "--estimator", "ls",
-         "--out", str(out)]
-    )
+    rc = main(["simulate", *SMALL_FLAGS, "--rounds", "1", "--estimator", "ls", "--out", str(out)])
     assert rc == 0
     config = json.loads((out / "summary.json").read_text())["config"]
-    assert (config["signal_rows"], config["signal_cols"], config["signal_amplitude"]) == (
-        2, 2, 3.0
-    )
+    assert (config["signal_rows"], config["signal_cols"]) == (8, 10)
     gen = tmp_path / "gen"
-    assert main(["gen-synthetic", *SMALL_FLAGS, *SMALL_SIGNAL, "--out", str(gen)]) == 0
-    spec = preset_spec(1, "a", p=10, q=10, n=10, m=10, signal_rows=2, signal_cols=2,
-                       signal_amplitude=3.0)
+    assert main(["gen-synthetic", *SMALL_FLAGS, "--out", str(gen)]) == 0
+    spec = preset_spec(1, "a", p=10, q=10, n=10, m=10, signal_rows=8, signal_cols=10)
     s1, s2 = gen_correlations(spec, derive_rng(0, 0, 0))
     ds, _ = gen_round(spec, s1, s2, derive_rng(0, 1, 1))
     written = read_dataset(str(gen))

@@ -102,16 +102,6 @@ def test_eigenvalue_ratio_examples():
     assert eigenvalue_ratio([4.0, 2.0, 1.0, 0.9], 3) == 1
 
 
-def test_eigenvalue_ratio_kronecker_tie_ignores_rounding():
-    # Sorted products lam_1 xi_1, lam_2 xi_1, lam_1 xi_2, lam_2 xi_2: ratios 1
-    # and 3 both equal lam_1 / lam_2, but in floating point ratio 3 is one ulp
-    # larger.  The tie still goes to position 1.
-    values = np.sort(np.multiply.outer([9.21, 8.32], [7.57, 6.46]).ravel())[::-1]
-    ratios = values[:-1] / values[1:]
-    assert ratios[2] > ratios[0] > ratios[1]
-    assert eigenvalue_ratio(values, 3) == 1
-
-
 def test_eigenvalue_ratio_caps_null_tail():
     # Third value is numerically zero relative to the first: only the first
     # ratio is usable.
