@@ -4,8 +4,9 @@ The dependence model treats the ``p x q`` data matrices as doubly correlated:
 one correlation matrix across rows and one across columns, with the full
 dependence of ``vec(X)`` given by their Kronecker product.  Both correlation
 matrices are Gram products of the standardised ``(p, n + m, q)`` residual
-stack of :func:`~matfdp.teststats.residuals`, read through two reshaped views
-of it; their eigensystems supply one kind of factor loadings used by the FDP
+stack of :func:`~matfdp.teststats.residuals`, summed over observation blocks
+so that peak memory is the data plus one block, never the whole stack; their
+eigensystems supply one kind of factor loadings used by the FDP
 estimators: pairs of a row eigenvector ``nu_b`` and a column eigenvector
 ``gamma_a`` with weight ``lam_b * xi_a`` (:class:`PairLoadings`).  Two
 selectors choose the pairs:
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidFactorCount, NonPositiveEigenvalue
 from .linalg import EigenSystem, KronEigenIndex, kron_eigenpairs, sym_eigen
-from .teststats import TwoSampleDataset, residuals
+from .teststats import TwoSampleDataset, _group_means, _obs_blocks, _residual_block
 
 #: Squared loading row norms are clamped below 1 by this margin so the
 #: variance-inflation factor 1 / sqrt(1 - norm^2) stays finite.
@@ -75,9 +76,13 @@ def estimate_correlations(ds: TwoSampleDataset, sigma_hat: np.ndarray) -> CorrEs
     ``sigma_hat``; the row estimate averages outer products of the residual
     columns (normalised by ``(n + m - 2) * q``) and the column estimate does
     the same across rows (normalised by ``(n + m - 2) * p``).  Both are
-    matrix products on views of the one residual stack, the row estimate on
-    its ``(p, (n + m) q)`` reshape and the column estimate on its
-    ``((n + m) p, q)`` reshape, so the peak memory is the data plus one stack.
+    summed over blocks of the residual stack of at most
+    ``teststats._BLOCK_BYTES`` each: the row estimate adds the block's
+    ``(p, b q)`` reshape times its transpose and the column estimate the
+    transpose of its ``(b p, q)`` reshape times itself, so the peak memory is
+    the data plus one block.  A stack that fits in one block gives the
+    products of the whole stack; more blocks only change the order in which
+    the Gram sums are added.
 
     Parameters
     ----------
@@ -85,14 +90,21 @@ def estimate_correlations(ds: TwoSampleDataset, sigma_hat: np.ndarray) -> CorrEs
         The two group stacks.
     sigma_hat : numpy.ndarray
         Cell-wise pooled standard deviations, shape ``(p, q)``, all positive;
-        checked by :func:`~matfdp.teststats.residuals`.
+        checked as in :func:`~matfdp.teststats.residuals`.
     """
-    resid = residuals(ds, sigma_hat)
+    means = _group_means(ds)
+    s1 = np.zeros((ds.p, ds.p))
+    s2 = np.zeros((ds.q, ds.q))
+    for start, stop in _obs_blocks(ds.n + ds.m, ds.p, ds.q):
+        block = _residual_block(ds, sigma_hat, start, stop, means)
+        rows = block.reshape(ds.p, -1)
+        cols = block.reshape(-1, ds.q)
+        s1 += rows @ rows.T
+        s2 += cols.T @ cols
+        del block, rows, cols  # free this block before the next one is built
     df = ds.n + ds.m - 2
-    rows = resid.reshape(ds.p, -1)
-    cols = resid.reshape(-1, ds.q)
-    s1 = (rows @ rows.T) / (df * ds.q)
-    s2 = (cols.T @ cols) / (df * ds.p)
+    s1 /= df * ds.q
+    s2 /= df * ds.p
     s1 = 0.5 * (s1 + s1.T)
     s2 = 0.5 * (s2 + s2.T)
     return CorrEstimates(

@@ -37,6 +37,7 @@ from .rng import derive_rng
 from .sandwich import fdp_sandwich, fit_sandwich
 from .teststats import (
     TwoSampleDataset,
+    _obs_blocks,
     check_threshold,
     p_values,
     rejection_count,
@@ -92,7 +93,12 @@ class ModelSpec:
         if self.model == 3 and self.w_dist not in ("exp1", "scaled_t6"):
             raise ValueError(f"w_dist must be 'exp1' or 'scaled_t6', got {self.w_dist!r}")
         _check_loading_dist(self.loading_dist)
-        if not 0 <= self.signal_rows <= self.p or not 0 <= self.signal_cols <= self.q:
+        if self.signal_rows < 0 or self.signal_cols < 0:
+            raise ValueError(
+                f"signal block sizes must be >= 0, got "
+                f"{self.signal_rows} x {self.signal_cols}"
+            )
+        if self.signal_rows > self.p or self.signal_cols > self.q:
             raise ValueError(
                 f"signal block ({self.signal_rows} x {self.signal_cols}) exceeds "
                 f"matrix ({self.p} x {self.q})"
@@ -151,8 +157,12 @@ def _draw_noise_entries(dist: str, shape, rng: np.random.Generator) -> np.ndarra
         return rng.standard_normal(shape)
     if dist == "exp1":
         # Centred so the factor construction keeps the covariance exact.
-        return rng.exponential(1.0, size=shape) - 1.0
-    return math.sqrt(2.0 / 3.0) * rng.standard_t(6, size=shape)
+        entries = rng.exponential(1.0, size=shape)
+        entries -= 1.0
+        return entries
+    entries = rng.standard_t(6, size=shape)
+    entries *= math.sqrt(2.0 / 3.0)
+    return entries
 
 
 def _noise_floor(spec: ModelSpec, side: int) -> np.ndarray:
@@ -199,12 +209,19 @@ class _RoundGenerator:
             self.right = symmetric_sqrt(sigma2)
 
     def _noise(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        # The draw stays a temporary, freed after its first product: peak memory.
-        shape = (count, self.spec.p, self.spec.q)
-        return self.left @ _draw_noise_entries(self.noise_dist, shape, rng) @ self.right
+        # One draw for the whole group, then each block of observations is
+        # replaced by left @ E @ right in place: the only temporary is one
+        # block, and every observation gets the products of a whole-group call.
+        p, q = self.spec.p, self.spec.q
+        noise = _draw_noise_entries(self.noise_dist, (count, p, q), rng)
+        for start, stop in _obs_blocks(count, p, q):
+            block = noise[start:stop]
+            np.matmul(self.left @ block, self.right, out=block)
+        return noise
 
     def generate(self, rng: np.random.Generator) -> tuple[TwoSampleDataset, np.ndarray]:
-        y = self.mu + self._noise(self.spec.n, rng)
+        y = self._noise(self.spec.n, rng)
+        y += self.mu
         z = self._noise(self.spec.m, rng)
         return TwoSampleDataset(treatment=y, control=z), self.mask
 

@@ -79,17 +79,39 @@ class TwoSampleDataset:
         return int(self.treatment.shape[2])
 
 
-def residuals(ds: TwoSampleDataset, sigma_hat: np.ndarray | None = None) -> np.ndarray:
-    """Observations centred at their group means, shape ``(p, n + m, q)``.
+#: Byte budget of one observation block on the streamed paths: the residual
+#: blocks of ``covfactor.estimate_correlations`` and the noise blocks of data
+#: generation.  Read at call time, so tests can lower it.
+_BLOCK_BYTES = 16 << 20
 
-    Axis 1 is the observation axis, treatment first: ``resid[:, s, :]`` is
-    observation ``s`` minus its group mean.  The stack is one C-contiguous
-    array written in place, so ``reshape(p, -1)`` (rows) and
-    ``reshape(-1, q)`` (columns) are views and both Gram products of
-    :func:`~matfdp.covfactor.estimate_correlations` run without a copy.  With
-    ``sigma_hat`` given, the stack is divided cell-wise by it in place (the
-    correlation scale); a ``sigma_hat`` not of shape ``(p, q)`` raises
-    ``ValueError`` and one with a non-positive cell raises
+
+def _obs_blocks(count: int, p: int, q: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` ranges over ``count`` observations of shape ``(p, q)``.
+
+    Each range holds at most ``_BLOCK_BYTES`` of float64 observations, and at
+    least one observation.
+    """
+    step = max(1, _BLOCK_BYTES // (8 * p * q))
+    return [(start, min(start + step, count)) for start in range(0, count, step)]
+
+
+def _group_means(ds: TwoSampleDataset) -> tuple[np.ndarray, np.ndarray]:
+    return ds.treatment.mean(axis=0), ds.control.mean(axis=0)
+
+
+def _residual_block(
+    ds: TwoSampleDataset,
+    sigma_hat: np.ndarray | None,
+    start: int,
+    stop: int,
+    means: tuple[np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """Observations ``start:stop`` (treatment first) centred at ``means``.
+
+    Returns a new C-contiguous ``(p, stop - start, q)`` block; the range may
+    span the treatment/control boundary.  With ``sigma_hat`` given, the block
+    is divided cell-wise by it in place; a ``sigma_hat`` not of shape
+    ``(p, q)`` raises ``ValueError`` and one with a non-positive cell raises
     :class:`DegenerateVariance` naming the first such cell.
     """
     if sigma_hat is not None:
@@ -102,12 +124,63 @@ def residuals(ds: TwoSampleDataset, sigma_hat: np.ndarray | None = None) -> np.n
         if bad.size:
             i, j = (int(v) for v in bad[0])
             raise DegenerateVariance(i, j)
-    resid = np.empty((ds.p, ds.n + ds.m, ds.q))
-    for group, out in ((ds.treatment, resid[:, : ds.n]), (ds.control, resid[:, ds.n :])):
-        np.subtract(group.transpose(1, 0, 2), group.mean(axis=0)[:, None, :], out=out)
+    block = np.empty((ds.p, stop - start, ds.q))
+    split = min(max(ds.n, start), stop)  # the first control observation in range
+    for group, offset, lo, hi, mean in (
+        (ds.treatment, 0, start, split, means[0]),
+        (ds.control, ds.n, split, stop, means[1]),
+    ):
+        if hi > lo:
+            np.subtract(
+                group[lo - offset : hi - offset].transpose(1, 0, 2),
+                mean[:, None, :],
+                out=block[:, lo - start : hi - start],
+            )
     if sigma_hat is not None:
-        resid /= sigma_hat[:, None, :]
-    return resid
+        block /= sigma_hat[:, None, :]
+    return block
+
+
+def residuals(ds: TwoSampleDataset, sigma_hat: np.ndarray | None = None) -> np.ndarray:
+    """Observations centred at their group means, shape ``(p, n + m, q)``.
+
+    Axis 1 is the observation axis, treatment first: ``resid[:, s, :]`` is
+    observation ``s`` minus its group mean.  The stack is one C-contiguous
+    array, with ``sigma_hat`` (if given) divided out cell-wise and checked as
+    in :func:`_residual_block`, which builds it as one block.  Only
+    :func:`~matfdp.pfa.build_thin_factor` needs the whole stack;
+    :func:`~matfdp.covfactor.estimate_correlations` streams it in blocks.
+    """
+    return _residual_block(ds, sigma_hat, 0, ds.n + ds.m, _group_means(ds))
+
+
+def _pooled_moments(ds: TwoSampleDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both group means and the pooled standard deviation, in one pass.
+
+    Squared deviations are added one observation at a time, the order of
+    numpy's axis-0 sum, so the result has the bits of the two-pass formula
+    ``((y - ybar) ** 2).sum(0) + ((z - zbar) ** 2).sum(0)`` without its
+    data-sized temporaries.
+    """
+    means = _group_means(ds)
+    ss = np.zeros((ds.p, ds.q))
+    acc = np.empty_like(ss)
+    dev = np.empty_like(ss)
+    for group, mean in zip((ds.treatment, ds.control), means):
+        np.subtract(group[0], mean, out=acc)
+        acc *= acc
+        for obs in group[1:]:
+            np.subtract(obs, mean, out=dev)
+            dev *= dev
+            acc += dev
+        ss += acc
+    ss /= ds.n + ds.m - 2
+    sigma = np.sqrt(ss, out=ss)
+    bad = np.argwhere(sigma <= SIGMA_FLOOR)
+    if bad.size:
+        i, j = (int(v) for v in bad[0])
+        raise DegenerateVariance(i, j)
+    return means[0], means[1], sigma
 
 
 def pooled_sigma(ds: TwoSampleDataset) -> np.ndarray:
@@ -122,15 +195,7 @@ def pooled_sigma(ds: TwoSampleDataset) -> np.ndarray:
         If any cell's pooled standard deviation is at or below ``SIGMA_FLOOR``;
         the exception carries the first offending cell in row-major order.
     """
-    y = ds.treatment
-    z = ds.control
-    ss = ((y - y.mean(axis=0)) ** 2).sum(axis=0) + ((z - z.mean(axis=0)) ** 2).sum(axis=0)
-    sigma = np.sqrt(ss / (ds.n + ds.m - 2))
-    bad = np.argwhere(sigma <= SIGMA_FLOOR)
-    if bad.size:
-        i, j = (int(v) for v in bad[0])
-        raise DegenerateVariance(i, j)
-    return sigma
+    return _pooled_moments(ds)[2]
 
 
 @dataclass(frozen=True)
@@ -165,9 +230,9 @@ class TestMatrix:
 
 def test_matrix(ds: TwoSampleDataset) -> TestMatrix:
     """Compute the standardised statistic matrix for a dataset."""
-    sigma = pooled_sigma(ds)
+    ybar, zbar, sigma = _pooled_moments(ds)
     scale = math.sqrt(ds.n * ds.m / (ds.n + ds.m))
-    diff = ds.treatment.mean(axis=0) - ds.control.mean(axis=0)
+    diff = ybar - zbar
     return TestMatrix(x=scale * diff / sigma, sigma_hat=sigma, scale=scale)
 
 

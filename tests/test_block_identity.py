@@ -1,0 +1,97 @@
+"""Observation blocks change no results: the streamed paths against whole-array formulas.
+
+``teststats._BLOCK_BYTES`` bounds the temporaries of data generation and of
+correlation estimation.  Lowering it to one observation must leave generated
+data and the statistics bit for bit as they are, and move the correlation
+estimates only by the order of their Gram sums.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from matfdp import teststats
+from matfdp.covfactor import estimate_correlations
+from matfdp.rng import derive_rng
+from matfdp.simlab import (
+    _draw_noise_entries,
+    _RoundGenerator,
+    gen_correlations,
+    gen_round,
+    preset_spec,
+)
+from matfdp.teststats import TwoSampleDataset, pooled_sigma, residuals
+from matfdp.teststats import test_matrix as build_stats
+
+UNBOUNDED = 1 << 62
+
+# p * q > 1 throughout: for 1 x 1 matrices numpy's axis-0 sum runs along a
+# contiguous axis and switches to pairwise summation.
+SHAPES = [(4, 5, 6, 7), (1, 6, 9, 8), (5, 1, 12, 3), (30, 20, 40, 35)]
+
+
+def random_dataset(seed, p, q, n, m):
+    rng = derive_rng(seed)
+    return TwoSampleDataset(
+        3.0 * rng.standard_normal((n, p, q)) + 2.0, rng.standard_normal((m, p, q)) - 1.0
+    )
+
+
+@pytest.mark.parametrize(
+    "model,setting,w_dist",
+    [(1, "a", "exp1"), (2, "b", "exp1"), (3, "a", "exp1"), (3, "d", "scaled_t6")],
+)
+def test_generation_is_bit_identical_in_blocks(monkeypatch, model, setting, w_dist):
+    spec = preset_spec(
+        model, setting, p=12, q=9, n=5, m=6, signal_rows=3, signal_cols=4, w_dist=w_dist
+    )
+    sigma1, sigma2 = gen_correlations(spec, derive_rng(8, 0, 0))
+    # The whole-group formula: one draw per group, then mu + left @ E @ right.
+    gen = _RoundGenerator(spec, sigma1, sigma2)
+    rng = derive_rng(8, 1, 1)
+    shape = (spec.p, spec.q)
+    ey = _draw_noise_entries(gen.noise_dist, (spec.n, *shape), rng)
+    ez = _draw_noise_entries(gen.noise_dist, (spec.m, *shape), rng)
+    expected = (
+        (gen.mu + gen.left @ ey @ gen.right).tobytes(),
+        (gen.left @ ez @ gen.right).tobytes(),
+    )
+    for budget in (UNBOUNDED, 8 * spec.p * spec.q):
+        monkeypatch.setattr(teststats, "_BLOCK_BYTES", budget)
+        ds, _ = gen_round(spec, sigma1, sigma2, derive_rng(8, 1, 1))
+        assert (ds.treatment.tobytes(), ds.control.tobytes()) == expected
+
+
+@pytest.mark.parametrize("p,q,n,m", SHAPES)
+def test_statistics_are_bit_identical_to_the_two_pass_formula(p, q, n, m):
+    ds = random_dataset(9, p, q, n, m)
+    y, z = ds.treatment, ds.control
+    ss = ((y - y.mean(axis=0)) ** 2).sum(axis=0) + ((z - z.mean(axis=0)) ** 2).sum(axis=0)
+    sigma = np.sqrt(ss / (n + m - 2))
+    scale = math.sqrt(n * m / (n + m))
+    x = scale * (y.mean(axis=0) - z.mean(axis=0)) / sigma
+    tm = build_stats(ds)
+    assert pooled_sigma(ds).tobytes() == sigma.tobytes()
+    assert tm.sigma_hat.tobytes() == sigma.tobytes()
+    assert tm.x.tobytes() == x.tobytes()
+    assert tm.scale == scale
+
+
+@pytest.mark.parametrize("p,q,n,m", SHAPES)
+def test_correlations_in_blocks_match_one_block(monkeypatch, p, q, n, m):
+    ds = random_dataset(10, p, q, n, m)
+    sig = pooled_sigma(ds)
+    monkeypatch.setattr(teststats, "_BLOCK_BYTES", UNBOUNDED)
+    whole = estimate_correlations(ds, sig)
+    # One block is the products of the whole residual stack.
+    resid = residuals(ds, sig)
+    rows, cols = resid.reshape(p, -1), resid.reshape(-1, q)
+    s1 = (rows @ rows.T) / ((n + m - 2) * q)
+    s2 = (cols.T @ cols) / ((n + m - 2) * p)
+    assert np.array_equal(whole.sigma1, 0.5 * (s1 + s1.T))
+    assert np.array_equal(whole.sigma2, 0.5 * (s2 + s2.T))
+    monkeypatch.setattr(teststats, "_BLOCK_BYTES", 8 * p * q)
+    blocked = estimate_correlations(ds, sig)
+    for a, b in ((blocked.sigma1, whole.sigma1), (blocked.sigma2, whole.sigma2)):
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()

@@ -5,11 +5,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from matfdp import teststats
 from matfdp.covfactor import estimate_correlations
 from matfdp.linalg import vec
 from matfdp.pfa import build_thin_factor
 from matfdp.rng import derive_rng
-from matfdp.teststats import TwoSampleDataset, pooled_sigma, residuals
+from matfdp.simlab import _RoundGenerator, gen_correlations, preset_spec
+from matfdp.teststats import (
+    TwoSampleDataset,
+    _group_means,
+    _residual_block,
+    pooled_sigma,
+    residuals,
+)
+from matfdp.teststats import test_matrix as build_stats
 
 SHAPES = [(4, 5), (1, 6), (5, 1), (1, 1)]
 
@@ -40,6 +49,15 @@ def test_residual_layout(p, q):
             np.testing.assert_allclose(
                 resid[:, s, :], expected_residual(ds, s, sigma_hat), rtol=1e-14, atol=1e-14
             )
+        # n = 6, m = 7: the first boundary falls inside the treatment group and
+        # the second block spans both groups; the blocks tile the stack.
+        means = _group_means(ds)
+        blocks = [
+            _residual_block(ds, sigma_hat, start, stop, means)
+            for start, stop in ((0, 4), (4, 9), (9, 11), (11, 13))
+        ]
+        assert all(b.flags.c_contiguous for b in blocks)
+        assert np.array_equal(np.concatenate(blocks, axis=1), resid)
 
 
 @pytest.mark.parametrize("p,q", SHAPES)
@@ -72,19 +90,54 @@ def test_estimators_leave_the_data_unchanged(p, q):
     assert np.array_equal(ds.control, z)
 
 
-def test_correlation_peak_memory_is_one_stack():
-    # numpy reports its buffers to tracemalloc, so the traced peak counts
-    # every copy of the stack that estimate_correlations makes.
-    p = q = 60
-    ds = random_dataset(3, p, q, n=20, m=20)
-    sig = pooled_sigma(ds)
-    stack_bytes = 8 * (ds.n + ds.m) * p * q
+def traced_peak(fn, *args):
+    """Bytes that ``fn(*args)`` allocates at its peak, beyond what was live."""
+    # numpy reports its buffers to tracemalloc, so the peak counts every
+    # temporary that fn makes.
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        estimate_correlations(ds, sig)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def test_correlation_peak_memory_is_one_stack():
+    # At the default budget this 1.2 MB stack is a single block.
+    p = q = 60
+    ds = random_dataset(3, p, q, n=20, m=20)
+    sig = pooled_sigma(ds)
+    stack_bytes = 8 * (ds.n + ds.m) * p * q
+    peak = traced_peak(estimate_correlations, ds, sig)
     assert peak < 1.5 * stack_bytes, (peak, stack_bytes)
+
+
+def test_correlation_peak_memory_is_one_block(monkeypatch):
+    p = q = 60
+    ds = random_dataset(3, p, q, n=20, m=20)
+    sig = pooled_sigma(ds)
+    stack_bytes = 8 * (ds.n + ds.m) * p * q
+    monkeypatch.setattr(teststats, "_BLOCK_BYTES", 4 * 8 * p * q)
+    peak = traced_peak(estimate_correlations, ds, sig)
+    assert peak < 0.5 * stack_bytes, (peak, stack_bytes)
+
+
+def test_statistics_peak_memory_is_a_few_cells():
+    # The one-pass pooled moments keep a handful of (p, q) buffers, whatever n + m.
+    p = q = 60
+    ds = random_dataset(4, p, q, n=50, m=50)
+    data_bytes = ds.treatment.nbytes + ds.control.nbytes
+    peak = traced_peak(build_stats, ds)
+    assert peak < 0.1 * data_bytes, (peak, data_bytes)
+
+
+@pytest.mark.parametrize("model", [1, 3])
+def test_generation_peak_memory_is_the_data_plus_one_block(monkeypatch, model):
+    spec = preset_spec(model, "a", p=60, q=60, n=20, m=20)
+    gen = _RoundGenerator(spec, *gen_correlations(spec, derive_rng(5, 0, 0)))
+    data_bytes = 8 * (spec.n + spec.m) * spec.p * spec.q
+    monkeypatch.setattr(teststats, "_BLOCK_BYTES", 4 * 8 * spec.p * spec.q)
+    peak = traced_peak(gen.generate, derive_rng(5, 1, 1))
+    assert peak < 1.25 * data_bytes, (peak, data_bytes)

@@ -166,6 +166,20 @@ def test_spec_validation():
         ModelSpec(model=1, p=4, q=4, signal_rows=8, signal_cols=25)
 
 
+@pytest.mark.parametrize(
+    "rows,cols,message",
+    [
+        (8, 25, r"signal block \(8 x 25\) exceeds matrix \(4 x 4\)"),
+        (2, 5, r"signal block \(2 x 5\) exceeds matrix \(4 x 4\)"),
+        (2, -1, r"signal block sizes must be >= 0, got 2 x -1"),
+        (-1, 0, r"signal block sizes must be >= 0, got -1 x 0"),
+    ],
+)
+def test_signal_block_messages(rows, cols, message):
+    with pytest.raises(ValueError, match=message):
+        ModelSpec(model=1, p=4, q=4, signal_rows=rows, signal_cols=cols)
+
+
 def test_run_experiment_records_and_summaries():
     spec = preset_spec(1, "a", p=12, q=12, n=8, m=8, signal_rows=3, signal_cols=4)
     result = run_experiment(spec, threshold=0.05, rounds=5, seed=11, max_workers=1)
