@@ -164,12 +164,10 @@ def _pooled_moments(ds: TwoSampleDataset) -> tuple[np.ndarray, np.ndarray, np.nd
     """
     means = _group_means(ds)
     ss = np.zeros((ds.p, ds.q))
-    acc = np.empty_like(ss)
     dev = np.empty_like(ss)
     for group, mean in zip((ds.treatment, ds.control), means):
-        np.subtract(group[0], mean, out=acc)
-        acc *= acc
-        for obs in group[1:]:
+        acc = np.zeros_like(ss)
+        for obs in group:
             np.subtract(obs, mean, out=dev)
             dev *= dev
             acc += dev

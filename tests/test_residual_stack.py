@@ -1,4 +1,4 @@
-"""The ``(p, n + m, q)`` residual stack: layout, aliasing and peak memory."""
+"""The residual stack and its observation blocks: layout, aliasing and peak memory."""
 
 import tracemalloc
 
