@@ -66,7 +66,6 @@ from .teststats import (
     p_values,
     pooled_sigma,
     rejection_count,
-    residuals,
     test_matrix,
     true_fdp,
 )
@@ -122,7 +121,6 @@ __all__ = [
     "preset_spec",
     "read_dataset",
     "rejection_count",
-    "residuals",
     "run_experiment",
     "sandwich_loadings_from_corr",
     "sym_eigen",

@@ -4,7 +4,7 @@ The dependence model treats the ``p x q`` data matrices as doubly correlated:
 one correlation matrix across rows and one across columns, with the full
 dependence of ``vec(X)`` given by their Kronecker product.  Both correlation
 matrices are Gram products of the standardised ``(p, n + m, q)`` residual
-stack of :func:`~matfdp.teststats.residuals`, summed over observation blocks
+stack, summed over the observation blocks of ``teststats._residual_blocks``
 so that peak memory is the data plus one block, never the whole stack; their
 eigensystems supply one kind of factor loadings used by the FDP
 estimators: pairs of a row eigenvector ``nu_b`` and a column eigenvector
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidFactorCount, NonPositiveEigenvalue
 from .linalg import EigenSystem, KronEigenIndex, kron_eigenpairs, sym_eigen
-from .teststats import TwoSampleDataset, _group_means, _obs_blocks, _residual_block
+from .teststats import TwoSampleDataset, _residual_blocks
 
 #: Squared loading row norms are clamped below 1 by this margin so the
 #: variance-inflation factor 1 / sqrt(1 - norm^2) stays finite.
@@ -76,8 +76,8 @@ def estimate_correlations(ds: TwoSampleDataset, sigma_hat: np.ndarray) -> CorrEs
     ``sigma_hat``; the row estimate averages outer products of the residual
     columns (normalised by ``(n + m - 2) * q``) and the column estimate does
     the same across rows (normalised by ``(n + m - 2) * p``).  Both are
-    summed over blocks of the residual stack of at most
-    ``teststats._BLOCK_BYTES`` each: the row estimate adds the block's
+    summed over the blocks of ``teststats._residual_blocks``, each at most
+    ``teststats._BLOCK_BYTES``: the row estimate adds the block's
     ``(p, b q)`` reshape times its transpose and the column estimate the
     transpose of its ``(b p, q)`` reshape times itself, so the peak memory is
     the data plus one block.  A stack that fits in one block gives the
@@ -90,13 +90,11 @@ def estimate_correlations(ds: TwoSampleDataset, sigma_hat: np.ndarray) -> CorrEs
         The two group stacks.
     sigma_hat : numpy.ndarray
         Cell-wise pooled standard deviations, shape ``(p, q)``, all positive;
-        checked as in :func:`~matfdp.teststats.residuals`.
+        checked once by ``teststats._residual_blocks``.
     """
-    means = _group_means(ds)
     s1 = np.zeros((ds.p, ds.p))
     s2 = np.zeros((ds.q, ds.q))
-    for start, stop in _obs_blocks(ds.n + ds.m, ds.p, ds.q):
-        block = _residual_block(ds, sigma_hat, start, stop, means)
+    for _, _, block in _residual_blocks(ds, sigma_hat):
         rows = block.reshape(ds.p, -1)
         cols = block.reshape(-1, ds.q)
         s1 += rows @ rows.T

@@ -2,13 +2,13 @@
 
 This estimator ignores the two-sided dependence structure and works with the
 pooled sample covariance of ``vec(X)`` directly.  That covariance is never
-formed: with the standardised residuals of
-:func:`~matfdp.teststats.residuals` laid out as columns of a thin factor ``F``
-of shape ``(p*q, n+m)`` scaled by ``1/sqrt(n+m-2)`` (column ``s`` is ``vec``
-of observation ``s``, read from the ``(p, n+m, q)`` stack by one transpose and
-reshape, and scaled in place), the covariance is
-``F F'`` and its eigenpairs come from the small Gram matrix ``F' F``
-(decomposed by :func:`~matfdp.linalg.sym_eigen`).  For a Gram eigenpair
+formed: with the standardised residuals laid out as columns of a thin factor
+``F`` of shape ``(p*q, n+m)`` scaled by ``1/sqrt(n+m-2)`` (column ``s`` is
+``vec`` of observation ``s``), the covariance is ``F F'`` and its eigenpairs
+come from the small Gram matrix ``F' F`` (decomposed by
+:func:`~matfdp.linalg.sym_eigen`).  ``F`` is filled from the residual blocks
+that correlation estimation also walks (``teststats._residual_blocks``), so
+the residuals are never held twice.  For a Gram eigenpair
 ``(s, u)`` with ``s`` above a cutoff, the covariance eigenvector is
 ``F u / sqrt(s)``.
 
@@ -26,7 +26,7 @@ import numpy as np
 from .covfactor import NORM_SQ_CEIL, default_max_factors, eigenvalue_ratio
 from .linalg import _fix_signs, sym_eigen, vec
 from .noodle import _plugin_estimate
-from .teststats import TestMatrix, TwoSampleDataset, p_values, rejection_count, residuals
+from .teststats import TestMatrix, TwoSampleDataset, _residual_blocks, p_values, rejection_count
 
 #: Gram eigenvalues at or below this are numerical nulls and carry no factor.
 GRAM_EIGEN_CUTOFF = 1e-12
@@ -68,17 +68,22 @@ def build_thin_factor(
 ) -> ThinFactor:
     """Thin factor of the pooled sample covariance of the vectorised data.
 
-    The columns are the residuals of :func:`~matfdp.teststats.residuals`:
-    observations centred at their group means and, with ``sigma_hat`` given,
-    divided cell-wise by it, which moves the covariance to the correlation
-    scale (unit diagonal).
+    The columns are the residuals: observations centred at their group means
+    and, with ``sigma_hat`` given, divided cell-wise by it, which moves the
+    covariance to the correlation scale (unit diagonal).  Each residual block
+    is written once into a row-major ``(q, p, n+m)`` array that ``columns``
+    reshapes without a copy.
     """
-    resid = residuals(ds, sigma_hat)
     n_total = ds.n + ds.m
+    # Row-major: a matrix-vector product on column-major columns sums in
+    # another order, which would move the bits of eigenvectors(1).
+    factor = np.empty((ds.q, ds.p, n_total))
+    for start, stop, block in _residual_blocks(ds, sigma_hat):
+        factor[:, :, start:stop] = block.transpose(2, 0, 1)
+        del block  # free this block before the next one is built
+    factor /= np.sqrt(n_total - 2)
     # Column s of the factor is vec (column-major) of observation s.
-    cols = resid.transpose(2, 0, 1).reshape(ds.p * ds.q, n_total)
-    # In place: cols is a copy of resid, or a view of it when p or q is 1.
-    cols /= np.sqrt(n_total - 2)
+    cols = factor.reshape(ds.p * ds.q, n_total)
     gram = cols.T @ cols
     gram = 0.5 * (gram + gram.T)
     es = sym_eigen(gram)

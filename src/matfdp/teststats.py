@@ -13,6 +13,7 @@ realised false discovery proportion are simple functionals of those p-values.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,11 @@ class TwoSampleDataset:
             raise ValueError(f"each group needs at least 2 observations, got n={n}, m={m}")
         if n + m < 5:
             raise ValueError(f"need n + m >= 5 for a stable pooled scale, got {n + m}")
-        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(z))):
-            raise ValueError("dataset contains non-finite entries")
+        # Per block, so the isfinite temporary is 1/8 of a block, not of a group.
+        for group in (y, z):
+            for start, stop in _obs_blocks(len(group), y.shape[1], y.shape[2]):
+                if not np.isfinite(group[start:stop]).all():
+                    raise ValueError("dataset contains non-finite entries")
         object.__setattr__(self, "treatment", y)
         object.__setattr__(self, "control", z)
 
@@ -80,8 +84,9 @@ class TwoSampleDataset:
 
 
 #: Byte budget of one observation block on the streamed paths: the residual
-#: blocks of ``covfactor.estimate_correlations`` and the noise blocks of data
-#: generation.  Read at call time, so tests can lower it.
+#: blocks of correlation estimation and pfa, the finiteness check of
+#: :class:`TwoSampleDataset` and the noise blocks of data generation.  Read at
+#: call time, so tests can lower it.
 _BLOCK_BYTES = 16 << 20
 
 
@@ -95,24 +100,20 @@ def _obs_blocks(count: int, p: int, q: int) -> list[tuple[int, int]]:
     return [(start, min(start + step, count)) for start in range(0, count, step)]
 
 
-def _group_means(ds: TwoSampleDataset) -> tuple[np.ndarray, np.ndarray]:
-    return ds.treatment.mean(axis=0), ds.control.mean(axis=0)
+def _residual_blocks(
+    ds: TwoSampleDataset, sigma_hat: np.ndarray | None = None
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield ``(start, stop, block)`` over the residual stack, one block at a time.
 
-
-def _residual_block(
-    ds: TwoSampleDataset,
-    sigma_hat: np.ndarray | None,
-    start: int,
-    stop: int,
-    means: tuple[np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """Observations ``start:stop`` (treatment first) centred at ``means``.
-
-    Returns a new C-contiguous ``(p, stop - start, q)`` block; the range may
-    span the treatment/control boundary.  With ``sigma_hat`` given, the block
-    is divided cell-wise by it in place; a ``sigma_hat`` not of shape
-    ``(p, q)`` raises ``ValueError`` and one with a non-positive cell raises
-    :class:`DegenerateVariance` naming the first such cell.
+    ``block`` is a new C-contiguous ``(p, stop - start, q)`` array holding
+    observations ``start:stop`` (treatment first, so a range may span the
+    treatment/control boundary) centred at their group means and, with
+    ``sigma_hat`` given, divided cell-wise by it.  The ranges are those of
+    :func:`_obs_blocks`; the group means are computed once per call.  Before
+    any block is built, a ``sigma_hat`` not of shape ``(p, q)`` raises
+    ``ValueError`` and one with a non-positive cell raises
+    :class:`DegenerateVariance` naming the first such cell.  A caller that
+    drops each block before asking for the next holds at most one.
     """
     if sigma_hat is not None:
         sigma_hat = np.asarray(sigma_hat, dtype=np.float64)
@@ -124,34 +125,24 @@ def _residual_block(
         if bad.size:
             i, j = (int(v) for v in bad[0])
             raise DegenerateVariance(i, j)
-    block = np.empty((ds.p, stop - start, ds.q))
-    split = min(max(ds.n, start), stop)  # the first control observation in range
-    for group, offset, lo, hi, mean in (
-        (ds.treatment, 0, start, split, means[0]),
-        (ds.control, ds.n, split, stop, means[1]),
-    ):
-        if hi > lo:
-            np.subtract(
-                group[lo - offset : hi - offset].transpose(1, 0, 2),
-                mean[:, None, :],
-                out=block[:, lo - start : hi - start],
-            )
-    if sigma_hat is not None:
-        block /= sigma_hat[:, None, :]
-    return block
-
-
-def residuals(ds: TwoSampleDataset, sigma_hat: np.ndarray | None = None) -> np.ndarray:
-    """Observations centred at their group means, shape ``(p, n + m, q)``.
-
-    Axis 1 is the observation axis, treatment first: ``resid[:, s, :]`` is
-    observation ``s`` minus its group mean.  The stack is one C-contiguous
-    array, with ``sigma_hat`` (if given) divided out cell-wise and checked as
-    in :func:`_residual_block`, which builds it as one block.  Only
-    :func:`~matfdp.pfa.build_thin_factor` needs the whole stack;
-    :func:`~matfdp.covfactor.estimate_correlations` streams it in blocks.
-    """
-    return _residual_block(ds, sigma_hat, 0, ds.n + ds.m, _group_means(ds))
+    means = (ds.treatment.mean(axis=0), ds.control.mean(axis=0))
+    for start, stop in _obs_blocks(ds.n + ds.m, ds.p, ds.q):
+        block = np.empty((ds.p, stop - start, ds.q))
+        split = min(max(ds.n, start), stop)  # the first control observation in range
+        for group, offset, lo, hi, mean in (
+            (ds.treatment, 0, start, split, means[0]),
+            (ds.control, ds.n, split, stop, means[1]),
+        ):
+            if hi > lo:
+                np.subtract(
+                    group[lo - offset : hi - offset].transpose(1, 0, 2),
+                    mean[:, None, :],
+                    out=block[:, lo - start : hi - start],
+                )
+        if sigma_hat is not None:
+            block /= sigma_hat[:, None, :]
+        yield start, stop, block
+        del block  # a suspended generator would otherwise keep it alive
 
 
 def _pooled_moments(ds: TwoSampleDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -162,7 +153,7 @@ def _pooled_moments(ds: TwoSampleDataset) -> tuple[np.ndarray, np.ndarray, np.nd
     ``((y - ybar) ** 2).sum(0) + ((z - zbar) ** 2).sum(0)`` without its
     data-sized temporaries.
     """
-    means = _group_means(ds)
+    means = (ds.treatment.mean(axis=0), ds.control.mean(axis=0))
     ss = np.zeros((ds.p, ds.q))
     dev = np.empty_like(ss)
     for group, mean in zip((ds.treatment, ds.control), means):

@@ -1,9 +1,10 @@
 """Observation blocks change no results: the streamed paths against whole-array formulas.
 
-``teststats._BLOCK_BYTES`` bounds the temporaries of data generation and of
-correlation estimation.  Lowering it to one observation must leave generated
-data and the statistics bit for bit as they are, and move the correlation
-estimates only by the order of their Gram sums.
+``teststats._BLOCK_BYTES`` bounds the temporaries of data generation, of
+correlation estimation and of pfa's thin factor.  Lowering it to one
+observation must leave generated data, the statistics and the thin factor bit
+for bit as they are, and move the correlation estimates only by the order of
+their Gram sums.
 """
 
 import math
@@ -13,6 +14,7 @@ import pytest
 
 from matfdp import teststats
 from matfdp.covfactor import estimate_correlations
+from matfdp.pfa import build_thin_factor
 from matfdp.rng import derive_rng
 from matfdp.simlab import (
     _draw_noise_entries,
@@ -21,7 +23,7 @@ from matfdp.simlab import (
     gen_round,
     preset_spec,
 )
-from matfdp.teststats import TwoSampleDataset, pooled_sigma, residuals
+from matfdp.teststats import TwoSampleDataset, _residual_blocks, pooled_sigma
 from matfdp.teststats import test_matrix as build_stats
 
 UNBOUNDED = 1 << 62
@@ -85,7 +87,8 @@ def test_correlations_in_blocks_match_one_block(monkeypatch, p, q, n, m):
     monkeypatch.setattr(teststats, "_BLOCK_BYTES", UNBOUNDED)
     whole = estimate_correlations(ds, sig)
     # One block is the products of the whole residual stack.
-    resid = residuals(ds, sig)
+    [(start, stop, resid)] = _residual_blocks(ds, sig)
+    assert (start, stop) == (0, n + m)
     rows, cols = resid.reshape(p, -1), resid.reshape(-1, q)
     s1 = (rows @ rows.T) / ((n + m - 2) * q)
     s2 = (cols.T @ cols) / ((n + m - 2) * p)
@@ -95,3 +98,15 @@ def test_correlations_in_blocks_match_one_block(monkeypatch, p, q, n, m):
     blocked = estimate_correlations(ds, sig)
     for a, b in ((blocked.sigma1, whole.sigma1), (blocked.sigma2, whole.sigma2)):
         assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("p,q,n,m", SHAPES)
+def test_thin_factor_in_blocks_matches_one_block(monkeypatch, p, q, n, m):
+    ds = random_dataset(11, p, q, n, m)
+    sig = pooled_sigma(ds)
+    fields = []
+    for budget in (UNBOUNDED, 8 * p * q):
+        monkeypatch.setattr(teststats, "_BLOCK_BYTES", budget)
+        tf = build_thin_factor(ds, sig)
+        fields.append([a.tobytes() for a in (tf.columns, tf.values, tf.gram_vectors)])
+    assert fields[0] == fields[1]

@@ -11,13 +11,7 @@ from matfdp.linalg import vec
 from matfdp.pfa import build_thin_factor
 from matfdp.rng import derive_rng
 from matfdp.simlab import _RoundGenerator, gen_correlations, preset_spec
-from matfdp.teststats import (
-    TwoSampleDataset,
-    _group_means,
-    _residual_block,
-    pooled_sigma,
-    residuals,
-)
+from matfdp.teststats import TwoSampleDataset, _residual_blocks, pooled_sigma
 from matfdp.teststats import test_matrix as build_stats
 
 SHAPES = [(4, 5), (1, 6), (5, 1), (1, 1)]
@@ -38,26 +32,26 @@ def expected_residual(ds, s, sigma_hat=None):
 
 
 @pytest.mark.parametrize("p,q", SHAPES)
-def test_residual_layout(p, q):
+def test_residual_layout(monkeypatch, p, q):
     ds = random_dataset(0, p, q)
     sig = pooled_sigma(ds)
+    # n = 6, m = 7 under a 4-observation budget: the first boundary falls
+    # inside the treatment group and the second block spans both groups.
+    monkeypatch.setattr(teststats, "_BLOCK_BYTES", 4 * 8 * p * q)
     for sigma_hat in (None, sig):
-        resid = residuals(ds, sigma_hat)
-        assert resid.shape == (p, ds.n + ds.m, q)
-        assert resid.flags.c_contiguous
-        for s in range(ds.n + ds.m):
-            np.testing.assert_allclose(
-                resid[:, s, :], expected_residual(ds, s, sigma_hat), rtol=1e-14, atol=1e-14
-            )
-        # n = 6, m = 7: the first boundary falls inside the treatment group and
-        # the second block spans both groups; the blocks tile the stack.
-        means = _group_means(ds)
-        blocks = [
-            _residual_block(ds, sigma_hat, start, stop, means)
-            for start, stop in ((0, 4), (4, 9), (9, 11), (11, 13))
-        ]
-        assert all(b.flags.c_contiguous for b in blocks)
-        assert np.array_equal(np.concatenate(blocks, axis=1), resid)
+        ranges = []
+        for start, stop, block in _residual_blocks(ds, sigma_hat):
+            ranges.append((start, stop))
+            assert block.shape == (p, stop - start, q)
+            assert block.flags.c_contiguous
+            for s in range(start, stop):
+                np.testing.assert_allclose(
+                    block[:, s - start, :],
+                    expected_residual(ds, s, sigma_hat),
+                    rtol=1e-14,
+                    atol=1e-14,
+                )
+        assert ranges == [(0, 4), (4, 8), (8, 12), (12, 13)]
 
 
 @pytest.mark.parametrize("p,q", SHAPES)
@@ -85,7 +79,6 @@ def test_estimators_leave_the_data_unchanged(p, q):
     estimate_correlations(ds, sig)
     build_thin_factor(ds, sig)
     build_thin_factor(ds)
-    residuals(ds, sig)
     assert np.array_equal(ds.treatment, y)
     assert np.array_equal(ds.control, z)
 
@@ -122,6 +115,27 @@ def test_correlation_peak_memory_is_one_block(monkeypatch):
     monkeypatch.setattr(teststats, "_BLOCK_BYTES", 4 * 8 * p * q)
     peak = traced_peak(estimate_correlations, ds, sig)
     assert peak < 0.5 * stack_bytes, (peak, stack_bytes)
+
+
+def test_thin_factor_peak_memory_is_the_factor_plus_one_block(monkeypatch):
+    p = q = 60
+    ds = random_dataset(3, p, q, n=20, m=20)
+    sig = pooled_sigma(ds)
+    stack_bytes = 8 * (ds.n + ds.m) * p * q
+    monkeypatch.setattr(teststats, "_BLOCK_BYTES", 4 * 8 * p * q)
+    peak = traced_peak(build_thin_factor, ds, sig)
+    assert peak < 1.5 * stack_bytes, (peak, stack_bytes)
+
+
+def test_dataset_check_peak_memory_is_one_block(monkeypatch):
+    # A whole-group isfinite would build a bool array of 1/16 of the data.
+    p = q = 60
+    rng = derive_rng(6)
+    y, z = rng.standard_normal((20, p, q)), rng.standard_normal((20, p, q))
+    data_bytes = y.nbytes + z.nbytes
+    monkeypatch.setattr(teststats, "_BLOCK_BYTES", 4 * 8 * p * q)
+    peak = traced_peak(TwoSampleDataset, y, z)
+    assert peak < 0.03 * data_bytes, (peak, data_bytes)
 
 
 def test_statistics_peak_memory_is_a_few_cells():
