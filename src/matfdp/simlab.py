@@ -37,7 +37,6 @@ from .rng import derive_rng
 from .sandwich import fdp_sandwich, fit_sandwich
 from .teststats import (
     TwoSampleDataset,
-    _obs_blocks,
     check_threshold,
     p_values,
     rejection_count,
@@ -209,14 +208,12 @@ class _RoundGenerator:
             self.right = symmetric_sqrt(sigma2)
 
     def _noise(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        # One draw for the whole group, then each block of observations is
-        # replaced by left @ E @ right in place: the only temporary is one
-        # block, and every observation gets the products of a whole-group call.
-        p, q = self.spec.p, self.spec.q
-        noise = _draw_noise_entries(self.noise_dist, (count, p, q), rng)
-        for start, stop in _obs_blocks(count, p, q):
-            block = noise[start:stop]
-            np.matmul(self.left @ block, self.right, out=block)
+        # One draw for the whole group, then each observation is replaced by
+        # left @ E @ right in place: the only temporary is one observation,
+        # and the bits are those of a whole-group batched matmul.
+        noise = _draw_noise_entries(self.noise_dist, (count, self.spec.p, self.spec.q), rng)
+        for obs in noise:
+            np.matmul(self.left @ obs, self.right, out=obs)
         return noise
 
     def generate(self, rng: np.random.Generator) -> tuple[TwoSampleDataset, np.ndarray]:
@@ -305,6 +302,8 @@ def run_experiment(
         raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
     if not methods:
         raise ValueError("need at least one method")
+    if len(set(methods)) != len(methods):
+        raise ValueError(f"methods must not repeat, got {methods}")
     if max_workers is not None and max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     trim = TrimSpec(trim_fraction)

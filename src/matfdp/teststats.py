@@ -58,11 +58,11 @@ class TwoSampleDataset:
             raise ValueError(f"each group needs at least 2 observations, got n={n}, m={m}")
         if n + m < 5:
             raise ValueError(f"need n + m >= 5 for a stable pooled scale, got {n + m}")
-        # Per block, so the isfinite temporary is 1/8 of a block, not of a group.
+        # min and max propagate NaN, and -inf / +inf show in one of them: no
+        # data-sized temporary, unlike a whole-group isfinite.
         for group in (y, z):
-            for start, stop in _obs_blocks(len(group), y.shape[1], y.shape[2]):
-                if not np.isfinite(group[start:stop]).all():
-                    raise ValueError("dataset contains non-finite entries")
+            if not (np.isfinite(group.min()) and np.isfinite(group.max())):
+                raise ValueError("dataset contains non-finite entries")
         object.__setattr__(self, "treatment", y)
         object.__setattr__(self, "control", z)
 
@@ -83,21 +83,10 @@ class TwoSampleDataset:
         return int(self.treatment.shape[2])
 
 
-#: Byte budget of one observation block on the streamed paths: the residual
-#: blocks of correlation estimation and pfa, the finiteness check of
-#: :class:`TwoSampleDataset` and the noise blocks of data generation.  Read at
-#: call time, so tests can lower it.
+#: Byte budget of one residual block in :func:`_residual_blocks`, the walk
+#: behind correlation estimation and pfa's thin factor.  Read at call time, so
+#: tests can lower it.
 _BLOCK_BYTES = 16 << 20
-
-
-def _obs_blocks(count: int, p: int, q: int) -> list[tuple[int, int]]:
-    """``(start, stop)`` ranges over ``count`` observations of shape ``(p, q)``.
-
-    Each range holds at most ``_BLOCK_BYTES`` of float64 observations, and at
-    least one observation.
-    """
-    step = max(1, _BLOCK_BYTES // (8 * p * q))
-    return [(start, min(start + step, count)) for start in range(0, count, step)]
 
 
 def _residual_blocks(
@@ -108,12 +97,12 @@ def _residual_blocks(
     ``block`` is a new C-contiguous ``(p, stop - start, q)`` array holding
     observations ``start:stop`` (treatment first, so a range may span the
     treatment/control boundary) centred at their group means and, with
-    ``sigma_hat`` given, divided cell-wise by it.  The ranges are those of
-    :func:`_obs_blocks`; the group means are computed once per call.  Before
-    any block is built, a ``sigma_hat`` not of shape ``(p, q)`` raises
-    ``ValueError`` and one with a non-positive cell raises
-    :class:`DegenerateVariance` naming the first such cell.  A caller that
-    drops each block before asking for the next holds at most one.
+    ``sigma_hat`` given, divided cell-wise by it.  A range holds at most
+    ``_BLOCK_BYTES`` of observations, and at least one; the group means are
+    computed once per call.  Before any block is built, a ``sigma_hat`` not
+    of shape ``(p, q)`` raises ``ValueError`` and one with a non-positive cell
+    raises :class:`DegenerateVariance` naming the first such cell.  A caller
+    that drops each block before asking for the next holds at most one.
     """
     if sigma_hat is not None:
         sigma_hat = np.asarray(sigma_hat, dtype=np.float64)
@@ -126,7 +115,9 @@ def _residual_blocks(
             i, j = (int(v) for v in bad[0])
             raise DegenerateVariance(i, j)
     means = (ds.treatment.mean(axis=0), ds.control.mean(axis=0))
-    for start, stop in _obs_blocks(ds.n + ds.m, ds.p, ds.q):
+    step = max(1, _BLOCK_BYTES // (8 * ds.p * ds.q))
+    for start in range(0, ds.n + ds.m, step):
+        stop = min(start + step, ds.n + ds.m)
         block = np.empty((ds.p, stop - start, ds.q))
         split = min(max(ds.n, start), stop)  # the first control observation in range
         for group, offset, lo, hi, mean in (

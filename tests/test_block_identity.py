@@ -1,10 +1,11 @@
-"""Observation blocks change no results: the streamed paths against whole-array formulas.
+"""Streaming changes no results: the streamed paths against whole-array formulas.
 
-``teststats._BLOCK_BYTES`` bounds the temporaries of data generation, of
+Data generation transforms one observation at a time and the statistics add
+one observation at a time; both must give the bits of the whole-group
+formulas.  ``teststats._BLOCK_BYTES`` bounds the residual blocks of
 correlation estimation and of pfa's thin factor.  Lowering it to one
-observation must leave generated data, the statistics and the thin factor bit
-for bit as they are, and move the correlation estimates only by the order of
-their Gram sums.
+observation must leave the thin factor bit for bit as it is, and move the
+correlation estimates only by the order of their Gram sums.
 """
 
 import math
@@ -44,7 +45,7 @@ def random_dataset(seed, p, q, n, m):
     "model,setting,w_dist",
     [(1, "a", "exp1"), (2, "b", "exp1"), (3, "a", "exp1"), (3, "d", "scaled_t6")],
 )
-def test_generation_is_bit_identical_in_blocks(monkeypatch, model, setting, w_dist):
+def test_generation_is_bit_identical_in_blocks(model, setting, w_dist):
     spec = preset_spec(
         model, setting, p=12, q=9, n=5, m=6, signal_rows=3, signal_cols=4, w_dist=w_dist
     )
@@ -55,14 +56,9 @@ def test_generation_is_bit_identical_in_blocks(monkeypatch, model, setting, w_di
     shape = (spec.p, spec.q)
     ey = _draw_noise_entries(gen.noise_dist, (spec.n, *shape), rng)
     ez = _draw_noise_entries(gen.noise_dist, (spec.m, *shape), rng)
-    expected = (
-        (gen.mu + gen.left @ ey @ gen.right).tobytes(),
-        (gen.left @ ez @ gen.right).tobytes(),
-    )
-    for budget in (UNBOUNDED, 8 * spec.p * spec.q):
-        monkeypatch.setattr(teststats, "_BLOCK_BYTES", budget)
-        ds, _ = gen_round(spec, sigma1, sigma2, derive_rng(8, 1, 1))
-        assert (ds.treatment.tobytes(), ds.control.tobytes()) == expected
+    ds, _ = gen_round(spec, sigma1, sigma2, derive_rng(8, 1, 1))
+    assert ds.treatment.tobytes() == (gen.mu + gen.left @ ey @ gen.right).tobytes()
+    assert ds.control.tobytes() == (gen.left @ ez @ gen.right).tobytes()
 
 
 @pytest.mark.parametrize("p,q,n,m", SHAPES)

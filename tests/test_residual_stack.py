@@ -127,15 +127,15 @@ def test_thin_factor_peak_memory_is_the_factor_plus_one_block(monkeypatch):
     assert peak < 1.5 * stack_bytes, (peak, stack_bytes)
 
 
-def test_dataset_check_peak_memory_is_one_block(monkeypatch):
-    # A whole-group isfinite would build a bool array of 1/16 of the data.
+def test_dataset_check_peak_memory_is_one_block():
+    # A whole-group isfinite would build a bool array of 1/16 of the data;
+    # the min/max check builds none.
     p = q = 60
     rng = derive_rng(6)
     y, z = rng.standard_normal((20, p, q)), rng.standard_normal((20, p, q))
     data_bytes = y.nbytes + z.nbytes
-    monkeypatch.setattr(teststats, "_BLOCK_BYTES", 4 * 8 * p * q)
     peak = traced_peak(TwoSampleDataset, y, z)
-    assert peak < 0.03 * data_bytes, (peak, data_bytes)
+    assert peak < 0.01 * data_bytes, (peak, data_bytes)
 
 
 def test_statistics_peak_memory_is_a_few_cells():
@@ -148,10 +148,10 @@ def test_statistics_peak_memory_is_a_few_cells():
 
 
 @pytest.mark.parametrize("model", [1, 3])
-def test_generation_peak_memory_is_the_data_plus_one_block(monkeypatch, model):
+def test_generation_peak_memory_is_the_data_plus_one_observation(model):
+    # Each observation is transformed in place: the only temporary is one.
     spec = preset_spec(model, "a", p=60, q=60, n=20, m=20)
     gen = _RoundGenerator(spec, *gen_correlations(spec, derive_rng(5, 0, 0)))
     data_bytes = 8 * (spec.n + spec.m) * spec.p * spec.q
-    monkeypatch.setattr(teststats, "_BLOCK_BYTES", 4 * 8 * spec.p * spec.q)
     peak = traced_peak(gen.generate, derive_rng(5, 1, 1))
-    assert peak < 1.25 * data_bytes, (peak, data_bytes)
+    assert peak < 1.1 * data_bytes, (peak, data_bytes)

@@ -243,6 +243,7 @@ def test_run_experiment_reads_no_environment(monkeypatch):
         (dict(threshold=1.5), "threshold"),
         (dict(threshold=0.0), "threshold"),
         (dict(max_workers=0), "max_workers"),
+        (dict(methods=("pfa", "pfa")), "repeat"),
     ],
 )
 def test_run_experiment_rejects_bad_arguments_before_drawing(monkeypatch, kwargs, match):

@@ -38,6 +38,10 @@ def test_dataset_validation():
     bad[0, 0, 0] = np.inf
     with pytest.raises(ValueError):
         TwoSampleDataset(bad, np.zeros((3, 2, 2)))
+    bad = np.ones((3, 2, 2))
+    bad[1, 0, 1] = -np.inf  # finite max: only the min sees it
+    with pytest.raises(ValueError, match="non-finite"):
+        TwoSampleDataset(bad, np.zeros((3, 2, 2)))
     bad = np.zeros((3, 2, 2))
     bad[-1, 1, 1] = np.nan  # the last control observation
     with pytest.raises(ValueError, match="non-finite"):
