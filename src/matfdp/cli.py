@@ -232,16 +232,21 @@ def _run_analyze(args: argparse.Namespace) -> int:
     ds = read_dataset(args.data)
     x = test_matrix(ds)
     pv = p_values(x)
+    fixed = args.threshold is not None
+    thresholds = [args.threshold] if fixed else _sweep_thresholds(pv, args.sweep)
+    if not thresholds:
+        raise ValueError(
+            f"--sweep {args.sweep} selects no threshold in (0, 1) from {pv.size} p-values"
+        )
     # Sandwich is the noodle fit on the top-k1 x top-k2 grid of pairs.
     select = build_noodle_loadings if args.method == "noodle" else build_sandwich_loadings
     ce = estimate_correlations(ds, x.sigma_hat)
     fit = fit_noodle(x, select(ce), estimator="trimmed_l1")
 
-    fixed = args.threshold is not None
     _ensure_out_dir(args.out)
     with _open_out(args.out, "report.csv") as fh:
         fh.write("t,R,fdp_hat,estimated_false\n")
-        for t in [args.threshold] if fixed else _sweep_thresholds(pv, args.sweep):
+        for t in thresholds:
             rej = rejection_count(pv, t)
             fdp = min(fdp_noodle(fit, rej, t), 1.0)
             fh.write(f"{_fmt(t)},{rej},{_fmt(fdp)},{_fmt(fdp * rej)}\n")

@@ -4,8 +4,8 @@ The dependence model treats the ``p x q`` data matrices as doubly correlated:
 one correlation matrix across rows and one across columns, with the full
 dependence of ``vec(X)`` given by their Kronecker product.  Both correlation
 matrices are Gram products of the standardised ``(p, n + m, q)`` residual
-stack, summed over the observation blocks of ``teststats._residual_blocks``
-so that peak memory is the data plus one block, never the whole stack; their
+stack, summed over observation blocks of at most ``_BLOCK_BYTES`` so that
+peak memory is the data plus one block, never the whole stack; their
 eigensystems supply one kind of factor loadings used by the FDP
 estimators: pairs of a row eigenvector ``nu_b`` and a column eigenvector
 ``gamma_a`` with weight ``lam_b * xi_a`` (:class:`PairLoadings`).  Two
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidFactorCount, NonPositiveEigenvalue
 from .linalg import EigenSystem, KronEigenIndex, kron_eigenpairs, sym_eigen
-from .teststats import TwoSampleDataset, _residual_blocks
+from .teststats import TwoSampleDataset, check_sigma_hat
 
 #: Squared loading row norms are clamped below 1 by this margin so the
 #: variance-inflation factor 1 / sqrt(1 - norm^2) stays finite.
@@ -38,6 +38,10 @@ NORM_SQ_CEIL = 1.0 - 1e-8
 #: Eigenvalues below this fraction of the largest are unusable for ratio
 #: selection (their ratios are numerical noise).
 RATIO_FLOOR_REL = 1e-12
+
+#: Byte budget of one residual block in :func:`estimate_correlations`.  Read
+#: at call time, so tests can lower it.
+_BLOCK_BYTES = 16 << 20
 
 
 def default_max_factors(n_total: int) -> int:
@@ -75,9 +79,10 @@ def estimate_correlations(ds: TwoSampleDataset, sigma_hat: np.ndarray) -> CorrEs
     Each observation is centred at its group mean and divided cell-wise by
     ``sigma_hat``; the row estimate averages outer products of the residual
     columns (normalised by ``(n + m - 2) * q``) and the column estimate does
-    the same across rows (normalised by ``(n + m - 2) * p``).  Both are
-    summed over the blocks of ``teststats._residual_blocks``, each at most
-    ``teststats._BLOCK_BYTES``: the row estimate adds the block's
+    the same across rows (normalised by ``(n + m - 2) * p``).  The residuals
+    are built in C-contiguous ``(p, b, q)`` blocks of at most
+    ``_BLOCK_BYTES`` (and at least one observation, treatment first, so a
+    block may span both groups): the row estimate adds the block's
     ``(p, b q)`` reshape times its transpose and the column estimate the
     transpose of its ``(b p, q)`` reshape times itself, so the peak memory is
     the data plus one block.  A stack that fits in one block gives the
@@ -90,19 +95,38 @@ def estimate_correlations(ds: TwoSampleDataset, sigma_hat: np.ndarray) -> CorrEs
         The two group stacks.
     sigma_hat : numpy.ndarray
         Cell-wise pooled standard deviations, shape ``(p, q)``, all positive;
-        checked once by ``teststats._residual_blocks``.
+        checked by :func:`~matfdp.teststats.check_sigma_hat` before any block
+        is built.
     """
-    s1 = np.zeros((ds.p, ds.p))
-    s2 = np.zeros((ds.q, ds.q))
-    for _, _, block in _residual_blocks(ds, sigma_hat):
-        rows = block.reshape(ds.p, -1)
-        cols = block.reshape(-1, ds.q)
+    sigma_hat = check_sigma_hat(ds, sigma_hat)
+    p, q, n_total = ds.p, ds.q, ds.n + ds.m
+    means = (ds.treatment.mean(axis=0), ds.control.mean(axis=0))
+    s1 = np.zeros((p, p))
+    s2 = np.zeros((q, q))
+    step = max(1, _BLOCK_BYTES // (8 * p * q))
+    for start in range(0, n_total, step):
+        stop = min(start + step, n_total)
+        block = np.empty((p, stop - start, q))
+        split = min(max(ds.n, start), stop)  # the first control observation in range
+        for group, offset, lo, hi, mean in (
+            (ds.treatment, 0, start, split, means[0]),
+            (ds.control, ds.n, split, stop, means[1]),
+        ):
+            if hi > lo:
+                np.subtract(
+                    group[lo - offset : hi - offset].transpose(1, 0, 2),
+                    mean[:, None, :],
+                    out=block[:, lo - start : hi - start],
+                )
+        block /= sigma_hat[:, None, :]
+        rows = block.reshape(p, -1)
+        cols = block.reshape(-1, q)
         s1 += rows @ rows.T
         s2 += cols.T @ cols
         del block, rows, cols  # free this block before the next one is built
-    df = ds.n + ds.m - 2
-    s1 /= df * ds.q
-    s2 /= df * ds.p
+    df = n_total - 2
+    s1 /= df * q
+    s2 /= df * p
     s1 = 0.5 * (s1 + s1.T)
     s2 = 0.5 * (s2 + s2.T)
     return CorrEstimates(
@@ -110,7 +134,7 @@ def estimate_correlations(ds: TwoSampleDataset, sigma_hat: np.ndarray) -> CorrEs
         sigma2=s2,
         eig1=sym_eigen(s1),
         eig2=sym_eigen(s2),
-        n_total=ds.n + ds.m,
+        n_total=n_total,
     )
 
 

@@ -6,9 +6,8 @@ formed: with the standardised residuals laid out as columns of a thin factor
 ``F`` of shape ``(p*q, n+m)`` scaled by ``1/sqrt(n+m-2)`` (column ``s`` is
 ``vec`` of observation ``s``), the covariance is ``F F'`` and its eigenpairs
 come from the small Gram matrix ``F' F`` (decomposed by
-:func:`~matfdp.linalg.sym_eigen`).  ``F`` is filled from the residual blocks
-that correlation estimation also walks (``teststats._residual_blocks``), so
-the residuals are never held twice.  For a Gram eigenpair
+:func:`~matfdp.linalg.sym_eigen`).  Each group is centred straight into
+``F``, so the residuals are held once, in vec order.  For a Gram eigenpair
 ``(s, u)`` with ``s`` above a cutoff, the covariance eigenvector is
 ``F u / sqrt(s)``.
 
@@ -26,7 +25,7 @@ import numpy as np
 from .covfactor import NORM_SQ_CEIL, default_max_factors, eigenvalue_ratio
 from .linalg import _fix_signs, sym_eigen, vec
 from .noodle import _plugin_estimate
-from .teststats import TestMatrix, TwoSampleDataset, _residual_blocks, p_values, rejection_count
+from .teststats import TestMatrix, TwoSampleDataset, check_sigma_hat, p_values, rejection_count
 
 #: Gram eigenvalues at or below this are numerical nulls and carry no factor.
 GRAM_EIGEN_CUTOFF = 1e-12
@@ -63,24 +62,29 @@ class ThinFactor:
         return vecs
 
 
-def build_thin_factor(
-    ds: TwoSampleDataset, sigma_hat: np.ndarray | None = None
-) -> ThinFactor:
+def build_thin_factor(ds: TwoSampleDataset, sigma_hat: np.ndarray) -> ThinFactor:
     """Thin factor of the pooled sample covariance of the vectorised data.
 
-    The columns are the residuals: observations centred at their group means
-    and, with ``sigma_hat`` given, divided cell-wise by it, which moves the
-    covariance to the correlation scale (unit diagonal).  Each residual block
-    is written once into a row-major ``(q, p, n+m)`` array that ``columns``
-    reshapes without a copy.
+    The columns are the standardised residuals: observations centred at their
+    group means and divided cell-wise by ``sigma_hat`` (shape ``(p, q)``, all
+    positive, checked by :func:`~matfdp.teststats.check_sigma_hat` first),
+    which puts the covariance on the correlation scale (unit diagonal).  Each
+    group is written once into a row-major ``(q, p, n+m)`` array that
+    ``columns`` reshapes without a copy, so the factor is the only
+    stack-sized array.
     """
+    sigma_hat = check_sigma_hat(ds, sigma_hat)
     n_total = ds.n + ds.m
     # Row-major: a matrix-vector product on column-major columns sums in
     # another order, which would move the bits of eigenvectors(1).
     factor = np.empty((ds.q, ds.p, n_total))
-    for start, stop, block in _residual_blocks(ds, sigma_hat):
-        factor[:, :, start:stop] = block.transpose(2, 0, 1)
-        del block  # free this block before the next one is built
+    for group, lo, hi in ((ds.treatment, 0, ds.n), (ds.control, ds.n, n_total)):
+        np.subtract(
+            group.transpose(2, 1, 0),
+            group.mean(axis=0).T[:, :, None],
+            out=factor[:, :, lo:hi],
+        )
+    factor /= sigma_hat.T[:, :, None]
     factor /= np.sqrt(n_total - 2)
     # Column s of the factor is vec (column-major) of observation s.
     cols = factor.reshape(ds.p * ds.q, n_total)

@@ -13,7 +13,6 @@ realised false discovery proportion are simple functionals of those p-values.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,59 +80,6 @@ class TwoSampleDataset:
     @property
     def q(self) -> int:
         return int(self.treatment.shape[2])
-
-
-#: Byte budget of one residual block in :func:`_residual_blocks`, the walk
-#: behind correlation estimation and pfa's thin factor.  Read at call time, so
-#: tests can lower it.
-_BLOCK_BYTES = 16 << 20
-
-
-def _residual_blocks(
-    ds: TwoSampleDataset, sigma_hat: np.ndarray | None = None
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield ``(start, stop, block)`` over the residual stack, one block at a time.
-
-    ``block`` is a new C-contiguous ``(p, stop - start, q)`` array holding
-    observations ``start:stop`` (treatment first, so a range may span the
-    treatment/control boundary) centred at their group means and, with
-    ``sigma_hat`` given, divided cell-wise by it.  A range holds at most
-    ``_BLOCK_BYTES`` of observations, and at least one; the group means are
-    computed once per call.  Before any block is built, a ``sigma_hat`` not
-    of shape ``(p, q)`` raises ``ValueError`` and one with a non-positive cell
-    raises :class:`DegenerateVariance` naming the first such cell.  A caller
-    that drops each block before asking for the next holds at most one.
-    """
-    if sigma_hat is not None:
-        sigma_hat = np.asarray(sigma_hat, dtype=np.float64)
-        if sigma_hat.shape != (ds.p, ds.q):
-            raise ValueError(
-                f"sigma_hat shape {sigma_hat.shape} does not match data ({ds.p}, {ds.q})"
-            )
-        bad = np.argwhere(sigma_hat <= 0.0)
-        if bad.size:
-            i, j = (int(v) for v in bad[0])
-            raise DegenerateVariance(i, j)
-    means = (ds.treatment.mean(axis=0), ds.control.mean(axis=0))
-    step = max(1, _BLOCK_BYTES // (8 * ds.p * ds.q))
-    for start in range(0, ds.n + ds.m, step):
-        stop = min(start + step, ds.n + ds.m)
-        block = np.empty((ds.p, stop - start, ds.q))
-        split = min(max(ds.n, start), stop)  # the first control observation in range
-        for group, offset, lo, hi, mean in (
-            (ds.treatment, 0, start, split, means[0]),
-            (ds.control, ds.n, split, stop, means[1]),
-        ):
-            if hi > lo:
-                np.subtract(
-                    group[lo - offset : hi - offset].transpose(1, 0, 2),
-                    mean[:, None, :],
-                    out=block[:, lo - start : hi - start],
-                )
-        if sigma_hat is not None:
-            block /= sigma_hat[:, None, :]
-        yield start, stop, block
-        del block  # a suspended generator would otherwise keep it alive
 
 
 def _pooled_moments(ds: TwoSampleDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -232,6 +178,25 @@ def check_threshold(threshold: float) -> None:
     """Raise ``ValueError`` unless the rejection threshold lies in ``(0, 1)``."""
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+
+
+def check_sigma_hat(ds: TwoSampleDataset, sigma_hat) -> np.ndarray:
+    """Return ``sigma_hat`` as a float array after checking it against ``ds``.
+
+    Raises ``ValueError`` unless its shape is ``(p, q)``, and
+    :class:`DegenerateVariance` naming the first non-positive cell in
+    row-major order.
+    """
+    sigma_hat = np.asarray(sigma_hat, dtype=np.float64)
+    if sigma_hat.shape != (ds.p, ds.q):
+        raise ValueError(
+            f"sigma_hat shape {sigma_hat.shape} does not match data ({ds.p}, {ds.q})"
+        )
+    bad = np.argwhere(sigma_hat <= 0.0)
+    if bad.size:
+        i, j = (int(v) for v in bad[0])
+        raise DegenerateVariance(i, j)
+    return sigma_hat
 
 
 def rejection_count(p: np.ndarray, threshold: float) -> int:

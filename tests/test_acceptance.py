@@ -338,7 +338,7 @@ def test_09_thin_factor_route_matches_dense():
         y = sample_matrix_normal_stack(mu, u, v, 4, rng)
         z = sample_matrix_normal_stack(mu, u, v, 4, rng)
         ds = TwoSampleDataset(treatment=y, control=z)
-        thin = build_thin_factor(ds)
+        thin = build_thin_factor(ds, np.ones((ds.p, ds.q)))
 
         df = ds.n + ds.m - 2
         res = np.concatenate(

@@ -2,10 +2,10 @@
 
 Data generation transforms one observation at a time and the statistics add
 one observation at a time; both must give the bits of the whole-group
-formulas.  ``teststats._BLOCK_BYTES`` bounds the residual blocks of
-correlation estimation and of pfa's thin factor.  Lowering it to one
-observation must leave the thin factor bit for bit as it is, and move the
-correlation estimates only by the order of their Gram sums.
+formulas.  ``covfactor._BLOCK_BYTES`` bounds the residual blocks of
+correlation estimation: lowering it must move the correlation estimates only
+by the order of their Gram sums.  pfa's thin factor centres each group
+straight into its columns and must give the bits of the vec-order formula.
 """
 
 import math
@@ -13,8 +13,9 @@ import math
 import numpy as np
 import pytest
 
-from matfdp import teststats
+from matfdp import covfactor
 from matfdp.covfactor import estimate_correlations
+from matfdp.linalg import vec
 from matfdp.pfa import build_thin_factor
 from matfdp.rng import derive_rng
 from matfdp.simlab import (
@@ -24,7 +25,7 @@ from matfdp.simlab import (
     gen_round,
     preset_spec,
 )
-from matfdp.teststats import TwoSampleDataset, _residual_blocks, pooled_sigma
+from matfdp.teststats import TwoSampleDataset, pooled_sigma
 from matfdp.teststats import test_matrix as build_stats
 
 UNBOUNDED = 1 << 62
@@ -76,33 +77,40 @@ def test_statistics_are_bit_identical_to_the_two_pass_formula(p, q, n, m):
     assert tm.scale == scale
 
 
+def residual_stack(ds, sigma_hat):
+    """Observations (treatment first) centred at their group means, over ``sigma_hat``."""
+    y, z = ds.treatment, ds.control
+    return np.concatenate([y - y.mean(axis=0), z - z.mean(axis=0)]) / sigma_hat
+
+
 @pytest.mark.parametrize("p,q,n,m", SHAPES)
 def test_correlations_in_blocks_match_one_block(monkeypatch, p, q, n, m):
     ds = random_dataset(10, p, q, n, m)
     sig = pooled_sigma(ds)
-    monkeypatch.setattr(teststats, "_BLOCK_BYTES", UNBOUNDED)
+    monkeypatch.setattr(covfactor, "_BLOCK_BYTES", UNBOUNDED)
     whole = estimate_correlations(ds, sig)
-    # One block is the products of the whole residual stack.
-    [(start, stop, resid)] = _residual_blocks(ds, sig)
-    assert (start, stop) == (0, n + m)
+    # One block is the products of the whole (p, n + m, q) residual stack.
+    resid = np.ascontiguousarray(residual_stack(ds, sig).transpose(1, 0, 2))
     rows, cols = resid.reshape(p, -1), resid.reshape(-1, q)
     s1 = (rows @ rows.T) / ((n + m - 2) * q)
     s2 = (cols.T @ cols) / ((n + m - 2) * p)
     assert np.array_equal(whole.sigma1, 0.5 * (s1 + s1.T))
     assert np.array_equal(whole.sigma2, 0.5 * (s2 + s2.T))
-    monkeypatch.setattr(teststats, "_BLOCK_BYTES", 8 * p * q)
-    blocked = estimate_correlations(ds, sig)
-    for a, b in ((blocked.sigma1, whole.sigma1), (blocked.sigma2, whole.sigma2)):
-        assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+    # One observation per block, and five, so that a block spans both groups
+    # for the first three shapes.
+    for obs in (1, 5):
+        monkeypatch.setattr(covfactor, "_BLOCK_BYTES", obs * 8 * p * q)
+        blocked = estimate_correlations(ds, sig)
+        for a, b in ((blocked.sigma1, whole.sigma1), (blocked.sigma2, whole.sigma2)):
+            assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
 
 
 @pytest.mark.parametrize("p,q,n,m", SHAPES)
-def test_thin_factor_in_blocks_matches_one_block(monkeypatch, p, q, n, m):
+def test_thin_factor_in_blocks_matches_one_block(p, q, n, m):
+    # Filled group by group, the factor has the bits of the whole-stack
+    # formula: column s is vec of observation s over sigma_hat and sqrt(n+m-2).
     ds = random_dataset(11, p, q, n, m)
     sig = pooled_sigma(ds)
-    fields = []
-    for budget in (UNBOUNDED, 8 * p * q):
-        monkeypatch.setattr(teststats, "_BLOCK_BYTES", budget)
-        tf = build_thin_factor(ds, sig)
-        fields.append([a.tobytes() for a in (tf.columns, tf.values, tf.gram_vectors)])
-    assert fields[0] == fields[1]
+    cols = np.stack([vec(r) for r in residual_stack(ds, sig)], axis=1)
+    expected = cols / np.sqrt(n + m - 2)
+    assert build_thin_factor(ds, sig).columns.tobytes() == expected.tobytes()

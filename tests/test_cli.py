@@ -301,6 +301,23 @@ def test_analyze_sweep_default_step(tmp_path):
     assert 0 < len(read_csv(out / "report.csv")) <= 200 // 25
 
 
+def test_analyze_sweep_without_thresholds_exit_2(tmp_path, capsys):
+    # A 4 x 5 matrix has 20 p-values, fewer than one sweep step of 25.
+    data = tmp_path / "data"
+    out = tmp_path / "out"
+    small = ["--model", "1", "--p", "4", "--q", "5", "--n", "5", "--m", "5"]
+    assert main(["gen-synthetic", *small, "--seed", "1", "--out", str(data)]) == 0
+    capsys.readouterr()
+    rc = main(
+        ["analyze", "--data", str(data), "--method", "noodle", "--sweep", "25", "--out", str(out)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert "--sweep 25 selects no threshold" in err
+    assert not out.exists()
+
+
 def test_analyze_identical_groups_rejects_nothing(tmp_path):
     rng = np.random.default_rng(30)
     stack = rng.standard_normal((6, 8, 25))

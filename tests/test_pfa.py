@@ -65,7 +65,7 @@ def test_gram_route_matches_dense_eigendecomposition():
 def test_rank_bounded_by_degrees_of_freedom():
     # Group centering removes one dimension per group.
     ds = random_dataset(11, n=2, m=3, p=3, q=5)
-    tf = build_thin_factor(ds)
+    tf = build_thin_factor(ds, np.ones((ds.p, ds.q)))
     assert tf.rank <= 3
 
 
@@ -75,7 +75,7 @@ def test_constant_groups_have_empty_spectrum():
     ds = TwoSampleDataset(
         np.stack([base_y] * 3), np.stack([base_z] * 4)
     )
-    tf = build_thin_factor(ds)
+    tf = build_thin_factor(ds, np.ones((ds.p, ds.q)))
     assert tf.rank == 0
     assert tf.values.size == 0
     with pytest.raises(DegenerateVariance):
@@ -84,7 +84,7 @@ def test_constant_groups_have_empty_spectrum():
 
 def test_eigenvectors_count_validation():
     ds = random_dataset(13)
-    tf = build_thin_factor(ds)
+    tf = build_thin_factor(ds, np.ones((ds.p, ds.q)))
     with pytest.raises(ValueError):
         tf.eigenvectors(tf.rank + 1)
     with pytest.raises(ValueError):

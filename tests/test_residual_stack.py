@@ -1,17 +1,18 @@
-"""The residual stack and its observation blocks: layout, aliasing and peak memory."""
+"""The residual stack and its observation blocks: layout, checks, aliasing and peak memory."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from matfdp import teststats
+from matfdp import covfactor
 from matfdp.covfactor import estimate_correlations
+from matfdp.errors import DegenerateVariance
 from matfdp.linalg import vec
 from matfdp.pfa import build_thin_factor
 from matfdp.rng import derive_rng
 from matfdp.simlab import _RoundGenerator, gen_correlations, preset_spec
-from matfdp.teststats import TwoSampleDataset, _residual_blocks, pooled_sigma
+from matfdp.teststats import TwoSampleDataset, pooled_sigma
 from matfdp.teststats import test_matrix as build_stats
 
 SHAPES = [(4, 5), (1, 6), (5, 1), (1, 1)]
@@ -24,41 +25,17 @@ def random_dataset(seed, p, q, n=6, m=7):
     )
 
 
-def expected_residual(ds, s, sigma_hat=None):
-    """Observation ``s`` (treatment first) centred at its group mean."""
+def expected_residual(ds, s, sigma_hat):
+    """Observation ``s`` (treatment first) centred at its group mean, over ``sigma_hat``."""
     group = ds.treatment if s < ds.n else ds.control
-    r = group[s if s < ds.n else s - ds.n] - group.mean(axis=0)
-    return r if sigma_hat is None else r / sigma_hat
-
-
-@pytest.mark.parametrize("p,q", SHAPES)
-def test_residual_layout(monkeypatch, p, q):
-    ds = random_dataset(0, p, q)
-    sig = pooled_sigma(ds)
-    # n = 6, m = 7 under a 4-observation budget: the first boundary falls
-    # inside the treatment group and the second block spans both groups.
-    monkeypatch.setattr(teststats, "_BLOCK_BYTES", 4 * 8 * p * q)
-    for sigma_hat in (None, sig):
-        ranges = []
-        for start, stop, block in _residual_blocks(ds, sigma_hat):
-            ranges.append((start, stop))
-            assert block.shape == (p, stop - start, q)
-            assert block.flags.c_contiguous
-            for s in range(start, stop):
-                np.testing.assert_allclose(
-                    block[:, s - start, :],
-                    expected_residual(ds, s, sigma_hat),
-                    rtol=1e-14,
-                    atol=1e-14,
-                )
-        assert ranges == [(0, 4), (4, 8), (8, 12), (12, 13)]
+    return (group[s if s < ds.n else s - ds.n] - group.mean(axis=0)) / sigma_hat
 
 
 @pytest.mark.parametrize("p,q", SHAPES)
 def test_thin_factor_columns_are_vec_of_residuals(p, q):
     ds = random_dataset(1, p, q)
     sig = pooled_sigma(ds)
-    for sigma_hat in (None, sig):
+    for sigma_hat in (np.ones((p, q)), sig):
         tf = build_thin_factor(ds, sigma_hat)
         assert tf.columns.shape == (p * q, ds.n + ds.m)
         scale = np.sqrt(ds.n + ds.m - 2)
@@ -78,7 +55,6 @@ def test_estimators_leave_the_data_unchanged(p, q):
     sig = pooled_sigma(ds)
     estimate_correlations(ds, sig)
     build_thin_factor(ds, sig)
-    build_thin_factor(ds)
     assert np.array_equal(ds.treatment, y)
     assert np.array_equal(ds.control, z)
 
@@ -112,19 +88,42 @@ def test_correlation_peak_memory_is_one_block(monkeypatch):
     ds = random_dataset(3, p, q, n=20, m=20)
     sig = pooled_sigma(ds)
     stack_bytes = 8 * (ds.n + ds.m) * p * q
-    monkeypatch.setattr(teststats, "_BLOCK_BYTES", 4 * 8 * p * q)
+    monkeypatch.setattr(covfactor, "_BLOCK_BYTES", 4 * 8 * p * q)
     peak = traced_peak(estimate_correlations, ds, sig)
     assert peak < 0.5 * stack_bytes, (peak, stack_bytes)
 
 
-def test_thin_factor_peak_memory_is_the_factor_plus_one_block(monkeypatch):
+def test_thin_factor_peak_memory_is_the_factor():
+    # Each group is centred straight into the factor: no residual block or
+    # copy of the stack lives beside it.
     p = q = 60
     ds = random_dataset(3, p, q, n=20, m=20)
     sig = pooled_sigma(ds)
     stack_bytes = 8 * (ds.n + ds.m) * p * q
-    monkeypatch.setattr(teststats, "_BLOCK_BYTES", 4 * 8 * p * q)
     peak = traced_peak(build_thin_factor, ds, sig)
-    assert peak < 1.5 * stack_bytes, (peak, stack_bytes)
+    assert peak < 1.3 * stack_bytes, (peak, stack_bytes)
+
+
+@pytest.mark.parametrize("estimator", [estimate_correlations, build_thin_factor])
+def test_sigma_hat_is_checked_before_any_residual_is_built(estimator):
+    p = q = 60
+    ds = random_dataset(7, p, q, n=20, m=20)
+    sig = pooled_sigma(ds)
+    zero = sig.copy()
+    zero[1, 2] = 0.0
+    for bad, error, match in (
+        (zero, DegenerateVariance, r"\(1, 2\)"),
+        (sig[:, :-1], ValueError, "does not match"),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match=match):
+                estimator(ds, bad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A residual block holds at least one observation.
+        assert peak < 8 * p * q, (peak, 8 * p * q)
 
 
 def test_dataset_check_peak_memory_is_one_block():
