@@ -69,7 +69,7 @@ from .teststats import (
     test_matrix,
     true_fdp,
 )
-from .trimreg import TrimmedFit, TrimSpec, trimmed_l1_fit
+from .trimreg import TrimmedFit, trimmed_l1_fit
 
 __version__ = "0.1.0"
 
@@ -94,7 +94,6 @@ __all__ = [
     "RoundRecord",
     "TestMatrix",
     "ThinFactor",
-    "TrimSpec",
     "TrimmedFit",
     "TrueFdp",
     "TwoSampleDataset",

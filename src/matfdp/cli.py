@@ -20,9 +20,11 @@ import dataclasses
 import json
 import os
 import sys
+import tempfile
 
 import numpy as np
 
+from . import trimreg
 from .covfactor import (
     build_noodle_loadings,
     build_sandwich_loadings,
@@ -42,7 +44,6 @@ from .simlab import (
     run_experiment,
 )
 from .teststats import check_threshold, p_values, rejection_count, test_matrix
-from .trimreg import TrimSpec
 
 _ESTIMATOR_FLAGS = {"ls": "least_squares", "trimmed": "trimmed_l1"}
 _SWEEP_ROW_CAP = 100
@@ -88,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="comma-separated subset of noodle,sandwich,pfa",
             )
             p.add_argument("--estimator", choices=tuple(_ESTIMATOR_FLAGS), default="trimmed")
-            p.add_argument("--trim-fraction", type=float, default=TrimSpec.trim_fraction)
 
     sim = sub.add_parser("simulate", help="run a Monte-Carlo experiment")
     add_model_flags(sim, with_sim=True)
@@ -135,10 +135,10 @@ def _open_out(directory: str, name: str):
 
 def _ensure_out_dir(path: str) -> None:
     os.makedirs(path, exist_ok=True)
-    probe = os.path.join(path, ".write_probe")
-    with open(probe, "w") as fh:
-        fh.write("")
-    os.remove(probe)
+    # An unnamed temporary file probes writability without touching any
+    # file the directory already holds.
+    with tempfile.TemporaryFile(dir=path):
+        pass
 
 
 def _max_workers_from_env() -> int | None:
@@ -172,7 +172,6 @@ def _run_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
         methods=methods,
         estimator=_ESTIMATOR_FLAGS[args.estimator],
-        trim_fraction=args.trim_fraction,
         max_workers=max_workers,
     )
 
@@ -195,7 +194,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "methods": list(methods),
             "estimator": _ESTIMATOR_FLAGS[args.estimator],
-            "trim_fraction": args.trim_fraction,
+            "trim_fraction": trimreg.TRIM_FRACTION,
         },
         "methods": {name: dataclasses.asdict(s) for name, s in result.summaries.items()},
         "failures": [

@@ -30,7 +30,7 @@ from scipy.special import ndtr, ndtri
 from .covfactor import PairLoadings
 from .linalg import vec
 from .teststats import TestMatrix, check_threshold
-from .trimreg import TrimSpec, trimmed_l1_fit
+from .trimreg import trimmed_l1_fit
 
 _ESTIMATORS = ("least_squares", "trimmed_l1")
 
@@ -105,7 +105,6 @@ def fit_noodle(
     x: TestMatrix,
     loadings: PairLoadings,
     estimator: str = "least_squares",
-    trim: TrimSpec = TrimSpec(),
 ) -> FactorFit:
     """Estimate realised factors and the common component.
 
@@ -117,13 +116,12 @@ def fit_noodle(
         Selected eigenvector pairs.
     estimator : str
         ``"least_squares"`` for the closed-form projection, ``"trimmed_l1"``
-        to refit the factors robustly on the low-magnitude cells.
-    trim : TrimSpec
-        Trimming configuration for the robust path.
+        to refit the factors robustly on the ``trimreg.TRIM_FRACTION`` of
+        cells with the smallest ``|z|``.
     """
     if not _needs_trimmed_fit(x, loadings, estimator):
         return _least_squares_fit(x, loadings)
-    fit = trimmed_l1_fit(vec(x.x), _design(loadings), trim)
+    fit = trimmed_l1_fit(vec(x.x), _design(loadings))
     return _from_factors(loadings, fit.w, fit.used_fallback)
 
 

@@ -109,9 +109,9 @@ def fdp_pfa(
     the eigenvalue-ratio rule capped at ``floor(0.2 * (n + m))``; an explicit
     count is capped at the factor rank.  Zero factors reduce exactly to
     ``p * q * threshold / rejections``.  The realised factors are always the
-    least-squares projection: the ``estimator`` and ``trim_fraction`` of
-    :func:`~matfdp.simlab.run_experiment` (``simulate --estimator`` and
-    ``--trim-fraction``) choose only the noodle and sandwich fit.
+    least-squares projection: the ``estimator`` of
+    :func:`~matfdp.simlab.run_experiment` (``simulate --estimator``) and
+    ``trimreg.TRIM_FRACTION`` act only on the noodle and sandwich fit.
     """
     if (x.p, x.q) != (ds.p, ds.q):
         raise ValueError(

@@ -29,14 +29,13 @@ from .noodle import (
     fdp_noodle,
 )
 from .teststats import TestMatrix
-from .trimreg import TrimSpec, trimmed_l1_fit
+from .trimreg import trimmed_l1_fit
 
 
 def fit_sandwich(
     x: TestMatrix,
     loadings: PairLoadings,
     estimator: str = "least_squares",
-    trim: TrimSpec = TrimSpec(),
 ) -> FactorFit:
     """Estimate the realised factors and the common component on the grid.
 
@@ -49,7 +48,7 @@ def fit_sandwich(
         return _least_squares_fit(x, loadings)
     # The same fit as fit_noodle, called through this module's own name for
     # trimmed_l1_fit so the benchmark's traced run can reach that binding.
-    fit = trimmed_l1_fit(vec(x.x), _design(loadings), trim)
+    fit = trimmed_l1_fit(vec(x.x), _design(loadings))
     return _from_factors(loadings, fit.w, fit.used_fallback)
 
 

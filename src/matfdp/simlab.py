@@ -43,7 +43,6 @@ from .teststats import (
     test_matrix,
     true_fdp,
 )
-from .trimreg import TrimSpec
 
 METHODS = ("noodle", "sandwich", "pfa")
 
@@ -279,7 +278,6 @@ def run_experiment(
     seed: int,
     methods: tuple[str, ...] = METHODS,
     estimator: str = "trimmed_l1",
-    trim_fraction: float = TrimSpec.trim_fraction,
     max_workers: int | None = None,
 ) -> ExperimentResult:
     """Run one simulation experiment.
@@ -306,7 +304,6 @@ def run_experiment(
         raise ValueError(f"methods must not repeat, got {methods}")
     if max_workers is not None and max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-    trim = TrimSpec(trim_fraction)
     cpus = os.cpu_count() or 1
 
     sigma1, sigma2 = gen_correlations(spec, derive_rng(seed, 0, 0))
@@ -328,10 +325,10 @@ def run_experiment(
         for method in methods:
             try:
                 if method == "noodle":
-                    fit = fit_noodle(x, build_noodle_loadings(ce), estimator, trim)
+                    fit = fit_noodle(x, build_noodle_loadings(ce), estimator)
                     val = fdp_noodle(fit, rej, threshold)
                 elif method == "sandwich":
-                    fit = fit_sandwich(x, build_sandwich_loadings(ce), estimator, trim)
+                    fit = fit_sandwich(x, build_sandwich_loadings(ce), estimator)
                     val = fdp_sandwich(fit, rej, threshold)
                 else:
                     val = fdp_pfa(ds, x, threshold)

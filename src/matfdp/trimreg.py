@@ -2,14 +2,15 @@
 
 Large entries of the statistic vector are dominated by genuine signals, which
 contaminate a least-squares fit of the realised factors.  The trimmed fit keeps
-only the cells with the smallest absolute statistics and solves an L1
-regression of those entries on their loading rows.  The L1 problem is smoothed
-(``|r| ~ sqrt(r^2 + eps^2)``) and solved by iteratively reweighted least
-squares from the least-squares warm start.  Each step majorises the smoothed
-loss by a weighted least-squares problem with weights ``1 / sqrt(r^2 + eps^2)``
-and solves it through its ``k x k`` normal equations ``(D'WD) w = D'Wz``, so an
-iteration costs a few passes over the kept design and one ``k x k`` solve
-instead of an SVD of the weighted design.  The weighted problem touches the
+only the ``TRIM_FRACTION`` of cells with the smallest absolute statistics (90%,
+following Fan, Han & Gu 2012) and solves an L1 regression of those entries on
+their loading rows.  The L1 problem is smoothed (``|r| ~ sqrt(r^2 + eps^2)``)
+and solved by iteratively reweighted least squares from the least-squares warm
+start.  Each step majorises the smoothed loss by a weighted least-squares
+problem with weights ``1 / sqrt(r^2 + eps^2)`` and solves it through its
+``k x k`` normal equations ``(D'WD) w = D'Wz``, so an iteration costs a few
+passes over the kept design and one ``k x k`` solve instead of an SVD of the
+weighted design.  The weighted problem touches the
 smoothed loss at the current coefficients and lies above it elsewhere, so each
 full step is a majorise-minimise step and cannot raise the objective (Hunter
 and Lange 2004); no step-size guard is needed.  The loop stops when no
@@ -34,22 +35,10 @@ STEP_TOL = 1e-8
 #: Iteration cap for the reweighting loop.
 MAX_ITERS = 200
 
-
-@dataclass(frozen=True)
-class TrimSpec:
-    """Configuration of the trimming step.
-
-    ``trim_fraction`` is the fraction of cells kept, by smallest absolute
-    statistic; the kept count is ``floor(trim_fraction * total)``.
-    """
-
-    trim_fraction: float = 0.9
-
-    def __post_init__(self):
-        if not 0.0 < self.trim_fraction <= 1.0:
-            raise ValueError(
-                f"trim_fraction must be in (0, 1], got {self.trim_fraction}"
-            )
+#: Fraction of cells the fit keeps, by smallest ``|z|``: Fan, Han & Gu (2012)
+#: fit the realised factors on the 90% of statistics least likely to carry
+#: signal.
+TRIM_FRACTION = 0.9
 
 
 @dataclass(frozen=True)
@@ -76,7 +65,7 @@ class TrimmedFit:
     converged: bool = True
 
 
-def trimmed_l1_fit(z, design, spec: TrimSpec = TrimSpec()) -> TrimmedFit:
+def trimmed_l1_fit(z, design) -> TrimmedFit:
     """Fit realised factors to the smallest-magnitude entries of ``z``.
 
     Parameters
@@ -87,14 +76,13 @@ def trimmed_l1_fit(z, design, spec: TrimSpec = TrimSpec()) -> TrimmedFit:
         Loading matrix, shape ``(total, k)``; row ``l`` belongs to entry ``l``
         of ``z``.  With ``k = 0`` the fit is a no-op returning an empty
         coefficient vector.
-    spec : TrimSpec
-        Trimming configuration.  The kept count must be at least ``k + 1``,
-        else :class:`~matfdp.errors.InvalidFactorCount` is raised.
 
     Notes
     -----
-    The kept set is the ``floor(trim_fraction * total)`` entries with the
+    The kept set is the ``floor(TRIM_FRACTION * total)`` entries with the
     smallest ``|z|``; ties are broken by index, so the fit is deterministic.
+    ``TRIM_FRACTION`` is read at call time.  The kept count must be at least
+    ``k + 1``, else :class:`~matfdp.errors.InvalidFactorCount` is raised.
     """
     zv = np.asarray(z, dtype=np.float64).ravel()
     design = np.asarray(design, dtype=np.float64)
@@ -106,7 +94,7 @@ def trimmed_l1_fit(z, design, spec: TrimSpec = TrimSpec()) -> TrimmedFit:
         return TrimmedFit(
             w=np.empty(0), used_fallback=False, iterations=0, kept=np.empty(0, dtype=np.intp)
         )
-    m_keep = int(spec.trim_fraction * total)
+    m_keep = int(TRIM_FRACTION * total)
     if m_keep < n_factors + 1:
         raise InvalidFactorCount(
             f"kept count {m_keep} is too small for {n_factors} factors "

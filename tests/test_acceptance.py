@@ -37,7 +37,7 @@ from matfdp.teststats import (
     rejection_count,
     test_matrix,
 )
-from matfdp.trimreg import TrimSpec, trimmed_l1_fit
+from matfdp.trimreg import trimmed_l1_fit
 
 from helpers import random_spd, sample_matrix_normal_stack, stat_matrix
 
@@ -298,12 +298,12 @@ def test_07_trimmed_fit_examples():
     w_true = np.array([1.5, -2.0, 0.5])
     z = a @ w_true
 
-    fit = trimmed_l1_fit(z, a, TrimSpec(trim_fraction=1.0))
+    fit = trimmed_l1_fit(z, a)
     noiseless_err = float(np.max(np.abs(fit.w - w_true)))
 
     z2 = np.array([1.0, 1.0, 1.0, 100.0])
     ones = np.ones((4, 1))
-    fit2 = trimmed_l1_fit(z2, ones, TrimSpec(0.75))
+    fit2 = trimmed_l1_fit(z2, ones)
     outlier_err = abs(float(fit2.w[0]) - 1.0)
     kept_ok = fit2.kept.tolist() == [0, 1, 2]
     ok = noiseless_err <= 1e-6 and outlier_err <= 1e-12 and kept_ok

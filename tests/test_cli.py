@@ -189,7 +189,6 @@ def test_bad_flags_exit_2(tmp_path, capsys):
         ["simulate", *GEN_FLAGS, "--t", "1.5", "--out", out],
         ["simulate", *GEN_FLAGS, "--rounds", "0", "--out", out],
         ["simulate", *GEN_FLAGS, "--methods", "ols", "--out", out],
-        ["simulate", *GEN_FLAGS, "--trim-fraction", "0", "--out", out],
         ["simulate", "--model", "1", "--setting", "z", "--out", out],
         ["simulate", "--out", out],
         ["analyze", "--data", out, "--method", "noodle", "--threshold", "0", "--out", out],
@@ -253,6 +252,23 @@ def test_unwritable_out_exit_4(tmp_path, capsys):
     )
     assert rc == 4
     assert "cannot write" in capsys.readouterr().err
+
+
+def test_out_dir_probe_keeps_existing_files(tmp_path, capsys):
+    # The writability probe must not touch a file the user already keeps in --out.
+    data = tmp_path / "data"
+    assert main(["gen-synthetic", *GEN_FLAGS, "--seed", "1", "--out", str(data)]) == 0
+    for argv in (
+        ["simulate", *GEN_FLAGS, "--rounds", "1", "--estimator", "ls"],
+        ["analyze", "--data", str(data), "--method", "noodle", "--threshold", "0.5"],
+    ):
+        out = tmp_path / argv[0]
+        out.mkdir()
+        notes = out / ".write_probe"
+        notes.write_bytes(b"my notes\n")
+        assert main([*argv, "--out", str(out)]) == 0
+        assert notes.read_bytes() == b"my notes\n"
+    capsys.readouterr()
 
 
 def test_analyze_sweep_outputs(tmp_path):
@@ -365,20 +381,22 @@ def _no_constant(name):
     raise AssertionError(f"{name} is not valid JSON")
 
 
-def test_simulate_tiny_trim_fraction_records_failures(tmp_path, capsys):
+def test_simulate_tiny_trim_fraction_records_failures(tmp_path, capsys, monkeypatch):
     # floor(0.001 * 900) = 0 kept cells: the trimmed fit cannot run, so each
     # round records the noodle and sandwich failures and still scores pfa.
+    monkeypatch.setattr("matfdp.trimreg.TRIM_FRACTION", 0.001)
     out = tmp_path / "sim"
     rc = main(
         [
             "simulate", "--model", "1", "--p", "30", "--q", "30", "--n", "10",
-            "--m", "10", "--rounds", "2", "--trim-fraction", "0.001",
-            "--out", str(out),
+            "--m", "10", "--rounds", "2", "--out", str(out),
         ]
     )
     assert rc == 0
     assert "Traceback" not in capsys.readouterr().err
     summary = json.loads((out / "summary.json").read_text(), parse_constant=_no_constant)
+    # The summary reports the fraction the fit used.
+    assert summary["config"]["trim_fraction"] == 0.001
     failed = sorted((f["round"], f["method"]) for f in summary["failures"])
     assert failed == [(1, "noodle"), (1, "sandwich"), (2, "noodle"), (2, "sandwich")]
     assert all("InvalidFactorCount" in f["error"] for f in summary["failures"])
