@@ -141,6 +141,15 @@ def _ensure_out_dir(path: str) -> None:
         pass
 
 
+def _check_out_path(path: str) -> None:
+    """Raise ``OSError`` unless ``path`` could be made a writable directory; make nothing."""
+    head = os.path.abspath(path)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not (os.path.isdir(head) and os.access(head, os.W_OK | os.X_OK)):
+        raise OSError(f"{head} is not a writable directory")
+
+
 def _max_workers_from_env() -> int | None:
     """Round worker count from ``MATFDP_THREADS``; ``None`` when it is unset."""
     env = os.environ.get("MATFDP_THREADS")
@@ -228,6 +237,9 @@ def _run_analyze(args: argparse.Namespace) -> int:
         check_threshold(args.threshold)
     if args.sweep is not None and args.sweep < 1:
         raise ValueError(f"--sweep must be >= 1, got {args.sweep}")
+    # Fail on an unusable --out before the dataset is read; the directory is
+    # made only once there is a report, so a failing sweep leaves none behind.
+    _check_out_path(args.out)
     ds = read_dataset(args.data)
     x = test_matrix(ds)
     pv = p_values(x)

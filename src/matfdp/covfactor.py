@@ -196,10 +196,11 @@ class PairLoadings:
     Factor ``k`` pairs column ``b = idx1[k]`` of the row eigensystem with
     column ``a = idx2[k]`` of the column eigensystem; its weight
     ``values[k]`` is the eigenvalue product ``lam_b * xi_a`` and its loading
-    column is ``sqrt(values[k]) * kron(gamma_a, nu_b)``.  Only the trimmed
-    fit builds the dense ``(p*q, h)`` loading matrix (``noodle._design``),
-    because it regresses on a subset of its rows; everything else uses the
-    separable form through :meth:`expand`.
+    column is ``sqrt(values[k]) * kron(gamma_a, nu_b)``.  Nothing builds the
+    dense ``(p*q, h)`` loading matrix: the fits use the separable form through
+    :meth:`expand`, and the trimmed fit takes the per-pair columns of
+    :meth:`vector_factors` and forms only the loading rows of the cells it
+    drops.
 
     ``row_norms_sq[r, c]`` is the squared loading row norm
     ``sum_k values[k] * nu_{r,b}^2 * gamma_{c,a}^2`` at cell ``(r, c)``,

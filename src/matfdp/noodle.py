@@ -28,7 +28,6 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .covfactor import PairLoadings
-from .linalg import vec
 from .teststats import TestMatrix, check_threshold
 from .trimreg import trimmed_l1_fit
 
@@ -83,16 +82,6 @@ def _least_squares_fit(x: TestMatrix, loadings: PairLoadings) -> FactorFit:
     return FactorFit(loadings=loadings, factors=factors, common_part=loadings.expand(proj))
 
 
-def _design(loadings: PairLoadings) -> np.ndarray:
-    """Trimmed-fit design, ``(p*q, h)`` in vec order.
-
-    Row ``c * p + r`` holds ``gamma_a[c] * (sqrt(theta) * nu_b)[r]`` per pair.
-    """
-    v1, g1 = loadings.vector_factors()
-    v1 = v1 * _sqrt_weights(loadings)
-    return (g1[:, None, :] * v1[None, :, :]).reshape(loadings.p * loadings.q, loadings.h)
-
-
 def _from_factors(loadings: PairLoadings, factors: np.ndarray, fallback: bool) -> FactorFit:
     """Assemble the common component from realised factors."""
     common = loadings.expand(_sqrt_weights(loadings) * factors)
@@ -116,12 +105,14 @@ def fit_noodle(
         Selected eigenvector pairs.
     estimator : str
         ``"least_squares"`` for the closed-form projection, ``"trimmed_l1"``
-        to refit the factors robustly on the ``trimreg.TRIM_FRACTION`` of
-        cells with the smallest ``|z|``.
+        to refit the factors by least trimmed squares: C-steps from the
+        projection that keep the ``trimreg.TRIM_FRACTION`` of cells with the
+        smallest residual ``|z - zeta|`` until the kept set repeats.
     """
     if not _needs_trimmed_fit(x, loadings, estimator):
         return _least_squares_fit(x, loadings)
-    fit = trimmed_l1_fit(vec(x.x), _design(loadings))
+    v1, g1 = loadings.vector_factors()
+    fit = trimmed_l1_fit(x.x, v1 * _sqrt_weights(loadings), g1)
     return _from_factors(loadings, fit.w, fit.used_fallback)
 
 

@@ -294,16 +294,15 @@ def test_06_large_scale_feasibility():
 
 def test_07_trimmed_fit_examples():
     rng = np.random.default_rng(77)
-    a = rng.standard_normal((60, 3))
+    left, right = rng.standard_normal((6, 3)), rng.standard_normal((10, 3))
     w_true = np.array([1.5, -2.0, 0.5])
-    z = a @ w_true
+    z = (left * w_true) @ right.T
 
-    fit = trimmed_l1_fit(z, a)
+    fit = trimmed_l1_fit(z, left, right)
     noiseless_err = float(np.max(np.abs(fit.w - w_true)))
 
-    z2 = np.array([1.0, 1.0, 1.0, 100.0])
-    ones = np.ones((4, 1))
-    fit2 = trimmed_l1_fit(z2, ones)
+    z2 = np.array([[1.0], [1.0], [1.0], [100.0]])
+    fit2 = trimmed_l1_fit(z2, np.ones((4, 1)), np.ones((1, 1)))
     outlier_err = abs(float(fit2.w[0]) - 1.0)
     kept_ok = fit2.kept.tolist() == [0, 1, 2]
     ok = noiseless_err <= 1e-6 and outlier_err <= 1e-12 and kept_ok

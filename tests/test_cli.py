@@ -489,6 +489,23 @@ def test_simulate_checks_out_before_running(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1 and err.startswith("error: cannot write output")
 
 
+def test_analyze_checks_out_before_reading(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("read_dataset reached with an unwritable --out")
+
+    monkeypatch.setattr("matfdp.cli.read_dataset", unreachable)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        rc = main(
+            ["analyze", "--data", str(tmp_path), "--method", "noodle", "--threshold", "0.1",
+             "--out", str(out)]
+        )
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: cannot write output")
+
+
 def _raise(exc):
     def fail(*args, **kwargs):
         raise exc
