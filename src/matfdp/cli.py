@@ -8,9 +8,11 @@ synthetic dataset directory matching round 1 of the corresponding simulation.
 Exit codes: 0 success, 2 invalid flags, 3 malformed dataset, 4 unwritable
 output path, 5 estimation failed on the data (for example a cell with zero
 variance) or in the setup of a run (for example the correlation draw).
-``main`` maps exceptions to these codes in one place.  ``MATFDP_THREADS``
-caps the worker threads of ``simulate`` rounds only; the library reads no
-environment variable.
+``main`` maps exceptions to these codes in one place.  Every command checks
+``--out`` after its flags and before any work, and makes the directory only
+when it writes its first output file, so a run that fails leaves no ``--out``
+behind.  ``MATFDP_THREADS`` caps the worker threads of ``simulate`` rounds
+only; the library reads no environment variable.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -130,15 +131,8 @@ def _build_spec(args: argparse.Namespace):
 
 
 def _open_out(directory: str, name: str):
+    os.makedirs(directory, exist_ok=True)
     return open(os.path.join(directory, name), "w", encoding="utf-8", newline="\n")
-
-
-def _ensure_out_dir(path: str) -> None:
-    os.makedirs(path, exist_ok=True)
-    # An unnamed temporary file probes writability without touching any
-    # file the directory already holds.
-    with tempfile.TemporaryFile(dir=path):
-        pass
 
 
 def _check_out_path(path: str) -> None:
@@ -172,8 +166,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
     methods = tuple(m for m in METHODS if m in requested)
     spec = _build_spec(args)
     max_workers = _max_workers_from_env()
-    # Fail on an unwritable --out before the experiment runs, not after.
-    _ensure_out_dir(args.out)
+    _check_out_path(args.out)
     result = run_experiment(
         spec,
         threshold=args.t,
@@ -237,8 +230,6 @@ def _run_analyze(args: argparse.Namespace) -> int:
         check_threshold(args.threshold)
     if args.sweep is not None and args.sweep < 1:
         raise ValueError(f"--sweep must be >= 1, got {args.sweep}")
-    # Fail on an unusable --out before the dataset is read; the directory is
-    # made only once there is a report, so a failing sweep leaves none behind.
     _check_out_path(args.out)
     ds = read_dataset(args.data)
     x = test_matrix(ds)
@@ -254,7 +245,6 @@ def _run_analyze(args: argparse.Namespace) -> int:
     ce = estimate_correlations(ds, x.sigma_hat)
     fit = fit_noodle(x, select(ce), estimator="trimmed_l1")
 
-    _ensure_out_dir(args.out)
     with _open_out(args.out, "report.csv") as fh:
         fh.write("t,R,fdp_hat,estimated_false\n")
         for t in thresholds:
@@ -287,6 +277,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
 
 def _run_gen_synthetic(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
+    _check_out_path(args.out)
     sigma1, sigma2 = gen_correlations(spec, derive_rng(args.seed, 0, 0))
     # Same stream as simulate round 1, so the directory reproduces that round.
     ds, _ = gen_round(spec, sigma1, sigma2, derive_rng(args.seed, 1, 1))

@@ -8,7 +8,10 @@ top-``h`` products of the Kronecker spectrum; sandwich runs the same fit and
 estimate on the full top-``k1`` x top-``k2`` grid.  Because those
 eigenvectors are orthonormal, the least-squares realised factors have the
 closed form ``w_k = nu_b' X gamma_a / sqrt(theta_k)`` and the fitted common
-component is the orthogonal projection of ``vec(X)`` onto the factor span.
+component is the orthogonal projection of ``vec(X)`` onto the span of the
+pairs with nonzero weight.  A pair whose weight is clipped to 0 has a zero
+loading column: its factor is 0 and it adds nothing to the common component,
+as in the trimmed fit and :func:`fdp_oracle`.
 
 The FDP estimate at threshold ``t`` sums, over all cells, the conditional
 probability that a null cell rejects given the common component:
@@ -60,34 +63,33 @@ def check_estimator(estimator: str) -> None:
         raise ValueError(f"estimator must be one of {_ESTIMATORS}, got {estimator!r}")
 
 
-def _needs_trimmed_fit(x: TestMatrix, loadings: PairLoadings, estimator: str) -> bool:
-    """Validate fit arguments; ``False`` when the closed-form path applies."""
+def _fit(x: TestMatrix, loadings: PairLoadings, estimator: str, trimmed_fit) -> FactorFit:
+    """The realised-factor fit of both methods; ``trimmed_fit`` is the caller's ``trimmed_l1_fit``.
+
+    A pair whose weight is clipped to 0 gets factor 0 and adds nothing to the
+    common part on either path.
+    """
     check_estimator(estimator)
     if (x.p, x.q) != (loadings.p, loadings.q):
         raise ValueError(
             f"statistic shape {(x.p, x.q)} does not match loadings "
             f"{(loadings.p, loadings.q)}"
         )
-    return estimator == "trimmed_l1" and loadings.h > 0
-
-
-def _least_squares_fit(x: TestMatrix, loadings: PairLoadings) -> FactorFit:
-    """Orthogonal projection onto the pair span; zero pairs give a zero fit."""
-    v = loadings.eig1.vectors[:, : loadings.k1]
-    g = loadings.eig2.vectors[:, : loadings.k2]
-    proj = (v.T @ x.x @ g)[loadings.idx1, loadings.idx2]
     sqrt_theta = _sqrt_weights(loadings)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factors = np.where(sqrt_theta > 0.0, proj / sqrt_theta, 0.0)
-    return FactorFit(loadings=loadings, factors=factors, common_part=loadings.expand(proj))
-
-
-def _from_factors(loadings: PairLoadings, factors: np.ndarray, fallback: bool) -> FactorFit:
-    """Assemble the common component from realised factors."""
-    common = loadings.expand(_sqrt_weights(loadings) * factors)
-    return FactorFit(
-        loadings=loadings, factors=factors, common_part=common, trim_fallback=fallback
-    )
+    fallback = False
+    if estimator == "trimmed_l1" and loadings.h > 0:
+        v1, g1 = loadings.vector_factors()
+        fit = trimmed_fit(x.x, v1 * sqrt_theta, g1)
+        factors, fallback = fit.w, fit.used_fallback
+        coef = sqrt_theta * factors
+    else:
+        v = loadings.eig1.vectors[:, : loadings.k1]
+        g = loadings.eig2.vectors[:, : loadings.k2]
+        proj = (v.T @ x.x @ g)[loadings.idx1, loadings.idx2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            factors = np.where(sqrt_theta > 0.0, proj / sqrt_theta, 0.0)
+        coef = np.where(sqrt_theta > 0.0, proj, 0.0)
+    return FactorFit(loadings, factors, loadings.expand(coef), fallback)
 
 
 def fit_noodle(
@@ -109,11 +111,7 @@ def fit_noodle(
         projection that keep the ``trimreg.TRIM_FRACTION`` of cells with the
         smallest residual ``|z - zeta|`` until the kept set repeats.
     """
-    if not _needs_trimmed_fit(x, loadings, estimator):
-        return _least_squares_fit(x, loadings)
-    v1, g1 = loadings.vector_factors()
-    fit = trimmed_l1_fit(x.x, v1 * _sqrt_weights(loadings), g1)
-    return _from_factors(loadings, fit.w, fit.used_fallback)
+    return _fit(x, loadings, estimator, trimmed_l1_fit)
 
 
 def _plugin_estimate(

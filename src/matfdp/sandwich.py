@@ -20,14 +20,7 @@ for bit.
 from __future__ import annotations
 
 from .covfactor import PairLoadings
-from .noodle import (
-    FactorFit,
-    _from_factors,
-    _least_squares_fit,
-    _needs_trimmed_fit,
-    _sqrt_weights,
-    fdp_noodle,
-)
+from .noodle import FactorFit, _fit, fdp_noodle
 from .teststats import TestMatrix
 from .trimreg import trimmed_l1_fit
 
@@ -44,15 +37,10 @@ def fit_sandwich(
     trimmed path refits the ``k1 * k2`` factor coefficients on the cells with
     the smallest residuals.
     """
-    if not _needs_trimmed_fit(x, loadings, estimator):
-        return _least_squares_fit(x, loadings)
     # The same fit as fit_noodle, called through this module's own name for
     # trimmed_l1_fit so the benchmark's traced run can reach that binding.
-    v1, g1 = loadings.vector_factors()
-    fit = trimmed_l1_fit(x.x, v1 * _sqrt_weights(loadings), g1)
-    return _from_factors(loadings, fit.w, fit.used_fallback)
+    return _fit(x, loadings, estimator, trimmed_l1_fit)
 
 
 #: Plug-in FDP estimate; identical to the noodle one on grid loadings.
 fdp_sandwich = fdp_noodle
-

@@ -489,6 +489,26 @@ def test_simulate_checks_out_before_running(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1 and err.startswith("error: cannot write output")
 
 
+def test_simulate_bad_threshold_leaves_no_out(tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert main(["simulate", *GEN_FLAGS, "--rounds", "2", "--t", "2", "--out", str(out)]) == 2
+    assert not out.exists()
+    capsys.readouterr()
+
+
+def test_gen_synthetic_checks_out_before_generating(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("gen_round reached with an unwritable --out")
+
+    monkeypatch.setattr("matfdp.cli.gen_round", unreachable)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    rc = main(["gen-synthetic", *GEN_FLAGS, "--out", str(blocker / "sub")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: cannot write output")
+
+
 def test_analyze_checks_out_before_reading(tmp_path, capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("read_dataset reached with an unwritable --out")
