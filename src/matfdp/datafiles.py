@@ -56,14 +56,20 @@ def _write_matrix(path: str, mat: np.ndarray) -> None:
 def read_dataset(directory: str | os.PathLike) -> TwoSampleDataset:
     """Read a dataset directory back into memory.
 
+    Member files are parsed in manifest order.  Once the first one has
+    confirmed ``(p, q)``, both group stacks are allocated and each parsed
+    matrix is copied into its slot, so the read holds the dataset once, plus
+    one member file's parse temporaries.
+
     Raises
     ------
     DatasetFormatError
         On a missing or malformed manifest (including a non-integer
         dimension or a member file name that is not a plain name inside
-        ``directory``), a group-size mismatch, or the first member file (in
-        manifest order) that fails to parse to a finite ``p x q`` matrix.
-        The exception's ``path`` names the offending file.
+        ``directory``), a group-size mismatch, the first member file (in
+        manifest order) that fails to parse to a finite ``p x q`` matrix, or
+        stacks too large to allocate.  The exception's ``path`` names the
+        offending file.
     """
     directory = os.fspath(directory)
     manifest_path = os.path.join(directory, MANIFEST_NAME)
@@ -115,14 +121,27 @@ def read_dataset(directory: str | os.PathLike) -> TwoSampleDataset:
             path=manifest_path,
         )
 
-    parsed = [
-        _read_matrix(os.path.join(directory, name), p, q)
-        for name in treatment_files + control_files
-    ]
+    # The manifest's numbers size nothing until a member file has parsed to
+    # (p, q).
+    treatment = control = None
+    for i, name in enumerate(treatment_files + control_files):
+        mat = _read_matrix(os.path.join(directory, name), p, q)
+        if treatment is None:
+            try:
+                treatment, control = np.empty((n, p, q)), np.empty((m, p, q))
+            except MemoryError as exc:
+                raise DatasetFormatError(
+                    f"cannot allocate {n} + {m} matrices of shape ({p}, {q}): {exc}",
+                    path=manifest_path,
+                ) from exc
+        if i < n:
+            treatment[i] = mat
+        else:
+            control[i - n] = mat
+    if treatment is None:
+        raise DatasetFormatError("manifest lists no member files", path=manifest_path)
     try:
-        return TwoSampleDataset(
-            treatment=np.stack(parsed[:n]), control=np.stack(parsed[n:])
-        )
+        return TwoSampleDataset(treatment=treatment, control=control)
     except ValueError as exc:
         raise DatasetFormatError(str(exc), path=manifest_path) from exc
 

@@ -67,11 +67,11 @@ def unvec(v: np.ndarray, p: int, q: int) -> np.ndarray:
 
 def _fix_signs(vectors: np.ndarray) -> None:
     """Flip columns in place so the leading non-negligible component is positive."""
-    for k in range(vectors.shape[1]):
-        col = vectors[:, k]
-        nz = np.flatnonzero(np.abs(col) > SIGN_EPS)
-        if nz.size and col[nz[0]] < 0.0:
-            vectors[:, k] = -col
+    big = np.abs(vectors) > SIGN_EPS
+    cols = np.arange(vectors.shape[1])
+    # argmax finds each column's first True; a column without one stays.
+    lead = big.argmax(axis=0)
+    vectors[:, big[lead, cols] & (vectors[lead, cols] < 0.0)] *= -1.0
 
 
 @dataclass(frozen=True)

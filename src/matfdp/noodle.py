@@ -67,7 +67,8 @@ def _fit(x: TestMatrix, loadings: PairLoadings, estimator: str, trimmed_fit) -> 
     """The realised-factor fit of both methods; ``trimmed_fit`` is the caller's ``trimmed_l1_fit``.
 
     A pair whose weight is clipped to 0 gets factor 0 and adds nothing to the
-    common part on either path.
+    common part on either path.  Its loading column is all zeros, so it stays
+    out of the trimmed design, which would otherwise be rank-deficient.
     """
     check_estimator(estimator)
     if (x.p, x.q) != (loadings.p, loadings.q):
@@ -77,10 +78,13 @@ def _fit(x: TestMatrix, loadings: PairLoadings, estimator: str, trimmed_fit) -> 
         )
     sqrt_theta = _sqrt_weights(loadings)
     fallback = False
-    if estimator == "trimmed_l1" and loadings.h > 0:
-        v1, g1 = loadings.vector_factors()
-        fit = trimmed_fit(x.x, v1 * sqrt_theta, g1)
-        factors, fallback = fit.w, fit.used_fallback
+    if estimator == "trimmed_l1":
+        live = sqrt_theta > 0.0
+        factors = np.zeros(loadings.h)
+        if live.any():
+            v1, g1 = loadings.vector_factors()
+            fit = trimmed_fit(x.x, v1[:, live] * sqrt_theta[live], g1[:, live])
+            factors[live], fallback = fit.w, fit.used_fallback
         coef = sqrt_theta * factors
     else:
         v = loadings.eig1.vectors[:, : loadings.k1]

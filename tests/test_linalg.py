@@ -3,6 +3,8 @@ import pytest
 
 from matfdp.errors import DegenerateVariance, InvalidMatrix, NotPsd
 from matfdp.linalg import (
+    SIGN_EPS,
+    _fix_signs,
     corr_from_cov,
     kron_eigenpairs,
     sym_eigen,
@@ -61,6 +63,48 @@ def test_sym_eigen_determinism():
     b = sym_eigen(m.copy())
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.vectors, b.vectors)
+
+
+def _fix_signs_by_column(vectors):
+    # The per-column loop that _fix_signs vectorises, kept as the reference.
+    for k in range(vectors.shape[1]):
+        col = vectors[:, k]
+        nz = np.flatnonzero(np.abs(col) > SIGN_EPS)
+        if nz.size and col[nz[0]] < 0.0:
+            vectors[:, k] = -col
+
+
+def _sign_cases():
+    rng = np.random.default_rng(71)
+    yield rng.standard_normal((7, 5))
+    yield rng.standard_normal((40, 100))
+    # eigh of a block-diagonal matrix: the second block's eigenvectors have
+    # exact zeros before their lead, in either sign.
+    block = np.zeros((5, 5))
+    block[:2, :2] = random_spd(rng, 2)
+    block[2:, 2:] = random_spd(rng, 3)
+    yield np.linalg.eigh(block)[1]
+    yield -np.linalg.eigh(block)[1]
+    # Leads just below SIGN_EPS are skipped, and a column with no entry
+    # above it, the zero column among them, stays as it is.
+    below = np.nextafter(SIGN_EPS, 0.0)
+    yield np.array(
+        [
+            [-below, below, -SIGN_EPS, 0.0, -below],
+            [below, -below, -0.5, 0.0, 0.0],
+            [-0.3, 0.3, 0.5, 0.0, -below],
+        ]
+    )
+    yield np.zeros((4, 0))
+
+
+def test_fix_signs_matches_the_column_loop():
+    for vectors in _sign_cases():
+        expected = vectors.copy()
+        _fix_signs_by_column(expected)
+        got = vectors.copy()
+        _fix_signs(got)
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_sym_eigen_rejects_bad_input():

@@ -169,6 +169,9 @@ def test_zero_weight_pair_adds_nothing_to_the_common_part(kind, estimator):
     assert np.count_nonzero(loadings.values == 0.0) == 1
     x = np.random.default_rng(61).standard_normal((loadings.p, loadings.q))
     fit = fit_fn(stat_matrix(x), loadings, estimator=estimator)
+    if estimator == "trimmed_l1":
+        # The zero-weight pair stays out of the trimmed design, so the fit trims.
+        assert fit.trim_fallback is False
     coef = np.sqrt(np.clip(loadings.values, 0.0, None)) * fit.factors
     np.testing.assert_allclose(fit.common_part, loadings.expand(coef), rtol=0, atol=1e-15)
     every_cell = np.ones((loadings.p, loadings.q), dtype=bool)
