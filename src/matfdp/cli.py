@@ -138,7 +138,8 @@ def _open_out(directory: str, name: str):
 def _check_out_path(path: str) -> None:
     """Raise ``OSError`` unless ``path`` could be made a writable directory; make nothing."""
     head = os.path.abspath(path)
-    while not os.path.exists(head):
+    # lexists: a dangling symlink stops the walk, and fails the check below.
+    while not os.path.lexists(head):
         head = os.path.dirname(head)
     if not (os.path.isdir(head) and os.access(head, os.W_OK | os.X_OK)):
         raise OSError(f"{head} is not a writable directory")

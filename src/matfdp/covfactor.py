@@ -4,8 +4,8 @@ The dependence model treats the ``p x q`` data matrices as doubly correlated:
 one correlation matrix across rows and one across columns, with the full
 dependence of ``vec(X)`` given by their Kronecker product.  Both correlation
 matrices are Gram products of the standardised ``(p, n + m, q)`` residual
-stack, summed over observation blocks of at most ``_BLOCK_BYTES`` so that
-peak memory is the data plus one block, never the whole stack; their
+stack, summed over blocks of ``_BLOCK_SLICES`` observations so that peak
+memory is the data plus one block, never the whole stack; their
 eigensystems supply one kind of factor loadings used by the FDP
 estimators: pairs of a row eigenvector ``nu_b`` and a column eigenvector
 ``gamma_a`` with weight ``lam_b * xi_a`` (:class:`PairLoadings`).  Two
@@ -39,9 +39,11 @@ NORM_SQ_CEIL = 1.0 - 1e-8
 #: selection (their ratios are numerical noise).
 RATIO_FLOOR_REL = 1e-12
 
-#: Byte budget of one residual block in :func:`estimate_correlations`.  Read
-#: at call time, so tests can lower it.
-_BLOCK_BYTES = 16 << 20
+#: Slices in one residual block: observations per block in
+#: :func:`estimate_correlations` and matrix rows per chunk in
+#: :func:`~matfdp.pfa.build_thin_factor`.  Read at call time, so tests can
+#: change it.
+_BLOCK_SLICES = 8
 
 
 def default_max_factors(n_total: int) -> int:
@@ -80,9 +82,9 @@ def estimate_correlations(ds: TwoSampleDataset, sigma_hat: np.ndarray) -> CorrEs
     ``sigma_hat``; the row estimate averages outer products of the residual
     columns (normalised by ``(n + m - 2) * q``) and the column estimate does
     the same across rows (normalised by ``(n + m - 2) * p``).  The residuals
-    are built in C-contiguous ``(p, b, q)`` blocks of at most
-    ``_BLOCK_BYTES`` (and at least one observation, treatment first, so a
-    block may span both groups): the row estimate adds the block's
+    are built, one buffer reused, in C-contiguous ``(p, b, q)`` blocks of
+    ``b = _BLOCK_SLICES`` observations (fewer in the last; treatment first,
+    so a block may span both groups): the row estimate adds the block's
     ``(p, b q)`` reshape times its transpose and the column estimate the
     transpose of its ``(b p, q)`` reshape times itself, so the peak memory is
     the data plus one block.  A stack that fits in one block gives the
@@ -103,10 +105,11 @@ def estimate_correlations(ds: TwoSampleDataset, sigma_hat: np.ndarray) -> CorrEs
     means = (ds.treatment.mean(axis=0), ds.control.mean(axis=0))
     s1 = np.zeros((p, p))
     s2 = np.zeros((q, q))
-    step = max(1, _BLOCK_BYTES // (8 * p * q))
+    step = min(_BLOCK_SLICES, n_total)
+    buf = np.empty(p * step * q)
     for start in range(0, n_total, step):
         stop = min(start + step, n_total)
-        block = np.empty((p, stop - start, q))
+        block = buf[: p * (stop - start) * q].reshape(p, stop - start, q)
         split = min(max(ds.n, start), stop)  # the first control observation in range
         for group, offset, lo, hi, mean in (
             (ds.treatment, 0, start, split, means[0]),
@@ -123,7 +126,7 @@ def estimate_correlations(ds: TwoSampleDataset, sigma_hat: np.ndarray) -> CorrEs
         cols = block.reshape(-1, q)
         s1 += rows @ rows.T
         s2 += cols.T @ cols
-        del block, rows, cols  # free this block before the next one is built
+    del buf, block, rows, cols  # free the block before the eigendecompositions
     df = n_total - 2
     s1 /= df * q
     s2 /= df * p

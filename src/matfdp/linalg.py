@@ -67,7 +67,9 @@ def unvec(v: np.ndarray, p: int, q: int) -> np.ndarray:
 
 def _fix_signs(vectors: np.ndarray) -> None:
     """Flip columns in place so the leading non-negligible component is positive."""
-    big = np.abs(vectors) > SIGN_EPS
+    # Two comparisons rather than np.abs: no float temporary the size of vectors.
+    big = vectors > SIGN_EPS
+    big |= vectors < -SIGN_EPS
     cols = np.arange(vectors.shape[1])
     # argmax finds each column's first True; a column without one stays.
     lead = big.argmax(axis=0)

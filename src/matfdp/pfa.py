@@ -2,14 +2,16 @@
 
 This estimator ignores the two-sided dependence structure and works with the
 pooled sample covariance of ``vec(X)`` directly.  That covariance is never
-formed: with the standardised residuals laid out as columns of a thin factor
-``F`` of shape ``(p*q, n+m)`` scaled by ``1/sqrt(n+m-2)`` (column ``s`` is
-``vec`` of observation ``s``), the covariance is ``F F'`` and its eigenpairs
-come from the small Gram matrix ``F' F`` (decomposed by
-:func:`~matfdp.linalg.sym_eigen`).  Each group is centred straight into
-``F``, so the residuals are held once, in vec order.  For a Gram eigenpair
-``(s, u)`` with ``s`` above a cutoff, the covariance eigenvector is
-``F u / sqrt(s)``.
+formed, and neither is its thin factor: with ``F`` the ``(n+m, p*q)`` matrix
+of standardised residuals (row ``s`` is ``vec`` of observation ``s``), the
+covariance is ``F' F / (n+m-2)`` and its eigenpairs come from the small Gram
+matrix ``F F' / (n+m-2)`` (decomposed by :func:`~matfdp.linalg.sym_eigen`).
+Both the Gram matrix and, for a Gram eigenpair ``(s, u)``, the covariance
+eigenvector ``F' u / sqrt((n+m-2) s)`` are summed over chunks of
+``covfactor._BLOCK_SLICES`` matrix rows: rows ``r0:r1`` of every observation,
+centred and standardised into one reused buffer.  So pfa holds the data plus
+one chunk, never a second stack, at the price of a second walk for the
+eigenvectors.
 
 The FDP estimate runs through the plug-in core that noodle and sandwich use,
 but with eigenpairs of the vectorised (standardised) covariance, so it serves
@@ -18,10 +20,12 @@ as the single-dependency baseline in comparisons.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import covfactor
 from .covfactor import NORM_SQ_CEIL, default_max_factors, eigenvalue_ratio
 from .linalg import _fix_signs, sym_eigen, vec
 from .noodle import _plugin_estimate
@@ -31,17 +35,46 @@ from .teststats import TestMatrix, TwoSampleDataset, check_sigma_hat, p_values, 
 GRAM_EIGEN_CUTOFF = 1e-12
 
 
+def _row_chunks(
+    ds: TwoSampleDataset, sigma_hat: np.ndarray
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield ``(r0, r1, chunk)`` over blocks of ``covfactor._BLOCK_SLICES`` rows.
+
+    ``chunk`` is C-contiguous, shape ``(n+m, (r1-r0)*q)``: rows ``r0:r1`` of
+    every observation (treatment first), centred at its group mean and
+    divided by ``sigma_hat``, each row of the chunk row-major in ``(r, c)``.
+    One buffer backs every chunk, so each is overwritten by the next.
+    """
+    p, q, n_total = ds.p, ds.q, ds.n + ds.m
+    means = (ds.treatment.mean(axis=0), ds.control.mean(axis=0))
+    step = min(covfactor._BLOCK_SLICES, p)
+    buf = np.empty(n_total * step * q)
+    for r0 in range(0, p, step):
+        r1 = min(r0 + step, p)
+        chunk = buf[: n_total * (r1 - r0) * q].reshape(n_total, r1 - r0, q)
+        for group, lo, hi, mean in (
+            (ds.treatment, 0, ds.n, means[0]),
+            (ds.control, ds.n, n_total, means[1]),
+        ):
+            np.subtract(group[:, r0:r1], mean[r0:r1], out=chunk[lo:hi])
+        chunk /= sigma_hat[r0:r1]
+        yield r0, r1, chunk.reshape(n_total, -1)
+
+
 @dataclass(frozen=True)
 class ThinFactor:
-    """Thin factorisation of a pooled vec-covariance.
+    """Eigenpairs of a pooled vec-covariance, from its small Gram matrix.
 
-    ``columns`` has shape ``(p*q, n_total)``; the implied covariance is
-    ``columns @ columns.T``.  ``values`` are its nonzero eigenvalues (Gram
-    eigenvalues above the cutoff), non-increasing; ``gram_vectors`` the
-    matching orthonormal Gram eigenvectors, shape ``(n_total, rank)``.
+    ``values`` are the covariance's nonzero eigenvalues (Gram eigenvalues
+    above the cutoff), non-increasing; ``gram_vectors`` the matching
+    orthonormal Gram eigenvectors, shape ``(n_total, rank)``.  The factor
+    itself is not kept: ``ds`` and ``sigma_hat`` are references to the
+    dataset and scale it was built from, which :meth:`eigenvectors` walks
+    again, so the dataset must not change while the factor is in use.
     """
 
-    columns: np.ndarray
+    ds: TwoSampleDataset
+    sigma_hat: np.ndarray
     values: np.ndarray
     gram_vectors: np.ndarray
 
@@ -52,47 +85,43 @@ class ThinFactor:
     def eigenvectors(self, count: int) -> np.ndarray:
         """Leading ``count`` covariance eigenvectors, shape ``(p*q, count)``.
 
-        Materialised on demand; columns are orthonormal and sign-normalised
-        the same way as dense eigendecompositions in this package.
+        Summed chunk by chunk straight into vec order; columns are
+        orthonormal and sign-normalised the same way as dense
+        eigendecompositions in this package.
         """
         if not 0 <= count <= self.rank:
             raise ValueError(f"count must be in [0, {self.rank}], got {count}")
-        vecs = self.columns @ (self.gram_vectors[:, :count] / np.sqrt(self.values[:count]))
+        p, q, n_total = self.ds.p, self.ds.q, self.ds.n + self.ds.m
+        w = self.gram_vectors[:, :count] / np.sqrt((n_total - 2) * self.values[:count])
+        vecs = np.empty((p * q, count))
+        # vec order: cell (r, c) is row c * p + r.
+        cells = vecs.reshape(q, p, count)
+        if count:
+            for r0, r1, chunk in _row_chunks(self.ds, self.sigma_hat):
+                cells[:, r0:r1] = (chunk.T @ w).reshape(r1 - r0, q, count).transpose(1, 0, 2)
         _fix_signs(vecs)
         return vecs
 
 
 def build_thin_factor(ds: TwoSampleDataset, sigma_hat: np.ndarray) -> ThinFactor:
-    """Thin factor of the pooled sample covariance of the vectorised data.
+    """Eigenpairs of the pooled sample covariance of the vectorised data.
 
-    The columns are the standardised residuals: observations centred at their
-    group means and divided cell-wise by ``sigma_hat`` (shape ``(p, q)``, all
+    The standardised residuals are the observations centred at their group
+    means and divided cell-wise by ``sigma_hat`` (shape ``(p, q)``, all
     positive, checked by :func:`~matfdp.teststats.check_sigma_hat` first),
-    which puts the covariance on the correlation scale (unit diagonal).  Each
-    group is written once into a row-major ``(q, p, n+m)`` array that
-    ``columns`` reshapes without a copy, so the factor is the only
-    stack-sized array.
+    which puts the covariance on the correlation scale (unit diagonal).  The
+    Gram matrix is summed over row chunks, so the peak memory is the data
+    plus one chunk.
     """
     sigma_hat = check_sigma_hat(ds, sigma_hat)
     n_total = ds.n + ds.m
-    # Row-major: a matrix-vector product on column-major columns sums in
-    # another order, which would move the bits of eigenvectors(1).
-    factor = np.empty((ds.q, ds.p, n_total))
-    for group, lo, hi in ((ds.treatment, 0, ds.n), (ds.control, ds.n, n_total)):
-        np.subtract(
-            group.transpose(2, 1, 0),
-            group.mean(axis=0).T[:, :, None],
-            out=factor[:, :, lo:hi],
-        )
-    factor /= sigma_hat.T[:, :, None]
-    factor /= np.sqrt(n_total - 2)
-    # Column s of the factor is vec (column-major) of observation s.
-    cols = factor.reshape(ds.p * ds.q, n_total)
-    gram = cols.T @ cols
-    gram = 0.5 * (gram + gram.T)
+    gram = np.zeros((n_total, n_total))
+    for _, _, chunk in _row_chunks(ds, sigma_hat):
+        gram += chunk @ chunk.T
+    gram = (0.5 / (n_total - 2)) * (gram + gram.T)
     es = sym_eigen(gram)
     keep = es.values > GRAM_EIGEN_CUTOFF
-    return ThinFactor(columns=cols, values=es.values[keep], gram_vectors=es.vectors[:, keep])
+    return ThinFactor(ds, sigma_hat, es.values[keep], es.vectors[:, keep])
 
 
 def fdp_pfa(
@@ -126,6 +155,7 @@ def fdp_pfa(
     # A negative count fails the range check in ThinFactor.eigenvectors.
     n_factors = min(n_factors, tf.rank)
     rho = tf.eigenvectors(n_factors)
-    norms = np.clip((rho * rho) @ tf.values[:n_factors], 0.0, NORM_SQ_CEIL)
+    norms = np.einsum("ik,ik,k->i", rho, rho, tf.values[:n_factors])
+    norms = np.clip(norms, 0.0, NORM_SQ_CEIL, out=norms)
     common = rho @ (rho.T @ vec(x.x)) if n_factors else None
     return _plugin_estimate(norms, common, rejections, threshold)

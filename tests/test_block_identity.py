@@ -2,10 +2,10 @@
 
 Data generation transforms one observation at a time and the statistics add
 one observation at a time; both must give the bits of the whole-group
-formulas.  ``covfactor._BLOCK_BYTES`` bounds the residual blocks of
-correlation estimation: lowering it must move the correlation estimates only
-by the order of their Gram sums.  pfa's thin factor centres each group
-straight into its columns and must give the bits of the vec-order formula.
+formulas.  ``covfactor._BLOCK_SLICES`` sets the observations in a residual
+block of correlation estimation and the matrix rows in a chunk of pfa's thin
+factor: changing it must move the correlation estimates, pfa's eigenpairs
+and its FDP estimate only by the order of their Gram sums.
 """
 
 import math
@@ -15,8 +15,7 @@ import pytest
 
 from matfdp import covfactor
 from matfdp.covfactor import estimate_correlations
-from matfdp.linalg import vec
-from matfdp.pfa import build_thin_factor
+from matfdp.pfa import build_thin_factor, fdp_pfa
 from matfdp.rng import derive_rng
 from matfdp.simlab import (
     _draw_noise_entries,
@@ -27,8 +26,6 @@ from matfdp.simlab import (
 )
 from matfdp.teststats import TwoSampleDataset, pooled_sigma
 from matfdp.teststats import test_matrix as build_stats
-
-UNBOUNDED = 1 << 62
 
 # p * q > 1 throughout: for 1 x 1 matrices numpy's axis-0 sum runs along a
 # contiguous axis and switches to pairwise summation.
@@ -87,7 +84,7 @@ def residual_stack(ds, sigma_hat):
 def test_correlations_in_blocks_match_one_block(monkeypatch, p, q, n, m):
     ds = random_dataset(10, p, q, n, m)
     sig = pooled_sigma(ds)
-    monkeypatch.setattr(covfactor, "_BLOCK_BYTES", UNBOUNDED)
+    monkeypatch.setattr(covfactor, "_BLOCK_SLICES", n + m)
     whole = estimate_correlations(ds, sig)
     # One block is the products of the whole (p, n + m, q) residual stack.
     resid = np.ascontiguousarray(residual_stack(ds, sig).transpose(1, 0, 2))
@@ -99,18 +96,29 @@ def test_correlations_in_blocks_match_one_block(monkeypatch, p, q, n, m):
     # One observation per block, and five, so that a block spans both groups
     # for the first three shapes.
     for obs in (1, 5):
-        monkeypatch.setattr(covfactor, "_BLOCK_BYTES", obs * 8 * p * q)
+        monkeypatch.setattr(covfactor, "_BLOCK_SLICES", obs)
         blocked = estimate_correlations(ds, sig)
         for a, b in ((blocked.sigma1, whole.sigma1), (blocked.sigma2, whole.sigma2)):
             assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
 
 
 @pytest.mark.parametrize("p,q,n,m", SHAPES)
-def test_thin_factor_in_blocks_matches_one_block(p, q, n, m):
-    # Filled group by group, the factor has the bits of the whole-stack
-    # formula: column s is vec of observation s over sigma_hat and sqrt(n+m-2).
+def test_thin_factor_in_blocks_matches_one_block(monkeypatch, p, q, n, m):
+    # One row per chunk, three (a partial last chunk for every p here but
+    # 30) and every row in one chunk.
     ds = random_dataset(11, p, q, n, m)
-    sig = pooled_sigma(ds)
-    cols = np.stack([vec(r) for r in residual_stack(ds, sig)], axis=1)
-    expected = cols / np.sqrt(n + m - 2)
-    assert build_thin_factor(ds, sig).columns.tobytes() == expected.tobytes()
+    x = build_stats(ds)
+    t = 0.2
+    results = []
+    for rows in (1, 3, p):
+        monkeypatch.setattr(covfactor, "_BLOCK_SLICES", rows)
+        tf = build_thin_factor(ds, x.sigma_hat)
+        vecs = tf.eigenvectors(min(3, tf.rank))
+        results.append((tf.values, vecs @ vecs.T, fdp_pfa(ds, x, t, n_factors=3)))
+    whole = results[-1]
+    assert whole[2] > 0.0
+    for values, projector, fdp in results[:-1]:
+        assert values.shape == whole[0].shape
+        assert np.abs(values - whole[0]).max() <= 1e-12 * whole[0].max()
+        assert np.abs(projector - whole[1]).max() <= 1e-12 * np.abs(whole[1]).max()
+        assert abs(fdp - whole[2]) <= 1e-12 * whole[2]

@@ -543,17 +543,25 @@ def test_read_holds_the_dataset_once(tmp_path):
     assert peak < held + 10 * (40 * 50 * 8)
 
 
+def blocked_outs(tmp_path):
+    """``--out`` paths that cannot become directories: below a file, and dangling links."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    dangling = tmp_path / "dangling"
+    dangling.symlink_to(tmp_path / "missing")
+    return blocker / "sub", dangling, dangling / "sub"
+
+
 def test_simulate_checks_out_before_running(tmp_path, capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("run_experiment reached with an unwritable --out")
 
     monkeypatch.setattr("matfdp.cli.run_experiment", unreachable)
-    blocker = tmp_path / "blocker"
-    blocker.write_text("")
-    rc = main(["simulate", *GEN_FLAGS, "--rounds", "2", "--out", str(blocker / "sub")])
-    assert rc == 4
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: cannot write output")
+    for out in blocked_outs(tmp_path):
+        rc = main(["simulate", *GEN_FLAGS, "--rounds", "2", "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: cannot write output")
 
 
 def test_simulate_bad_threshold_leaves_no_out(tmp_path, capsys):
@@ -568,12 +576,11 @@ def test_gen_synthetic_checks_out_before_generating(tmp_path, capsys, monkeypatc
         raise AssertionError("gen_round reached with an unwritable --out")
 
     monkeypatch.setattr("matfdp.cli.gen_round", unreachable)
-    blocker = tmp_path / "blocker"
-    blocker.write_text("")
-    rc = main(["gen-synthetic", *GEN_FLAGS, "--out", str(blocker / "sub")])
-    assert rc == 4
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: cannot write output")
+    for out in blocked_outs(tmp_path):
+        rc = main(["gen-synthetic", *GEN_FLAGS, "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: cannot write output")
 
 
 def test_analyze_checks_out_before_reading(tmp_path, capsys, monkeypatch):
@@ -581,9 +588,7 @@ def test_analyze_checks_out_before_reading(tmp_path, capsys, monkeypatch):
         raise AssertionError("read_dataset reached with an unwritable --out")
 
     monkeypatch.setattr("matfdp.cli.read_dataset", unreachable)
-    blocker = tmp_path / "blocker"
-    blocker.write_text("")
-    for out in (blocker, blocker / "sub"):
+    for out in (tmp_path / "blocker", *blocked_outs(tmp_path)):
         rc = main(
             ["analyze", "--data", str(tmp_path), "--method", "noodle", "--threshold", "0.1",
              "--out", str(out)]

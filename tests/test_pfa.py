@@ -51,8 +51,9 @@ def test_gram_route_matches_dense_eigendecomposition():
         dense_vals = np.linalg.eigvalsh(s)[::-1]
         assert tf.rank <= ds.n + ds.m - 2
         assert np.max(np.abs(tf.values - dense_vals[: tf.rank])) <= 1e-8
-        # Implied covariance reconstructs the dense one.
-        assert np.max(np.abs(tf.columns @ tf.columns.T - s)) <= 1e-10
+        # The eigenpairs reconstruct the dense covariance.
+        vecs = tf.eigenvectors(tf.rank)
+        assert np.max(np.abs(vecs @ np.diag(tf.values) @ vecs.T - s)) <= 1e-10
         # Leading eigenvectors span the same subspace (projector match).
         k = min(3, tf.rank)
         rho = tf.eigenvectors(k)
