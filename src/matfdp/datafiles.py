@@ -5,12 +5,23 @@ The manifest records the matrix shape, both group sizes, and the ordered file
 lists; each CSV has exactly ``p`` rows of ``q`` comma-separated floats with no
 header.  Floats are written with 17 significant digits so a write/read cycle
 is lossless.
+
+Parsing 17-digit floats is most of a read, and ``np.loadtxt`` holds the
+interpreter lock, so ``read_dataset`` parses the member files in forked
+processes, one per usable core (the CPU affinity of the calling process).
+Each parser writes its matrix straight into one stack in a shared anonymous
+mapping; only a failure's message and path come back through a pipe.  With
+one usable core or one file left to parse, or without the ``fork`` start
+method, the same parser runs in the calling process.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
 import os
+import threading
+import time
 
 import numpy as np
 
@@ -56,10 +67,12 @@ def _write_matrix(path: str, mat: np.ndarray) -> None:
 def read_dataset(directory: str | os.PathLike) -> TwoSampleDataset:
     """Read a dataset directory back into memory.
 
-    Member files are parsed in manifest order.  Once the first one has
-    confirmed ``(p, q)``, both group stacks are allocated and each parsed
-    matrix is copied into its slot, so the read holds the dataset once, plus
-    one member file's parse temporaries.
+    The first member file is parsed here.  Once it has confirmed ``(p, q)``,
+    one ``(n + m, p, q)`` stack is allocated in a shared mapping, with
+    ``treatment`` and ``control`` as views of it, and the other files are
+    parsed into their slots by parser processes (see the module docstring).
+    The read holds the dataset once, plus one member file's parse
+    temporaries in each process.
 
     Raises
     ------
@@ -123,27 +136,98 @@ def read_dataset(directory: str | os.PathLike) -> TwoSampleDataset:
 
     # The manifest's numbers size nothing until a member file has parsed to
     # (p, q).
-    treatment = control = None
-    for i, name in enumerate(treatment_files + control_files):
-        mat = _read_matrix(os.path.join(directory, name), p, q)
-        if treatment is None:
-            try:
-                treatment, control = np.empty((n, p, q)), np.empty((m, p, q))
-            except MemoryError as exc:
-                raise DatasetFormatError(
-                    f"cannot allocate {n} + {m} matrices of shape ({p}, {q}): {exc}",
-                    path=manifest_path,
-                ) from exc
-        if i < n:
-            treatment[i] = mat
-        else:
-            control[i - n] = mat
-    if treatment is None:
+    paths = [os.path.join(directory, name) for name in treatment_files + control_files]
+    if not paths:
         raise DatasetFormatError("manifest lists no member files", path=manifest_path)
+    first = _read_matrix(paths[0], p, q)
+    count = len(paths) * p * q
     try:
-        return TwoSampleDataset(treatment=treatment, control=control)
+        # Anonymous, so forked parsers share it; a zero-length map is invalid.
+        buffer = mmap.mmap(-1, max(8 * count, 1))
+    except (MemoryError, OSError, OverflowError) as exc:
+        raise DatasetFormatError(
+            f"cannot allocate {n} + {m} matrices of shape ({p}, {q}): {exc}",
+            path=manifest_path,
+        ) from exc
+    stack = np.frombuffer(buffer, dtype=np.float64, count=count).reshape(len(paths), p, q)
+    stack[0] = first
+    del first
+    failure = _parse_rest(stack, paths, p, q)
+    if failure is not None:
+        message, path = failure
+        raise DatasetFormatError(message, path=path)
+    try:
+        return TwoSampleDataset(treatment=stack[:n], control=stack[n:])
     except ValueError as exc:
         raise DatasetFormatError(str(exc), path=manifest_path) from exc
+
+
+# Shared stacks being filled, by id. A parse task names its stack by this key
+# because tasks are pickled and a stack must not be; forked parsers inherit
+# the dict.
+_stacks: dict[int, np.ndarray] = {}
+
+
+def _parse_rest(stack: np.ndarray, paths: list[str], p: int, q: int):
+    """Parse ``paths[1:]`` into ``stack[1:]``, one parser process per usable core.
+
+    Returns the ``(message, path)`` of the first failure in manifest order,
+    or None.  Pending files are cancelled after a failure, and the parser
+    processes are joined before this returns.
+    """
+    key = id(stack)
+    _stacks[key] = stack
+    try:
+        jobs = [(key, slot, path, p, q) for slot, path in enumerate(paths) if slot]
+        if hasattr(os, "sched_getaffinity"):
+            cores = len(os.sched_getaffinity(0))
+        else:
+            cores = os.cpu_count() or 1
+        workers = min(cores, len(jobs))
+        # Imported here: the pool's imports would slow every `import matfdp`.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+            return next(filter(None, (_parse_member(*job) for job in jobs)), None)
+        pool = ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_exit_with,
+            initargs=(os.getpid(),),
+        )
+        try:
+            futures = [pool.submit(_parse_member, *job) for job in jobs]
+            return next(filter(None, (future.result() for future in futures)), None)
+        finally:
+            pool.shutdown(cancel_futures=True)
+    finally:
+        del _stacks[key]
+
+
+def _exit_with(reader: int) -> None:
+    """Start a parser process's watch: it exits once the reading process is gone.
+
+    A parser waits for tasks on a pipe whose write end it inherited, so it
+    would not notice a reader killed by a signal, and would hold the shared
+    stack until it was killed too.
+    """
+
+    def watch():
+        while os.getppid() == reader:
+            time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _parse_member(key: int, slot: int, path: str, p: int, q: int):
+    """Parse one member file into its slot; return ``(message, path)`` on failure."""
+    try:
+        _stacks[key][slot] = _read_matrix(path, p, q)
+    except DatasetFormatError as exc:
+        return str(exc), exc.path
+    return None
 
 
 def _read_matrix(path: str, p: int, q: int) -> np.ndarray:

@@ -23,6 +23,10 @@ class DegenerateVariance(MatfdpError):
         self.row = row
         self.col = col
 
+    def __reduce__(self):
+        # The default rebuilds from ``args``, the message alone.
+        return type(self), (self.row, self.col)
+
 
 class NonPositiveEigenvalue(MatfdpError):
     """Eigenvalue-ratio selection ran out of usable positive eigenvalues."""

@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 import csv
+import errno
 import json
+import mmap
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import matfdp
 from matfdp.cli import main
 from matfdp.covfactor import (
     build_noodle_loadings,
@@ -504,14 +512,14 @@ def test_unallocatable_stacks_exit_3(tmp_path, capsys, monkeypatch):
     data = tmp_path / "data"
     assert main(["gen-synthetic", *GEN_FLAGS, "--seed", "1", "--out", str(data)]) == 0
     capsys.readouterr()
-    empty = np.empty
+    mapping = mmap.mmap
 
-    def refuse_stacks(shape, *args, **kwargs):
-        if np.shape(shape) == (3,):
-            raise MemoryError("Unable to allocate the group stacks")
-        return empty(shape, *args, **kwargs)
+    def refuse_anonymous(fileno, *args, **kwargs):
+        if fileno == -1:
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+        return mapping(fileno, *args, **kwargs)
 
-    monkeypatch.setattr(np, "empty", refuse_stacks)
+    monkeypatch.setattr(mmap, "mmap", refuse_anonymous)
     rc = main(
         [
             "analyze", "--data", str(data), "--method", "noodle",
@@ -536,11 +544,100 @@ def test_read_holds_the_dataset_once(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = ds.treatment.nbytes + ds.control.nbytes
-    # numpy 2.4.6 measured the 30 matrices plus 7.0 more, 5.6 of them
-    # np.loadtxt's own temporaries for one file; stacking a list of the
-    # parsed matrices measured the 30 plus 30.8 more.
-    assert peak < held + 10 * (40 * 50 * 8)
+    # Both groups are views of one buffer that holds exactly the 30
+    # matrices. It is a shared mapping, which tracemalloc does not see.
+    buffers = []
+    for group in (ds.treatment, ds.control):
+        while isinstance(group, np.ndarray):
+            group = group.base
+        buffers.append(group)
+    assert buffers[0] is buffers[1]
+    assert memoryview(buffers[0]).nbytes == 30 * 40 * 50 * 8
+    assert ds.treatment.ctypes.data + ds.treatment.nbytes == ds.control.ctypes.data
+    # What the calling process allocates besides the buffer: numpy 2.4.6
+    # measured 6.0 matrices, most of them np.loadtxt's own temporaries for
+    # the first file. Stacking a list of the parsed matrices measured 30.8
+    # matrices besides the 30 held.
+    assert peak < 8 * (40 * 50 * 8)
+
+
+def test_failed_read_names_the_first_bad_file_in_manifest_order(tmp_path, capsys):
+    data = tmp_path / "data"
+    flags = ["--model", "1", "--p", "8", "--q", "25", "--n", "10", "--m", "10"]
+    assert main(["gen-synthetic", *flags, "--seed", "1", "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert read_dataset(data).n == 10
+    assert multiprocessing.active_children() == []
+    for name in ("treatment_003.csv", "control_001.csv"):
+        (data / name).write_text("1,x\n")
+
+    rc = main(
+        [
+            "analyze", "--data", str(data), "--method", "noodle",
+            "--threshold", "0.1", "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"malformed dataset ({data / 'treatment_003.csv'}):" in err
+    assert "control_001" not in err
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="parser processes need two usable cores",
+)
+def test_parsers_exit_when_the_reader_is_killed(tmp_path):
+    data = tmp_path / "data"
+    assert main(["gen-synthetic", *GEN_FLAGS, "--seed", "1", "--out", str(data)]) == 0
+    pid_dir = tmp_path / "pids"
+    pid_dir.mkdir()
+    # Each parser process records its pid, then hangs on its first file.
+    script = f"""
+import os, time
+from matfdp import datafiles
+reader, read = os.getpid(), datafiles._read_matrix
+def hang(path, p, q):
+    if os.getpid() != reader:
+        open(os.path.join({str(pid_dir)!r}, str(os.getpid())), "w").close()
+        time.sleep(60)
+    return read(path, p, q)
+datafiles._read_matrix = hang
+datafiles.read_dataset({str(data)!r})
+"""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(matfdp.__file__))}
+    reader = subprocess.Popen([sys.executable, "-c", script], env=env)
+    pids = []
+    try:
+        deadline = time.monotonic() + 30
+        while len(pids) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+            pids = [int(name) for name in os.listdir(pid_dir)]
+        assert len(pids) == 2
+        reader.kill()
+        reader.wait(timeout=10)
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 10
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, pids))
+    finally:
+        reader.kill()
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 def blocked_outs(tmp_path):
