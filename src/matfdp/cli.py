@@ -11,8 +11,8 @@ variance) or in the setup of a run (for example the correlation draw).
 ``main`` maps exceptions to these codes in one place.  Every command checks
 ``--out`` after its flags and before any work, and makes the directory only
 when it writes its first output file, so a run that fails leaves no ``--out``
-behind.  ``MATFDP_THREADS`` caps the worker threads of ``simulate`` rounds
-only; the library reads no environment variable.
+behind.  No command reads an environment variable: ``simulate`` rounds and
+``analyze`` parsers each use one worker per core of the CPU affinity.
 """
 
 from __future__ import annotations
@@ -145,20 +145,6 @@ def _check_out_path(path: str) -> None:
         raise OSError(f"{head} is not a writable directory")
 
 
-def _max_workers_from_env() -> int | None:
-    """Round worker count from ``MATFDP_THREADS``; ``None`` when it is unset."""
-    env = os.environ.get("MATFDP_THREADS")
-    if env is None:
-        return None
-    try:
-        value = int(env)
-    except ValueError as exc:
-        raise ValueError(f"MATFDP_THREADS must be an integer, got {env!r}") from exc
-    if value < 1:
-        raise ValueError(f"MATFDP_THREADS must be >= 1, got {value}")
-    return value
-
-
 def _run_simulate(args: argparse.Namespace) -> int:
     requested = set(filter(None, args.methods.split(",")))
     if not requested or not requested <= set(METHODS):
@@ -166,7 +152,9 @@ def _run_simulate(args: argparse.Namespace) -> int:
     # Keep the canonical method order in the output regardless of flag order.
     methods = tuple(m for m in METHODS if m in requested)
     spec = _build_spec(args)
-    max_workers = _max_workers_from_env()
+    check_threshold(args.t)
+    if args.rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {args.rounds}")
     _check_out_path(args.out)
     result = run_experiment(
         spec,
@@ -175,7 +163,6 @@ def _run_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
         methods=methods,
         estimator=_ESTIMATOR_FLAGS[args.estimator],
-        max_workers=max_workers,
     )
 
     with _open_out(args.out, "rounds.csv") as fh:

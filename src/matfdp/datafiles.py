@@ -10,8 +10,9 @@ Parsing 17-digit floats is most of a read, and ``np.loadtxt`` holds the
 interpreter lock, so ``read_dataset`` parses the member files in forked
 processes, one per usable core (the CPU affinity of the calling process).
 Each parser writes its matrix straight into one stack in a shared anonymous
-mapping; only a failure's message and path come back through a pipe.  With
-one usable core or one file left to parse, or without the ``fork`` start
+mapping; only a failure's message and path come back through a pipe.  A
+parser that dies mid-read fails the read at the first file left unparsed.
+With one usable core or one file left to parse, or without the ``fork`` start
 method, the same parser runs in the calling process.
 """
 
@@ -172,21 +173,18 @@ def _parse_rest(stack: np.ndarray, paths: list[str], p: int, q: int):
     """Parse ``paths[1:]`` into ``stack[1:]``, one parser process per usable core.
 
     Returns the ``(message, path)`` of the first failure in manifest order,
-    or None.  Pending files are cancelled after a failure, and the parser
-    processes are joined before this returns.
+    or None; a file that a dead parser left unparsed is a failure.  Pending
+    files are cancelled after a failure, and the parser processes are joined
+    before this returns.
     """
     key = id(stack)
     _stacks[key] = stack
     try:
         jobs = [(key, slot, path, p, q) for slot, path in enumerate(paths) if slot]
-        if hasattr(os, "sched_getaffinity"):
-            cores = len(os.sched_getaffinity(0))
-        else:
-            cores = os.cpu_count() or 1
-        workers = min(cores, len(jobs))
+        workers = min(_usable_cores(), len(jobs))
         # Imported here: the pool's imports would slow every `import matfdp`.
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
         if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
             return next(filter(None, (_parse_member(*job) for job in jobs)), None)
@@ -198,11 +196,25 @@ def _parse_rest(stack: np.ndarray, paths: list[str], p: int, q: int):
         )
         try:
             futures = [pool.submit(_parse_member, *job) for job in jobs]
-            return next(filter(None, (future.result() for future in futures)), None)
+            for path, future in zip(paths[1:], futures):
+                try:
+                    failure = future.result()
+                except BrokenProcessPool as exc:
+                    failure = f"cannot read {path}: {exc}", path
+                if failure is not None:
+                    return failure
+            return None
         finally:
             pool.shutdown(cancel_futures=True)
     finally:
         del _stacks[key]
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _exit_with(reader: int) -> None:

@@ -22,13 +22,13 @@ them to 1.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .covfactor import build_noodle_loadings, build_sandwich_loadings, estimate_correlations
+from .datafiles import _usable_cores
 from .errors import MatfdpError
 from .linalg import corr_from_cov, sym_eigen, symmetric_sqrt
 from .noodle import check_estimator, fdp_noodle, fit_noodle
@@ -285,7 +285,7 @@ def run_experiment(
     The correlation pair is drawn once from the ``(seed, round 0)`` stream;
     round ``r`` draws its data from the ``(seed, round r)`` stream, so results
     are identical for any worker count.  Rounds run on ``max_workers``
-    threads, at most the CPU count (the default).  Per-round estimator
+    threads, at most the usable cores (the default).  Per-round estimator
     failures are recorded and the round (or just that method) is skipped; the
     experiment never aborts on them.  Invalid arguments raise ``ValueError``
     before any data is drawn.
@@ -304,7 +304,7 @@ def run_experiment(
         raise ValueError(f"methods must not repeat, got {methods}")
     if max_workers is not None and max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-    cpus = os.cpu_count() or 1
+    cores = _usable_cores()
 
     sigma1, sigma2 = gen_correlations(spec, derive_rng(seed, 0, 0))
     gen = _RoundGenerator(spec, sigma1, sigma2)
@@ -337,7 +337,7 @@ def run_experiment(
                 failures.append(RoundFailure(r, method, repr(exc)))
         return records, failures
 
-    with ThreadPoolExecutor(max_workers=min(max_workers or cpus, cpus)) as pool:
+    with ThreadPoolExecutor(max_workers=min(max_workers or cores, cores)) as pool:
         outcomes = list(pool.map(one_round, range(1, rounds + 1)))
 
     records: list[RoundRecord] = []

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import matfdp
+from matfdp import datafiles
 from matfdp.cli import main
 from matfdp.covfactor import (
     build_noodle_loadings,
@@ -33,6 +34,11 @@ from matfdp.simlab import gen_correlations, gen_round, preset_spec, run_experime
 from matfdp.teststats import TwoSampleDataset, p_values, rejection_count, test_matrix
 
 GEN_FLAGS = ["--model", "1", "--p", "8", "--q", "25", "--n", "6", "--m", "6"]
+
+needs_two_cores = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="parser processes need two usable cores",
+)
 
 
 def read_csv(path):
@@ -586,10 +592,7 @@ def test_failed_read_names_the_first_bad_file_in_manifest_order(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.skipif(
-    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-    reason="parser processes need two usable cores",
-)
+@needs_two_cores
 def test_parsers_exit_when_the_reader_is_killed(tmp_path):
     data = tmp_path / "data"
     assert main(["gen-synthetic", *GEN_FLAGS, "--seed", "1", "--out", str(data)]) == 0
@@ -640,6 +643,56 @@ datafiles.read_dataset({str(data)!r})
                 pass
 
 
+@needs_two_cores
+def test_killed_parser_exit_3(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "data"
+    flags = ["--model", "1", "--p", "8", "--q", "25", "--n", "10", "--m", "10"]
+    assert main(["gen-synthetic", *flags, "--seed", "1", "--out", str(data)]) == 0
+    capsys.readouterr()
+    reader, read = os.getpid(), datafiles._read_matrix
+
+    def die_at_control_003(path, p, q):
+        if os.getpid() != reader and path.endswith("control_003.csv"):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return read(path, p, q)
+
+    monkeypatch.setattr(datafiles, "_read_matrix", die_at_control_003)
+    rc = main(
+        [
+            "analyze", "--data", str(data), "--method", "noodle",
+            "--threshold", "0.1", "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    # The first file left unparsed: control_003.csv, or an earlier one that the
+    # other parser held when the pool broke.
+    manifest = json.loads((data / "manifest.json").read_text())
+    order = manifest["treatment"] + manifest["control"]
+    named = [
+        name for name in order
+        if f"malformed dataset ({data / name}): cannot read {data / name}: " in err
+    ]
+    assert len(named) == 1
+    assert 0 < order.index(named[0]) <= order.index("control_003.csv")
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_one_usable_core_forks_no_parser(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "data"
+    assert main(["gen-synthetic", *GEN_FLAGS, "--seed", "1", "--out", str(data)]) == 0
+    capsys.readouterr()
+    expected = read_dataset(data)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "fork", _raise(AssertionError("read_dataset forked")))
+    ds = read_dataset(data)
+    assert np.array_equal(ds.treatment, expected.treatment)
+    assert np.array_equal(ds.control, expected.control)
+
+
 def blocked_outs(tmp_path):
     """``--out`` paths that cannot become directories: below a file, and dangling links."""
     blocker = tmp_path / "blocker"
@@ -659,6 +712,12 @@ def test_simulate_checks_out_before_running(tmp_path, capsys, monkeypatch):
         assert rc == 4
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: cannot write output")
+        # Flags are checked before --out.
+        for bad in (["--rounds", "2", "--t", "2"], ["--rounds", "0"]):
+            assert main(["simulate", *GEN_FLAGS, *bad, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith("error: ")
+            assert "cannot write output" not in err
 
 
 def test_simulate_bad_threshold_leaves_no_out(tmp_path, capsys):
@@ -729,23 +788,6 @@ def test_linalg_error_in_analyze_exit_5(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "did not converge" in err
-
-
-@pytest.mark.parametrize("value", ["x", "0"])
-def test_bad_thread_count_exit_2(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("MATFDP_THREADS", value)
-    rc = main(["simulate", *GEN_FLAGS, "--rounds", "2", "--out", str(tmp_path / "sim")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: ")
-    assert "MATFDP_THREADS" in err
-
-
-def test_bad_thread_count_does_not_create_out(tmp_path, monkeypatch):
-    monkeypatch.setenv("MATFDP_THREADS", "x")
-    out = tmp_path / "sim"
-    assert main(["simulate", *GEN_FLAGS, "--rounds", "2", "--out", str(out)]) == 2
-    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+from collections.abc import Mapping
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -207,7 +209,7 @@ def test_run_experiment_single_round_sd_is_zero():
 
 
 def test_run_experiment_worker_count_does_not_change_results(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr("matfdp.simlab._usable_cores", lambda: 2)
     spec = preset_spec(3, "a", p=10, q=10, n=6, m=6, signal_rows=2, signal_cols=5)
     serial = run_experiment(spec, threshold=0.05, rounds=6, seed=13, max_workers=1)
     parallel = run_experiment(spec, threshold=0.05, rounds=6, seed=13, max_workers=2)
@@ -226,14 +228,45 @@ def test_run_experiment_validation():
         run_experiment(spec, threshold=0.05, rounds=1, seed=1, methods=())
 
 
+class _UnreadableEnvironment(Mapping):
+    def __getitem__(self, key):
+        raise AssertionError(f"read the environment variable {key!r}")
+
+    def __iter__(self):
+        raise AssertionError("listed the environment")
+
+    def __len__(self):
+        raise AssertionError("counted the environment")
+
+
 def test_run_experiment_reads_no_environment(monkeypatch):
     spec = preset_spec(1, "b", p=8, q=8, n=6, m=6, signal_rows=2, signal_cols=2)
-    call = dict(threshold=0.1, rounds=2, seed=14, max_workers=1)
-    monkeypatch.delenv("MATFDP_THREADS", raising=False)
+    call = dict(threshold=0.1, rounds=2, seed=14)
     plain = run_experiment(spec, **call)
-    monkeypatch.setenv("MATFDP_THREADS", "x")
-    assert run_experiment(spec, **call) == plain
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "environ", _UnreadableEnvironment())
+        assert run_experiment(spec, **call) == plain
     assert plain.failures == [] and len(plain.records) == 2 * 3
+
+
+@pytest.mark.parametrize("affinity, workers", [({0}, 1), ({0, 1}, 2)])
+def test_round_workers_follow_the_cpu_affinity(monkeypatch, affinity, workers):
+    pool_sizes = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            pool_sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr("matfdp.simlab.ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    spec = preset_spec(1, "b", p=8, q=8, n=6, m=6, signal_rows=2, signal_cols=2)
+    for max_workers in (None, 8):
+        run_experiment(
+            spec, threshold=0.1, rounds=2, seed=3, methods=("pfa",), max_workers=max_workers
+        )
+    assert pool_sizes == [workers, workers]
 
 
 @pytest.mark.parametrize(
