@@ -7,8 +7,8 @@ synthetic dataset directory matching round 1 of the corresponding simulation.
 
 Exit codes: 0 success, 2 invalid flags, 3 malformed dataset, 4 unwritable
 output path, 5 estimation failed on the data (for example a cell with zero
-variance) or in the setup of a run (for example the correlation draw).
-``main`` maps exceptions to these codes in one place.  Every command checks
+variance), in the setup of a run (for example the correlation draw) or for
+lack of memory.  ``main`` maps exceptions to these codes in one place.  Every command checks
 ``--out`` after its flags and before any work, and makes the directory only
 when it writes its first output file, so a run that fails leaves no ``--out``
 behind.  No command reads an environment variable: ``simulate`` rounds and
@@ -296,6 +296,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(3, f"malformed dataset{where}: {exc}")
     except (MatfdpError, np.linalg.LinAlgError) as exc:
         return _fail(5, f"estimation failed: {exc}")
+    except MemoryError as exc:
+        return _fail(5, f"out of memory: {exc}")
     except ValueError as exc:
         return _fail(2, str(exc))
     except OSError as exc:

@@ -7,13 +7,13 @@ header.  Floats are written with 17 significant digits so a write/read cycle
 is lossless.
 
 Parsing 17-digit floats is most of a read, and ``np.loadtxt`` holds the
-interpreter lock, so ``read_dataset`` parses the member files in forked
-processes, one per usable core (the CPU affinity of the calling process).
-Each parser writes its matrix straight into one stack in a shared anonymous
-mapping; only a failure's message and path come back through a pipe.  A
-parser that dies mid-read fails the read at the first file left unparsed.
-With one usable core or one file left to parse, or without the ``fork`` start
-method, the same parser runs in the calling process.
+interpreter lock, so ``read_dataset`` parses the member files on every usable
+core (the CPU affinity of the calling process): the reader and forked parser
+processes each take a fixed share of the files and write each matrix straight
+into one stack in a shared anonymous mapping.  Nothing comes back from a
+parser but a per-file done flag; the reader then parses whatever the parsers
+left, in manifest order, so a bad file fails the read with its own message and
+a parser that dies mid-read costs only time.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import mmap
 import os
 import threading
 import time
+import warnings
 
 import numpy as np
 
@@ -71,19 +72,19 @@ def read_dataset(directory: str | os.PathLike) -> TwoSampleDataset:
     The first member file is parsed here.  Once it has confirmed ``(p, q)``,
     one ``(n + m, p, q)`` stack is allocated in a shared mapping, with
     ``treatment`` and ``control`` as views of it, and the other files are
-    parsed into their slots by parser processes (see the module docstring).
+    parsed into their slots on every usable core (see ``_parse_rest``).
     The read holds the dataset once, plus one member file's parse
     temporaries in each process.
 
     Raises
     ------
     DatasetFormatError
-        On a missing or malformed manifest (including a non-integer
-        dimension or a member file name that is not a plain name inside
-        ``directory``), a group-size mismatch, the first member file (in
-        manifest order) that fails to parse to a finite ``p x q`` matrix, or
-        stacks too large to allocate.  The exception's ``path`` names the
-        offending file.
+        On a missing or malformed manifest (including a foreign
+        ``schema_version``, a non-integer dimension or a member file name that
+        is not a plain name inside ``directory``), a group-size mismatch, the
+        first member file (in manifest order) that fails to parse to a finite
+        ``p x q`` matrix, or stacks too large to allocate.  The exception's
+        ``path`` names the offending file.
     """
     directory = os.fspath(directory)
     manifest_path = os.path.join(directory, MANIFEST_NAME)
@@ -100,6 +101,11 @@ def read_dataset(directory: str | os.PathLike) -> TwoSampleDataset:
         ) from exc
     if not isinstance(manifest, dict):
         raise DatasetFormatError("manifest must be a JSON object", path=manifest_path)
+    version = manifest.get("schema_version", SCHEMA_VERSION)
+    if version != SCHEMA_VERSION:
+        raise DatasetFormatError(
+            f"manifest schema_version {version!r} is not {SCHEMA_VERSION}", path=manifest_path
+        )
 
     for key in ("p", "q", "n", "m", "treatment", "control"):
         if key not in manifest:
@@ -153,61 +159,51 @@ def read_dataset(directory: str | os.PathLike) -> TwoSampleDataset:
     stack = np.frombuffer(buffer, dtype=np.float64, count=count).reshape(len(paths), p, q)
     stack[0] = first
     del first
-    failure = _parse_rest(stack, paths, p, q)
-    if failure is not None:
-        message, path = failure
-        raise DatasetFormatError(message, path=path)
+    _parse_rest(stack, paths, p, q)
     try:
         return TwoSampleDataset(treatment=stack[:n], control=stack[n:])
     except ValueError as exc:
         raise DatasetFormatError(str(exc), path=manifest_path) from exc
 
 
-# Shared stacks being filled, by id. A parse task names its stack by this key
-# because tasks are pickled and a stack must not be; forked parsers inherit
-# the dict.
-_stacks: dict[int, np.ndarray] = {}
+def _parse_rest(stack: np.ndarray, paths: list[str], p: int, q: int) -> None:
+    """Parse ``paths[1:]`` into ``stack[1:]`` on every usable core.
 
-
-def _parse_rest(stack: np.ndarray, paths: list[str], p: int, q: int):
-    """Parse ``paths[1:]`` into ``stack[1:]``, one parser process per usable core.
-
-    Returns the ``(message, path)`` of the first failure in manifest order,
-    or None; a file that a dead parser left unparsed is a failure.  Pending
-    files are cancelled after a failure, and the parser processes are joined
-    before this returns.
+    With ``k`` usable cores, share ``w`` is slots ``1 + w, 1 + w + k, ...``.
+    The reader parses share 0 and ``k - 1`` forked parsers the others; each
+    flags a slot once it holds its matrix, and stops quietly at its first
+    exception.  The reader then parses every unflagged slot in manifest order,
+    so a bad file raises with its own message and a dead parser costs only
+    time.  With one usable core or one file left, or without the ``fork``
+    start method, that last loop parses every file.
     """
-    key = id(stack)
-    _stacks[key] = stack
-    try:
-        jobs = [(key, slot, path, p, q) for slot, path in enumerate(paths) if slot]
-        workers = min(_usable_cores(), len(jobs))
-        # Imported here: the pool's imports would slow every `import matfdp`.
-        import multiprocessing
-        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    import multiprocessing  # Here: it would slow every `import matfdp`.
 
-        if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-            return next(filter(None, (_parse_member(*job) for job in jobs)), None)
-        pool = ProcessPoolExecutor(
-            workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_exit_with,
-            initargs=(os.getpid(),),
-        )
+    k = min(_usable_cores(), len(paths) - 1)
+    done = np.frombuffer(mmap.mmap(-1, len(paths)), dtype=np.bool_)  # Shared like the stack.
+    reader = os.getpid()
+
+    def parse(share):
+        if share:  # Only forked parsers take shares other than 0.
+            _exit_with(reader)
         try:
-            futures = [pool.submit(_parse_member, *job) for job in jobs]
-            for path, future in zip(paths[1:], futures):
-                try:
-                    failure = future.result()
-                except BrokenProcessPool as exc:
-                    failure = f"cannot read {path}: {exc}", path
-                if failure is not None:
-                    return failure
-            return None
-        finally:
-            pool.shutdown(cancel_futures=True)
-    finally:
-        del _stacks[key]
+            for slot in range(1 + share, len(paths), k):
+                stack[slot] = _read_matrix(paths[slot], p, q)
+                done[slot] = True
+        except Exception:
+            pass  # The last loop parses this file again and raises its error.
+
+    if k > 1 and "fork" in multiprocessing.get_all_start_methods():
+        fork = multiprocessing.get_context("fork")
+        parsers = [fork.Process(target=parse, args=(share,)) for share in range(1, k)]
+        for process in parsers:
+            process.start()
+        parse(0)
+        for process in parsers:
+            process.join()
+    for slot in range(1, len(paths)):
+        if not done[slot]:
+            stack[slot] = _read_matrix(paths[slot], p, q)
 
 
 def _usable_cores() -> int:
@@ -220,9 +216,9 @@ def _usable_cores() -> int:
 def _exit_with(reader: int) -> None:
     """Start a parser process's watch: it exits once the reading process is gone.
 
-    A parser waits for tasks on a pipe whose write end it inherited, so it
-    would not notice a reader killed by a signal, and would hold the shared
-    stack until it was killed too.
+    Without it, a parser stuck in one file (a FIFO member, say) would not
+    notice a reader killed by a signal, and would hold the shared stack until
+    it was killed too.
     """
 
     def watch():
@@ -233,18 +229,12 @@ def _exit_with(reader: int) -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
-def _parse_member(key: int, slot: int, path: str, p: int, q: int):
-    """Parse one member file into its slot; return ``(message, path)`` on failure."""
-    try:
-        _stacks[key][slot] = _read_matrix(path, p, q)
-    except DatasetFormatError as exc:
-        return str(exc), exc.path
-    return None
-
-
 def _read_matrix(path: str, p: int, q: int) -> np.ndarray:
     try:
-        mat = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        with warnings.catch_warnings():
+            # A file with no data rows warns; the shape check below reports it.
+            warnings.simplefilter("ignore", UserWarning)
+            mat = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except OSError as exc:
         raise DatasetFormatError(f"cannot read {path}: {exc}", path=path) from exc
     except ValueError as exc:

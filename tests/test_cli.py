@@ -223,17 +223,20 @@ def test_malformed_dataset_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
     victim = data / "control_002.csv"
-    victim.write_text("not,a,number\n")
-    rc = main(
-        [
-            "analyze", "--data", str(data), "--method", "noodle",
-            "--threshold", "0.1", "--out", str(out),
-        ]
-    )
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert "malformed dataset" in err
-    assert "control_002.csv" in err
+    # An empty file, or one with no data rows, makes np.loadtxt warn.
+    for content in ("not,a,number\n", "", "\n\n", "# comment only\n"):
+        victim.write_text(content)
+        rc = main(
+            [
+                "analyze", "--data", str(data), "--method", "noodle",
+                "--threshold", "0.1", "--out", str(out),
+            ]
+        )
+        assert rc == 3, content
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: malformed dataset"), content
+        assert f"malformed dataset ({victim}):" in err
+        assert not out.exists()
 
 
 def test_missing_manifest_exit_3(tmp_path, capsys):
@@ -429,8 +432,14 @@ def test_simulate_tiny_trim_fraction_records_failures(tmp_path, capsys, monkeypa
         lambda manifest: {**manifest, "treatment": 7},
         # Right length, so only the element type is wrong.
         lambda manifest: {**manifest, "treatment": [3, *manifest["treatment"][1:]]},
+        lambda manifest: {**manifest, "schema_version": 2},
+        # No file is left after the first, so no share is dealt out.
+        lambda manifest: {
+            **manifest, "n": 1, "m": 0, "treatment": manifest["treatment"][:1], "control": [],
+        },
     ],
-    ids=["number", "null", "treatment-number", "treatment-int-list"],
+    ids=["number", "null", "treatment-number", "treatment-int-list", "foreign-schema",
+         "single-member"],
 )
 def test_malformed_manifest_exit_3(tmp_path, capsys, edit):
     data = tmp_path / "data"
@@ -612,14 +621,16 @@ datafiles._read_matrix = hang
 datafiles.read_dataset({str(data)!r})
 """
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(matfdp.__file__))}
+    # The reader parses one share itself; 11 files are left after the first.
+    parsers = min(len(os.sched_getaffinity(0)), 11) - 1
     reader = subprocess.Popen([sys.executable, "-c", script], env=env)
     pids = []
     try:
         deadline = time.monotonic() + 30
-        while len(pids) < 2 and time.monotonic() < deadline:
+        while len(pids) < parsers and time.monotonic() < deadline:
             time.sleep(0.05)
             pids = [int(name) for name in os.listdir(pid_dir)]
-        assert len(pids) == 2
+        assert len(pids) == parsers
         reader.kill()
         reader.wait(timeout=10)
 
@@ -636,6 +647,7 @@ datafiles.read_dataset({str(data)!r})
         assert not any(map(running, pids))
     finally:
         reader.kill()
+        reader.wait()
         for pid in pids:
             try:
                 os.kill(pid, signal.SIGKILL)
@@ -644,40 +656,58 @@ datafiles.read_dataset({str(data)!r})
 
 
 @needs_two_cores
-def test_killed_parser_exit_3(tmp_path, capsys, monkeypatch):
+def test_killed_parser_costs_only_time(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "data"
+    flags = ["--model", "1", "--p", "8", "--q", "25", "--n", "10", "--m", "10"]
+    assert main(["gen-synthetic", *flags, "--seed", "1", "--out", str(data)]) == 0
+    analyze = ["analyze", "--data", str(data), "--method", "noodle", "--threshold", "0.1"]
+    assert main([*analyze, "--out", str(tmp_path / "expected")]) == 0
+    killed = tmp_path / "killed"
+    killed.mkdir()
+    reader, read = os.getpid(), datafiles._read_matrix
+
+    def die_in_a_parser(path, p, q):
+        if os.getpid() != reader:
+            (killed / str(os.getpid())).touch()
+            os.kill(os.getpid(), signal.SIGKILL)
+        return read(path, p, q)
+
+    monkeypatch.setattr(datafiles, "_read_matrix", die_in_a_parser)
+    assert main([*analyze, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    # Every parser died at its first file; the reader parsed what they left.
+    assert len(os.listdir(killed)) == min(len(os.sched_getaffinity(0)), 19) - 1
+    for name in ("report.csv", "selected.csv"):
+        expected = (tmp_path / "expected" / name).read_bytes()
+        assert (tmp_path / "out" / name).read_bytes() == expected
+    assert multiprocessing.active_children() == []
+
+
+def test_parsers_leave_the_reader_only_its_share(tmp_path, capsys, monkeypatch):
+    # More parsers than cores. A parser that failed would still give the right
+    # stack, because the reader parses what is left, so count the reader's reads.
     data = tmp_path / "data"
     flags = ["--model", "1", "--p", "8", "--q", "25", "--n", "10", "--m", "10"]
     assert main(["gen-synthetic", *flags, "--seed", "1", "--out", str(data)]) == 0
     capsys.readouterr()
-    reader, read = os.getpid(), datafiles._read_matrix
+    monkeypatch.setattr(datafiles, "_usable_cores", lambda: 1)
+    expected = read_dataset(data)
+    reader, read, in_reader = os.getpid(), datafiles._read_matrix, []
 
-    def die_at_control_003(path, p, q):
-        if os.getpid() != reader and path.endswith("control_003.csv"):
-            os.kill(os.getpid(), signal.SIGKILL)
+    def count_reader_reads(path, p, q):
+        if os.getpid() == reader:
+            in_reader.append(os.path.basename(path))
         return read(path, p, q)
 
-    monkeypatch.setattr(datafiles, "_read_matrix", die_at_control_003)
-    rc = main(
-        [
-            "analyze", "--data", str(data), "--method", "noodle",
-            "--threshold", "0.1", "--out", str(tmp_path / "out"),
-        ]
-    )
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    # The first file left unparsed: control_003.csv, or an earlier one that the
-    # other parser held when the pool broke.
-    manifest = json.loads((data / "manifest.json").read_text())
-    order = manifest["treatment"] + manifest["control"]
-    named = [
-        name for name in order
-        if f"malformed dataset ({data / name}): cannot read {data / name}: " in err
-    ]
-    assert len(named) == 1
-    assert 0 < order.index(named[0]) <= order.index("control_003.csv")
+    monkeypatch.setattr(datafiles, "_read_matrix", count_reader_reads)
+    monkeypatch.setattr(datafiles, "_usable_cores", lambda: 8)
+    ds = read_dataset(data)
+    assert np.array_equal(ds.treatment, expected.treatment)
+    assert np.array_equal(ds.control, expected.control)
+    # The first file, then share 0 of 8: slots 1, 9 and 17.
+    assert in_reader == ["treatment_000.csv", "treatment_001.csv", "treatment_009.csv",
+                         "control_007.csv"]
     assert multiprocessing.active_children() == []
-    assert not (tmp_path / "out").exists()
 
 
 def test_one_usable_core_forks_no_parser(tmp_path, capsys, monkeypatch):
@@ -686,11 +716,19 @@ def test_one_usable_core_forks_no_parser(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     expected = read_dataset(data)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "fork", _raise(AssertionError("read_dataset forked")))
-    ds = read_dataset(data)
-    assert np.array_equal(ds.treatment, expected.treatment)
-    assert np.array_equal(ds.control, expected.control)
+    monkeypatch.setattr(
+        multiprocessing.process.BaseProcess, "start",
+        _raise(AssertionError("read_dataset started a process")),
+    )
+    # One usable core; then 64 usable cores on a platform without fork.
+    for cores, methods in (({0}, ["fork", "spawn"]), (set(range(64)), ["spawn"])):
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
+            patch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+            ds = read_dataset(data)
+        assert np.array_equal(ds.treatment, expected.treatment)
+        assert np.array_equal(ds.control, expected.control)
 
 
 def blocked_outs(tmp_path):
@@ -762,12 +800,15 @@ def _raise(exc):
 
 
 def test_setup_failure_exit_5(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("matfdp.simlab.gen_correlations", _raise(NotPsd("drawn sigma1")))
-    rc = main(["simulate", *GEN_FLAGS, "--rounds", "2", "--out", str(tmp_path / "sim")])
-    assert rc == 5
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: ")
-    assert "drawn sigma1" in err
+    for exc in (NotPsd("drawn sigma1"), MemoryError("Unable to allocate 298. GiB")):
+        monkeypatch.setattr("matfdp.simlab.gen_correlations", _raise(exc))
+        out = tmp_path / "sim"
+        rc = main(["simulate", *GEN_FLAGS, "--rounds", "2", "--out", str(out)])
+        assert rc == 5, exc
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert str(exc) in err
+        assert not out.exists()
 
 
 def test_linalg_error_in_analyze_exit_5(tmp_path, capsys, monkeypatch):

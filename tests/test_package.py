@@ -26,7 +26,7 @@ ERROR_ARGS = {
     ids=lambda c: c.__name__,
 )
 def test_errors_survive_a_pickle_round_trip(cls):
-    # A parser process's failure must be able to cross a pipe.
+    # An error raised in one process must be able to cross a pipe to another.
     exc = cls(*ERROR_ARGS.get(cls, ("message",)))
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is cls
