@@ -82,14 +82,14 @@ def estimate_correlations(ds: TwoSampleDataset, sigma_hat: np.ndarray) -> CorrEs
     ``sigma_hat``; the row estimate averages outer products of the residual
     columns (normalised by ``(n + m - 2) * q``) and the column estimate does
     the same across rows (normalised by ``(n + m - 2) * p``).  The residuals
-    are built, one buffer reused, in C-contiguous ``(p, b, q)`` blocks of
-    ``b = _BLOCK_SLICES`` observations (fewer in the last; treatment first,
-    so a block may span both groups): the row estimate adds the block's
-    ``(p, b q)`` reshape times its transpose and the column estimate the
-    transpose of its ``(b p, q)`` reshape times itself, so the peak memory is
-    the data plus one block.  A stack that fits in one block gives the
-    products of the whole stack; more blocks only change the order in which
-    the Gram sums are added.
+    are built one observation at a time, one buffer reused, in C-contiguous
+    ``(p, b, q)`` blocks of ``b = _BLOCK_SLICES`` observations (fewer in the
+    last; treatment first, so a block may span both groups): the row estimate
+    adds the block's ``(p, b q)`` reshape times its transpose and the column
+    estimate the transpose of its ``(b p, q)`` reshape times itself, so the
+    peak memory is the data plus one block.  A stack that fits in one block
+    gives the products of the whole stack; more blocks only change the order
+    in which the Gram sums are added.
 
     Parameters
     ----------
@@ -110,17 +110,11 @@ def estimate_correlations(ds: TwoSampleDataset, sigma_hat: np.ndarray) -> CorrEs
     for start in range(0, n_total, step):
         stop = min(start + step, n_total)
         block = buf[: p * (stop - start) * q].reshape(p, stop - start, q)
-        split = min(max(ds.n, start), stop)  # the first control observation in range
-        for group, offset, lo, hi, mean in (
-            (ds.treatment, 0, start, split, means[0]),
-            (ds.control, ds.n, split, stop, means[1]),
-        ):
-            if hi > lo:
-                np.subtract(
-                    group[lo - offset : hi - offset].transpose(1, 0, 2),
-                    mean[:, None, :],
-                    out=block[:, lo - start : hi - start],
-                )
+        for s in range(start, stop):
+            if s < ds.n:
+                np.subtract(ds.treatment[s], means[0], out=block[:, s - start])
+            else:
+                np.subtract(ds.control[s - ds.n], means[1], out=block[:, s - start])
         block /= sigma_hat[:, None, :]
         rows = block.reshape(p, -1)
         cols = block.reshape(-1, q)

@@ -12,8 +12,10 @@ core (the CPU affinity of the calling process): the reader and forked parser
 processes each take a fixed share of the files and write each matrix straight
 into one stack in a shared anonymous mapping.  Nothing comes back from a
 parser but a per-file done flag; the reader then parses whatever the parsers
-left, in manifest order, so a bad file fails the read with its own message and
-a parser that dies mid-read costs only time.
+left, in manifest order, so a bad file fails the read with its own message,
+and a parser that dies or a fork that is refused costs only time.  A member
+file must be a regular file, so no parse waits forever on a FIFO; a parser
+whose reader is gone stops before its next file.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from __future__ import annotations
 import json
 import mmap
 import os
-import threading
-import time
+import stat
 import warnings
 
 import numpy as np
@@ -82,9 +83,9 @@ def read_dataset(directory: str | os.PathLike) -> TwoSampleDataset:
         On a missing or malformed manifest (including a foreign
         ``schema_version``, a non-integer dimension or a member file name that
         is not a plain name inside ``directory``), a group-size mismatch, the
-        first member file (in manifest order) that fails to parse to a finite
-        ``p x q`` matrix, or stacks too large to allocate.  The exception's
-        ``path`` names the offending file.
+        first member file (in manifest order) that is not a regular file or
+        fails to parse to a finite ``p x q`` matrix, or stacks too large to
+        allocate.  The exception's ``path`` names the offending file.
     """
     directory = os.fspath(directory)
     manifest_path = os.path.join(directory, MANIFEST_NAME)
@@ -170,37 +171,43 @@ def _parse_rest(stack: np.ndarray, paths: list[str], p: int, q: int) -> None:
     """Parse ``paths[1:]`` into ``stack[1:]`` on every usable core.
 
     With ``k`` usable cores, share ``w`` is slots ``1 + w, 1 + w + k, ...``.
-    The reader parses share 0 and ``k - 1`` forked parsers the others; each
-    flags a slot once it holds its matrix, and stops quietly at its first
-    exception.  The reader then parses every unflagged slot in manifest order,
-    so a bad file raises with its own message and a dead parser costs only
-    time.  With one usable core or one file left, or without the ``fork``
-    start method, that last loop parses every file.
+    Up to ``k - 1`` forked parsers take shares ``1, 2, ...`` and the reader
+    share 0; each flags a slot once it holds its matrix, and stops quietly at
+    its first exception.  A parser also stops before its next file once its
+    reader is gone.  The reader then parses every unflagged slot in manifest
+    order, so a bad file raises with its own message, and a share that no
+    parser took or finished (one usable core, no ``fork`` start method, a
+    refused fork, a dead parser) costs only time.
     """
     import multiprocessing  # Here: it would slow every `import matfdp`.
 
-    k = min(_usable_cores(), len(paths) - 1)
+    k = max(1, min(_usable_cores(), len(paths) - 1))
     done = np.frombuffer(mmap.mmap(-1, len(paths)), dtype=np.bool_)  # Shared like the stack.
     reader = os.getpid()
 
     def parse(share):
-        if share:  # Only forked parsers take shares other than 0.
-            _exit_with(reader)
         try:
             for slot in range(1 + share, len(paths), k):
+                if share and os.getppid() != reader:
+                    return  # Nothing reads this stack any more.
                 stack[slot] = _read_matrix(paths[slot], p, q)
                 done[slot] = True
         except Exception:
             pass  # The last loop parses this file again and raises its error.
 
-    if k > 1 and "fork" in multiprocessing.get_all_start_methods():
+    parsers = []
+    if "fork" in multiprocessing.get_all_start_methods():
         fork = multiprocessing.get_context("fork")
-        parsers = [fork.Process(target=parse, args=(share,)) for share in range(1, k)]
-        for process in parsers:
-            process.start()
-        parse(0)
-        for process in parsers:
-            process.join()
+        for share in range(1, k):
+            process = fork.Process(target=parse, args=(share,))
+            try:
+                process.start()
+            except OSError:
+                break  # A process limit, say: the last loop parses the rest.
+            parsers.append(process)
+    parse(0)
+    for process in parsers:
+        process.join()
     for slot in range(1, len(paths)):
         if not done[slot]:
             stack[slot] = _read_matrix(paths[slot], p, q)
@@ -213,24 +220,11 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _exit_with(reader: int) -> None:
-    """Start a parser process's watch: it exits once the reading process is gone.
-
-    Without it, a parser stuck in one file (a FIFO member, say) would not
-    notice a reader killed by a signal, and would hold the shared stack until
-    it was killed too.
-    """
-
-    def watch():
-        while os.getppid() == reader:
-            time.sleep(0.2)
-        os._exit(1)
-
-    threading.Thread(target=watch, daemon=True).start()
-
-
 def _read_matrix(path: str, p: int, q: int) -> np.ndarray:
     try:
+        # A FIFO or a device could block the parse forever.
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise DatasetFormatError(f"{path} is not a regular file", path=path)
         with warnings.catch_warnings():
             # A file with no data rows warns; the shape check below reports it.
             warnings.simplefilter("ignore", UserWarning)

@@ -151,20 +151,14 @@ class KronEigenIndex:
 def kron_eigenpairs(e1: EigenSystem, e2: EigenSystem) -> KronEigenIndex:
     """Eigenpairs of the Kronecker product, without forming it.
 
-    The flat list is assembled in lexicographic ``(idx1, idx2)`` order and then
-    stably sorted by descending value, which yields the documented tie-break.
+    The products are laid out in lexicographic ``(idx1, idx2)`` order (flat
+    position ``idx1 * q + idx2``) and stably sorted by descending value, which
+    yields the documented tie-break.
     """
-    p = e1.dim
-    q = e2.dim
     prods = np.outer(e1.values, e2.values).ravel()
-    i_idx = np.repeat(np.arange(p), q)
-    j_idx = np.tile(np.arange(q), p)
     order = np.argsort(-prods, kind="stable")
-    return KronEigenIndex(
-        values=prods[order],
-        idx1=i_idx[order],
-        idx2=j_idx[order],
-    )
+    idx1, idx2 = np.divmod(order, e2.dim)
+    return KronEigenIndex(values=prods[order], idx1=idx1, idx2=idx2)
 
 
 def symmetric_sqrt(m) -> np.ndarray:

@@ -223,20 +223,45 @@ def test_malformed_dataset_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
     victim = data / "control_002.csv"
+    analyze = [
+        "analyze", "--data", str(data), "--method", "noodle",
+        "--threshold", "0.1", "--out", str(out),
+    ]
     # An empty file, or one with no data rows, makes np.loadtxt warn.
     for content in ("not,a,number\n", "", "\n\n", "# comment only\n"):
         victim.write_text(content)
-        rc = main(
-            [
-                "analyze", "--data", str(data), "--method", "noodle",
-                "--threshold", "0.1", "--out", str(out),
-            ]
-        )
-        assert rc == 3, content
+        assert main(analyze) == 3, content
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: malformed dataset"), content
         assert f"malformed dataset ({victim}):" in err
         assert not out.exists()
+
+    victim.unlink()
+    victim.mkdir()
+    assert main(analyze) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: malformed dataset ({victim}): {victim} is not a regular file\n"
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+    # A FIFO would block np.loadtxt until some writer opened it, so it runs in
+    # a process with a timeout: a regression then fails instead of hanging.
+    victim.rmdir()
+    os.mkfifo(victim)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(matfdp.__file__))}
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "matfdp.cli", *analyze],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+    finally:
+        try:  # Let a process left blocked on the FIFO see its end.
+            os.close(os.open(victim, os.O_WRONLY | os.O_NONBLOCK))
+        except OSError:
+            pass  # Nothing has it open for reading.
+    assert run.returncode == 3
+    assert run.stderr == f"error: malformed dataset ({victim}): {victim} is not a regular file\n"
+    assert not out.exists()
 
 
 def test_missing_manifest_exit_3(tmp_path, capsys):
@@ -604,32 +629,35 @@ def test_failed_read_names_the_first_bad_file_in_manifest_order(tmp_path, capsys
 @needs_two_cores
 def test_parsers_exit_when_the_reader_is_killed(tmp_path):
     data = tmp_path / "data"
-    assert main(["gen-synthetic", *GEN_FLAGS, "--seed", "1", "--out", str(data)]) == 0
-    pid_dir = tmp_path / "pids"
-    pid_dir.mkdir()
-    # Each parser process records its pid, then hangs on its first file.
+    flags = ["--model", "1", "--p", "8", "--q", "25", "--n", "10", "--m", "10"]
+    assert main(["gen-synthetic", *flags, "--seed", "1", "--out", str(data)]) == 0
+    starts = tmp_path / "starts"
+    starts.mkdir()
+    # Each parser process records every file it starts and takes 2 s over it;
+    # the reader is killed while every parser is inside its first file.
     script = f"""
 import os, time
 from matfdp import datafiles
 reader, read = os.getpid(), datafiles._read_matrix
-def hang(path, p, q):
+def slow(path, p, q):
     if os.getpid() != reader:
-        open(os.path.join({str(pid_dir)!r}, str(os.getpid())), "w").close()
-        time.sleep(60)
+        name = f"{{os.getpid()}} {{os.path.basename(path)}}"
+        open(os.path.join({str(starts)!r}, name), "w").close()
+        time.sleep(2)
     return read(path, p, q)
-datafiles._read_matrix = hang
+datafiles._read_matrix = slow
 datafiles.read_dataset({str(data)!r})
 """
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(matfdp.__file__))}
-    # The reader parses one share itself; 11 files are left after the first.
-    parsers = min(len(os.sched_getaffinity(0)), 11) - 1
+    # The reader parses one share itself; 19 files are left after the first.
+    parsers = min(len(os.sched_getaffinity(0)), 19) - 1
     reader = subprocess.Popen([sys.executable, "-c", script], env=env)
-    pids = []
+    pids = set()
     try:
         deadline = time.monotonic() + 30
         while len(pids) < parsers and time.monotonic() < deadline:
             time.sleep(0.05)
-            pids = [int(name) for name in os.listdir(pid_dir)]
+            pids = {int(name.split()[0]) for name in os.listdir(starts)}
         assert len(pids) == parsers
         reader.kill()
         reader.wait(timeout=10)
@@ -645,6 +673,8 @@ datafiles.read_dataset({str(data)!r})
         while any(map(running, pids)) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not any(map(running, pids))
+        # Each parser finished the file it was in and started no other.
+        assert len(os.listdir(starts)) == parsers
     finally:
         reader.kill()
         reader.wait()
@@ -716,19 +746,28 @@ def test_one_usable_core_forks_no_parser(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     expected = read_dataset(data)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(os, "fork", _raise(AssertionError("read_dataset forked")))
-    monkeypatch.setattr(
-        multiprocessing.process.BaseProcess, "start",
-        _raise(AssertionError("read_dataset started a process")),
-    )
-    # One usable core; then 64 usable cores on a platform without fork.
-    for cores, methods in (({0}, ["fork", "spawn"]), (set(range(64)), ["spawn"])):
+    forked = AssertionError("read_dataset forked")
+    refused = BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    # One usable core; 64 usable cores on a platform without fork; 64 usable
+    # cores where every fork is refused, as under a process-count limit.
+    for cores, methods, fork_error in (
+        ({0}, ["fork", "spawn"], forked),
+        (set(range(64)), ["spawn"], forked),
+        (set(range(64)), ["fork", "spawn"], refused),
+    ):
         with monkeypatch.context() as patch:
             patch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
             patch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+            patch.setattr(os, "fork", _raise(fork_error))
+            if fork_error is forked:
+                patch.setattr(
+                    multiprocessing.process.BaseProcess, "start",
+                    _raise(AssertionError("read_dataset started a process")),
+                )
             ds = read_dataset(data)
         assert np.array_equal(ds.treatment, expected.treatment)
         assert np.array_equal(ds.control, expected.control)
+        assert multiprocessing.active_children() == []
 
 
 def blocked_outs(tmp_path):
