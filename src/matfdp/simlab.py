@@ -5,7 +5,9 @@ block of signal cells in the mean and a control group centred at zero, both
 with the same doubly-correlated noise.
 
 * Model 1: each correlation matrix comes from a random low-rank loading
-  matrix plus a diagonal floor, rescaled to unit diagonal.
+  matrix plus a diagonal floor, rescaled to unit diagonal.  Its noise is
+  drawn from that factor form, at ``O(pq(l1 + l2))`` per observation plus
+  the normal draws (see :class:`_RoundGenerator`).
 * Model 2: same, but the floor is a power-decay matrix ``rho ** |i - j|``.
 * Model 3: the correlations are built as in Model 1, but the noise itself is
   non-normal: full-spectrum square-root factors applied to a matrix of
@@ -91,6 +93,8 @@ class ModelSpec:
         if self.model == 3 and self.w_dist not in ("exp1", "scaled_t6"):
             raise ValueError(f"w_dist must be 'exp1' or 'scaled_t6', got {self.w_dist!r}")
         _check_loading_dist(self.loading_dist)
+        if not math.isfinite(self.signal_amplitude):
+            raise ValueError(f"signal_amplitude must be finite, got {self.signal_amplitude}")
         if self.signal_rows < 0 or self.signal_cols < 0:
             raise ValueError(
                 f"signal block sizes must be >= 0, got "
@@ -111,10 +115,12 @@ def _check_loading_dist(dist) -> None:
         and len(dist) == 3
         and dist[0] == "uniform"
         and float(dist[1]) < float(dist[2])
+        and math.isfinite(float(dist[2]) - float(dist[1]))
     ):
         return
     raise ValueError(
-        f"loading_dist must be 'std_normal' or ('uniform', lo, hi) with lo < hi, got {dist!r}"
+        "loading_dist must be 'std_normal' or ('uniform', lo, hi) with lo < hi "
+        f"and a finite range, got {dist!r}"
     )
 
 
@@ -172,19 +178,85 @@ def _noise_floor(spec: ModelSpec, side: int) -> np.ndarray:
     return 0.5 * np.eye(dim)
 
 
+class _FactoredCorrelation(np.ndarray):
+    """A correlation matrix ``D (B B' + I / 2) D`` that keeps its factor.
+
+    ``factor`` is ``(d, B)``: the diagonal of ``D`` and the loadings, so
+    ``L = D [B, sqrt(1/2) I]`` has ``L L' = Sigma``.  This is numpy's ndarray
+    subclass with an extra attribute: every array derived from one (a view, a
+    copy, arithmetic) has ``factor = None``, and ``np.array`` returns a plain
+    array.  An edit in place keeps a stale factor; :func:`_usable_factor`
+    refuses it.
+    """
+
+    def __array_finalize__(self, obj):
+        self.factor = None
+
+
+def _correlation(spec: ModelSpec, loadings: np.ndarray, side: int) -> np.ndarray:
+    cov = loadings @ loadings.T + _noise_floor(spec, side)
+    sigma = corr_from_cov(cov)
+    if spec.model != 1:
+        return sigma
+    sigma = sigma.view(_FactoredCorrelation)
+    sigma.factor = (1.0 / np.sqrt(np.diag(cov)), loadings)
+    return sigma
+
+
 def gen_correlations(
     spec: ModelSpec, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the row and column correlation matrices for one experiment."""
+    """Draw the row and column correlation matrices for one experiment.
+
+    Each is ``corr_from_cov(B B' + F)`` for random loadings ``B`` and the
+    model's floor ``F``.  For model 1, ``F = I / 2`` and each matrix also
+    carries its factor ``(d, B)`` as ``.factor``
+    (:class:`_FactoredCorrelation`, still an ndarray with the same values),
+    which :class:`_RoundGenerator` draws from.
+    """
     b1 = _draw_loadings(spec.loading_dist, (spec.p, spec.l1), rng)
     b2 = _draw_loadings(spec.loading_dist, (spec.q, spec.l2), rng)
-    sigma1 = corr_from_cov(b1 @ b1.T + _noise_floor(spec, 1))
-    sigma2 = corr_from_cov(b2 @ b2.T + _noise_floor(spec, 2))
-    return sigma1, sigma2
+    return _correlation(spec, b1, 1), _correlation(spec, b2, 2)
+
+
+#: Largest max-abs gap between ``Sigma`` and its rebuilt factor form for
+#: :class:`_RoundGenerator` to draw from the factor.
+_FACTOR_TOL = 1e-12
+
+
+def _usable_factor(sigma) -> tuple[np.ndarray, np.ndarray] | None:
+    """``sigma.factor`` if ``D (B B' + I / 2) D`` rebuilds ``sigma``, else ``None``.
+
+    The check costs ``O(p^2 l)`` and refuses a factor left stale by an edit in
+    place.
+    """
+    factor = getattr(sigma, "factor", None)
+    if factor is None:
+        return None
+    d, b = factor
+    scaled = d[:, None] * b
+    rebuilt = scaled @ scaled.T
+    rebuilt[np.diag_indices_from(rebuilt)] += 0.5 * d * d
+    gap = float(np.abs(rebuilt - sigma).max())
+    return factor if gap <= _FACTOR_TOL else None
 
 
 class _RoundGenerator:
-    """Per-experiment cache of the deterministic parts of data generation."""
+    """Per-experiment cache of the deterministic parts of data generation.
+
+    Every observation is ``L1 E L2'`` for factors with ``L1 L1' = sigma1`` and
+    ``L2 L2' = sigma2``.  When both matrices carry a usable factor and the
+    noise is normal (model 1), ``Lk = Dk [Bk, sqrt(1/2) I]`` and ``E`` has
+    shape ``(p + l1, q + l2)``, so an observation is
+
+        ``D1 (E22 / 2 + sqrt(1/2) B1 E12 + sqrt(1/2) E21 B2' + B1 E11 B2') D2``
+
+    at ``O(pq(l1 + l2))``.  A group draws its ``(count, p, q)`` blocks ``E22``
+    first, then each observation in turn draws its ``E11``, ``E12`` and
+    ``E21`` entries, in that order.  Otherwise ``E`` is ``(p, q)`` and the
+    factors are dense: the symmetric square roots (model 2, or matrices
+    without a usable factor), or model 3's full-spectrum eigenfactors.
+    """
 
     def __init__(self, spec: ModelSpec, sigma1: np.ndarray, sigma2: np.ndarray):
         self.spec = spec
@@ -195,9 +267,20 @@ class _RoundGenerator:
             mask[: spec.signal_rows, : spec.signal_cols] = False
         self.mu = mu
         self.mask = mask
-        # Noise is left @ E @ right: left @ left.T = sigma1, right.T @ right = sigma2.
         self.noise_dist = spec.w_dist if spec.model == 3 else "normal"
-        if spec.model == 3:
+        f1 = f2 = None
+        if spec.model != 3:
+            f1, f2 = _usable_factor(sigma1), _usable_factor(sigma2)
+        self.factored = f1 is not None and f2 is not None
+        if self.factored:
+            (d1, b1), (d2, b2) = f1, f2
+            self.half_scale = 0.5 * np.outer(d1, d2)  # D1 (E22 / 2) D2, entrywise
+            self.row_loadings = d1[:, None] * b1  # D1 B1
+            self.col_loadings_t = (d2[:, None] * b2).T  # (D2 B2)'
+            self.row_scale = math.sqrt(0.5) * d1
+            self.col_scale = math.sqrt(0.5) * d2
+        elif spec.model == 3:
+            # Dense noise is left @ E @ right: left @ left.T = sigma1, right.T @ right = sigma2.
             e1 = sym_eigen(sigma1)
             e2 = sym_eigen(sigma2)
             self.left = e1.vectors * np.sqrt(np.clip(e1.values, 0.0, None))
@@ -206,13 +289,32 @@ class _RoundGenerator:
             self.left = symmetric_sqrt(sigma1)
             self.right = symmetric_sqrt(sigma2)
 
+    def _factored_obs(self, obs: np.ndarray, rng: np.random.Generator) -> None:
+        # obs holds E22 and becomes half_scale * E22 + left @ right, with
+        # left = [D1 B1, sqrt(1/2) D1 E21] and
+        # right = [E11 (D2 B2)' + sqrt(1/2) E12 D2; (D2 B2)'].
+        p, q = obs.shape
+        l1, l2 = self.row_loadings.shape[1], self.col_loadings_t.shape[0]
+        small = rng.standard_normal(l1 * l2 + l1 * q + p * l2)
+        e11 = small[: l1 * l2].reshape(l1, l2)
+        e12 = small[l1 * l2 : l1 * (l2 + q)].reshape(l1, q)
+        e21 = small[l1 * (l2 + q) :].reshape(p, l2)
+        left = np.concatenate([self.row_loadings, e21 * self.row_scale[:, None]], axis=1)
+        top = e11 @ self.col_loadings_t + e12 * self.col_scale
+        right = np.concatenate([top, self.col_loadings_t])
+        obs *= self.half_scale
+        obs += left @ right
+
     def _noise(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        # One draw for the whole group, then each observation is replaced by
-        # left @ E @ right in place: the only temporary is one observation,
-        # and the bits are those of a whole-group batched matmul.
+        # One draw for the whole group, then each observation is replaced in
+        # place: the only temporary is one observation, and the bits are those
+        # of the whole-group batched formula.
         noise = _draw_noise_entries(self.noise_dist, (count, self.spec.p, self.spec.q), rng)
         for obs in noise:
-            np.matmul(self.left @ obs, self.right, out=obs)
+            if self.factored:
+                self._factored_obs(obs, rng)
+            else:
+                np.matmul(self.left @ obs, self.right, out=obs)
         return noise
 
     def generate(self, rng: np.random.Generator) -> tuple[TwoSampleDataset, np.ndarray]:

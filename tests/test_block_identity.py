@@ -39,6 +39,35 @@ def random_dataset(seed, p, q, n, m):
     )
 
 
+def whole_group_noise(gen, sigma1, sigma2, count, rng):
+    """One group's noise by the whole-group formula, on the generator's draw order."""
+    e22 = _draw_noise_entries(gen.noise_dist, (count, gen.spec.p, gen.spec.q), rng)
+    if not gen.factored:
+        return gen.left @ e22 @ gen.right
+    # Model 1: D1 (E22 / 2 + sqrt(1/2) B1 E12 + sqrt(1/2) E21 B2' + B1 E11 B2') D2,
+    # grouped as D1 (E22 / 2) D2 + [D1 B1, sqrt(1/2) D1 E21] @ right with
+    # right = [E11 (D2 B2)' + sqrt(1/2) E12 D2; (D2 B2)']; the group's E22 is
+    # drawn first, then every observation's E11, E12 and E21.
+    (d1, b1), (d2, b2) = sigma1.factor, sigma2.factor
+    p, q, l1, l2 = len(d1), len(d2), b1.shape[1], b2.shape[1]
+    rows, cols_t = d1[:, None] * b1, (d2[:, None] * b2).T
+    small = rng.standard_normal((count, l1 * l2 + l1 * q + p * l2))
+    e11 = small[:, : l1 * l2].reshape(count, l1, l2)
+    e12 = small[:, l1 * l2 : l1 * (l2 + q)].reshape(count, l1, q)
+    e21 = small[:, l1 * (l2 + q) :].reshape(count, p, l2)
+    left = np.concatenate(
+        [np.broadcast_to(rows, (count, p, l1)), e21 * (math.sqrt(0.5) * d1)[:, None]], axis=2
+    )
+    right = np.concatenate(
+        [
+            e11 @ cols_t + e12 * (math.sqrt(0.5) * d2),
+            np.broadcast_to(cols_t, (count, l2, q)),
+        ],
+        axis=1,
+    )
+    return 0.5 * np.outer(d1, d2) * e22 + left @ right
+
+
 @pytest.mark.parametrize(
     "model,setting,w_dist",
     [(1, "a", "exp1"), (2, "b", "exp1"), (3, "a", "exp1"), (3, "d", "scaled_t6")],
@@ -48,15 +77,15 @@ def test_generation_is_bit_identical_in_blocks(model, setting, w_dist):
         model, setting, p=12, q=9, n=5, m=6, signal_rows=3, signal_cols=4, w_dist=w_dist
     )
     sigma1, sigma2 = gen_correlations(spec, derive_rng(8, 0, 0))
-    # The whole-group formula: one draw per group, then mu + left @ E @ right.
     gen = _RoundGenerator(spec, sigma1, sigma2)
+    # Model 1 draws from its factor form; models 2 and 3 keep left @ E @ right.
+    assert gen.factored == (model == 1)
     rng = derive_rng(8, 1, 1)
-    shape = (spec.p, spec.q)
-    ey = _draw_noise_entries(gen.noise_dist, (spec.n, *shape), rng)
-    ez = _draw_noise_entries(gen.noise_dist, (spec.m, *shape), rng)
+    ey = whole_group_noise(gen, sigma1, sigma2, spec.n, rng)
+    ez = whole_group_noise(gen, sigma1, sigma2, spec.m, rng)
     ds, _ = gen_round(spec, sigma1, sigma2, derive_rng(8, 1, 1))
-    assert ds.treatment.tobytes() == (gen.mu + gen.left @ ey @ gen.right).tobytes()
-    assert ds.control.tobytes() == (gen.left @ ez @ gen.right).tobytes()
+    assert ds.treatment.tobytes() == (gen.mu + ey).tobytes()
+    assert ds.control.tobytes() == ez.tobytes()
 
 
 @pytest.mark.parametrize("p,q,n,m", SHAPES)

@@ -9,9 +9,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from matfdp.linalg import symmetric_sqrt
 from matfdp.simlab import (
     ModelSpec,
     _draw_noise_entries,
+    _RoundGenerator,
     gen_correlations,
     gen_round,
     preset_spec,
@@ -111,14 +113,15 @@ def test_noise_entry_moments():
         (2, dict(rho1=0.5, rho2=0.3)),
         (3, dict(w_dist="exp1")),
         (3, dict(w_dist="scaled_t6")),
+        (1, dict(l1=0)),
     ],
-    ids=["model1", "model2", "model3-exp1", "model3-scaled_t6"],
+    ids=["model1", "model2", "model3-exp1", "model3-scaled_t6", "model1-l1_0"],
 )
 def test_gen_round_matches_target_covariance(model, extra):
     spec = ModelSpec(
-        model=model, p=3, q=3, n=6000, m=6000, l1=2, l2=2,
+        model=model, p=3, q=3, n=6000, m=6000,
         loading_dist=("uniform", 0.0, 1.0),
-        signal_rows=2, signal_cols=2, signal_amplitude=0.0, **extra,
+        signal_rows=2, signal_cols=2, signal_amplitude=0.0, **{"l1": 2, "l2": 2, **extra},
     )
     sigma1, sigma2 = gen_correlations(spec, np.random.default_rng(9))
     ds, _ = gen_round(spec, sigma1, sigma2, np.random.default_rng(10))
@@ -128,6 +131,61 @@ def test_gen_round_matches_target_covariance(model, extra):
         emp = vecs.T @ vecs / len(group)
         rel = np.linalg.norm(emp - target) / np.linalg.norm(target)
         assert rel < 0.15
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        preset_spec(1, "a", p=40, q=30, n=6, m=6),
+        preset_spec(1, "b", p=40, q=30, n=6, m=6),
+        ModelSpec(model=1, p=7, q=6, n=6, m=6, l1=0, l2=3, signal_rows=2, signal_cols=2),
+        ModelSpec(model=1, p=7, q=6, n=6, m=6, l1=3, l2=0, signal_rows=2, signal_cols=2),
+    ],
+    ids=["1a", "1b", "l1_0", "l2_0"],
+)
+def test_model1_factor_rebuilds_sigma(spec):
+    # L = D [B, sqrt(1/2) I] has L L' = Sigma: the exact form model 1 draws from.
+    sigmas = gen_correlations(spec, derive_rng(12, 0, 0))
+    for sigma in sigmas:
+        d, b = sigma.factor
+        dim = len(sigma)
+        factor = d[:, None] * np.hstack([b, np.sqrt(0.5) * np.eye(dim)])
+        assert factor.shape == (dim, b.shape[1] + dim)
+        assert np.abs(factor @ factor.T - sigma).max() <= 1e-14
+    assert _RoundGenerator(spec, *sigmas).factored
+
+
+def _edited_copy(sigma):
+    out = sigma.copy()
+    out[0, 0] += 1e-3
+    return out
+
+
+def _edited_in_place(sigma):
+    # The attribute survives an edit in place, so this factor is stale.
+    sigma[0, 0] += 1e-3
+    assert sigma.factor is not None
+    return sigma
+
+
+@pytest.mark.parametrize(
+    "derive",
+    [np.array, lambda s: s * 1.0, _edited_copy, _edited_in_place],
+    ids=["np.array", "times-one", "edited-copy", "edited-in-place"],
+)
+def test_derived_sigma_generates_through_the_dense_root(derive):
+    spec = preset_spec(1, "a", p=12, q=9, n=5, m=6, signal_rows=3, signal_cols=4)
+    sigma1, sigma2 = (derive(s) for s in gen_correlations(spec, derive_rng(13, 0, 0)))
+    gen = _RoundGenerator(spec, sigma1, sigma2)
+    assert not gen.factored
+    # The dense path: one draw per group, then mu + sqrt(sigma1) @ E @ sqrt(sigma2).
+    left, right = symmetric_sqrt(sigma1), symmetric_sqrt(sigma2)
+    rng = derive_rng(13, 1, 1)
+    ey = _draw_noise_entries("normal", (spec.n, spec.p, spec.q), rng)
+    ez = _draw_noise_entries("normal", (spec.m, spec.p, spec.q), rng)
+    ds, _ = gen_round(spec, sigma1, sigma2, derive_rng(13, 1, 1))
+    assert ds.treatment.tobytes() == (gen.mu + left @ ey @ right).tobytes()
+    assert ds.control.tobytes() == (left @ ez @ right).tobytes()
 
 
 def test_gen_round_is_deterministic():
@@ -180,6 +238,21 @@ def test_spec_validation():
 def test_signal_block_messages(rows, cols, message):
     with pytest.raises(ValueError, match=message):
         ModelSpec(model=1, p=4, q=4, signal_rows=rows, signal_cols=cols)
+
+
+@pytest.mark.parametrize("amplitude", [float("nan"), float("inf"), -float("inf")])
+def test_spec_rejects_non_finite_amplitude(amplitude):
+    with pytest.raises(ValueError, match="signal_amplitude must be finite"):
+        preset_spec(1, "a", p=12, q=12, n=8, m=8, signal_amplitude=amplitude)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [("uniform", -float("inf"), 1.0), ("uniform", 0.0, float("inf")), ("uniform", -1e308, 1e308)],
+)
+def test_spec_rejects_an_unbounded_uniform_range(dist):
+    with pytest.raises(ValueError, match="finite range"):
+        ModelSpec(model=1, p=4, q=4, signal_rows=2, signal_cols=2, loading_dist=dist)
 
 
 def test_run_experiment_records_and_summaries():
