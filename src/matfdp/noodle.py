@@ -44,13 +44,16 @@ class FactorFit:
     ``common_part`` holds the fitted factor contribution per cell, shape
     ``(p, q)``; ``factors`` the realised factor estimates per pair, shape
     ``(h,)``.  For grid loadings ``factors.reshape((k1, k2), order="F")`` is
-    the realised factor matrix.
+    the realised factor matrix.  ``trim_fallback`` and ``trim_converged``
+    copy the trimmed fit's ``used_fallback`` and ``converged``; they stay
+    ``False`` and ``True`` on the least-squares path and with no live pair.
     """
 
     loadings: PairLoadings
     factors: np.ndarray
     common_part: np.ndarray
     trim_fallback: bool = False
+    trim_converged: bool = True
 
 
 def _sqrt_weights(loadings: PairLoadings) -> np.ndarray:
@@ -77,14 +80,14 @@ def _fit(x: TestMatrix, loadings: PairLoadings, estimator: str, trimmed_fit) -> 
             f"{(loadings.p, loadings.q)}"
         )
     sqrt_theta = _sqrt_weights(loadings)
-    fallback = False
+    fallback, converged = False, True
     if estimator == "trimmed_l1":
         live = sqrt_theta > 0.0
         factors = np.zeros(loadings.h)
         if live.any():
             v1, g1 = loadings.vector_factors()
             fit = trimmed_fit(x.x, v1[:, live] * sqrt_theta[live], g1[:, live])
-            factors[live], fallback = fit.w, fit.used_fallback
+            factors[live], fallback, converged = fit.w, fit.used_fallback, fit.converged
         coef = sqrt_theta * factors
     else:
         v = loadings.eig1.vectors[:, : loadings.k1]
@@ -93,7 +96,7 @@ def _fit(x: TestMatrix, loadings: PairLoadings, estimator: str, trimmed_fit) -> 
         with np.errstate(divide="ignore", invalid="ignore"):
             factors = np.where(sqrt_theta > 0.0, proj / sqrt_theta, 0.0)
         coef = np.where(sqrt_theta > 0.0, proj, 0.0)
-    return FactorFit(loadings, factors, loadings.expand(coef), fallback)
+    return FactorFit(loadings, factors, loadings.expand(coef), fallback, converged)
 
 
 def fit_noodle(

@@ -7,7 +7,8 @@ with the same doubly-correlated noise.
 * Model 1: each correlation matrix comes from a random low-rank loading
   matrix plus a diagonal floor, rescaled to unit diagonal.  Its noise is
   drawn from that factor form, at ``O(pq(l1 + l2))`` per observation plus
-  the normal draws (see :class:`_RoundGenerator`).
+  the normal draws (see :class:`_RoundGenerator`).  The matrix and its
+  factor are read-only, so the factor cannot go stale.
 * Model 2: same, but the floor is a power-decay matrix ``rho ** |i - j|``.
 * Model 3: the correlations are built as in Model 1, but the noise itself is
   non-normal: full-spectrum square-root factors applied to a matrix of
@@ -179,27 +180,33 @@ def _noise_floor(spec: ModelSpec, side: int) -> np.ndarray:
 
 
 class _FactoredCorrelation(np.ndarray):
-    """A correlation matrix ``D (B B' + I / 2) D`` that keeps its factor.
+    """A read-only correlation matrix ``D (B B' + I / 2) D`` that keeps its factor.
 
     ``factor`` is ``(d, B)``: the diagonal of ``D`` and the loadings, so
-    ``L = D [B, sqrt(1/2) I]`` has ``L L' = Sigma``.  This is numpy's ndarray
-    subclass with an extra attribute: every array derived from one (a view, a
-    copy, arithmetic) has ``factor = None``, and ``np.array`` returns a plain
-    array.  An edit in place keeps a stale factor; :func:`_usable_factor`
-    refuses it.
+    ``L = D [B, sqrt(1/2) I]`` has ``L L' = Sigma``.  The matrix and both
+    factor parts are read-only, so an edit in place raises ``ValueError``
+    rather than leaving a stale factor.  This is numpy's ndarray subclass
+    with an extra attribute: every array derived from one (a view, a copy,
+    arithmetic) has ``factor = None``, and ``np.array`` returns a plain,
+    writable array.
     """
 
     def __array_finalize__(self, obj):
         self.factor = None
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _correlation(spec: ModelSpec, loadings: np.ndarray, side: int) -> np.ndarray:
     cov = loadings @ loadings.T + _noise_floor(spec, side)
-    sigma = corr_from_cov(cov)
+    sigma = _read_only(corr_from_cov(cov))
     if spec.model != 1:
         return sigma
     sigma = sigma.view(_FactoredCorrelation)
-    sigma.factor = (1.0 / np.sqrt(np.diag(cov)), loadings)
+    sigma.factor = (_read_only(1.0 / np.sqrt(np.diag(cov))), _read_only(loadings))
     return sigma
 
 
@@ -209,8 +216,9 @@ def gen_correlations(
     """Draw the row and column correlation matrices for one experiment.
 
     Each is ``corr_from_cov(B B' + F)`` for random loadings ``B`` and the
-    model's floor ``F``.  For model 1, ``F = I / 2`` and each matrix also
-    carries its factor ``(d, B)`` as ``.factor``
+    model's floor ``F``, and is read-only: to change one, edit a copy
+    (``np.array(sigma)``).  For model 1, ``F = I / 2`` and each matrix also
+    carries its read-only factor ``(d, B)`` as ``.factor``
     (:class:`_FactoredCorrelation`, still an ndarray with the same values),
     which :class:`_RoundGenerator` draws from.
     """
@@ -219,33 +227,11 @@ def gen_correlations(
     return _correlation(spec, b1, 1), _correlation(spec, b2, 2)
 
 
-#: Largest max-abs gap between ``Sigma`` and its rebuilt factor form for
-#: :class:`_RoundGenerator` to draw from the factor.
-_FACTOR_TOL = 1e-12
-
-
-def _usable_factor(sigma) -> tuple[np.ndarray, np.ndarray] | None:
-    """``sigma.factor`` if ``D (B B' + I / 2) D`` rebuilds ``sigma``, else ``None``.
-
-    The check costs ``O(p^2 l)`` and refuses a factor left stale by an edit in
-    place.
-    """
-    factor = getattr(sigma, "factor", None)
-    if factor is None:
-        return None
-    d, b = factor
-    scaled = d[:, None] * b
-    rebuilt = scaled @ scaled.T
-    rebuilt[np.diag_indices_from(rebuilt)] += 0.5 * d * d
-    gap = float(np.abs(rebuilt - sigma).max())
-    return factor if gap <= _FACTOR_TOL else None
-
-
 class _RoundGenerator:
     """Per-experiment cache of the deterministic parts of data generation.
 
     Every observation is ``L1 E L2'`` for factors with ``L1 L1' = sigma1`` and
-    ``L2 L2' = sigma2``.  When both matrices carry a usable factor and the
+    ``L2 L2' = sigma2``.  When both matrices carry a factor and the
     noise is normal (model 1), ``Lk = Dk [Bk, sqrt(1/2) I]`` and ``E`` has
     shape ``(p + l1, q + l2)``, so an observation is
 
@@ -255,7 +241,8 @@ class _RoundGenerator:
     first, then each observation in turn draws its ``E11``, ``E12`` and
     ``E21`` entries, in that order.  Otherwise ``E`` is ``(p, q)`` and the
     factors are dense: the symmetric square roots (model 2, or matrices
-    without a usable factor), or model 3's full-spectrum eigenfactors.
+    without a factor, such as a copy of a model-1 matrix), or model 3's
+    full-spectrum eigenfactors.
     """
 
     def __init__(self, spec: ModelSpec, sigma1: np.ndarray, sigma2: np.ndarray):
@@ -268,10 +255,8 @@ class _RoundGenerator:
         self.mu = mu
         self.mask = mask
         self.noise_dist = spec.w_dist if spec.model == 3 else "normal"
-        f1 = f2 = None
-        if spec.model != 3:
-            f1, f2 = _usable_factor(sigma1), _usable_factor(sigma2)
-        self.factored = f1 is not None and f2 is not None
+        f1, f2 = getattr(sigma1, "factor", None), getattr(sigma2, "factor", None)
+        self.factored = spec.model != 3 and f1 is not None and f2 is not None
         if self.factored:
             (d1, b1), (d2, b2) = f1, f2
             self.half_scale = 0.5 * np.outer(d1, d2)  # D1 (E22 / 2) D2, entrywise
@@ -333,7 +318,10 @@ def gen_round(
     """Generate one round of data plus the ground-truth null mask.
 
     ``True`` in the mask marks a true null cell; with zero signal amplitude
-    the mask is all ``True`` (global null).
+    the mask is all ``True`` (global null).  Model 1 draws through the
+    factors that :func:`gen_correlations` attached to its read-only matrices;
+    any other matrix, such as a writable copy of one, draws through its dense
+    symmetric root.
     """
     return _RoundGenerator(spec, sigma1, sigma2).generate(rng)
 

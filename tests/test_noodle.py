@@ -9,7 +9,9 @@ from matfdp.covfactor import (
 )
 from matfdp.linalg import unvec, vec
 from matfdp.noodle import fdp_noodle, fdp_oracle, fit_noodle
+from matfdp import trimreg
 from matfdp.rng import derive_rng
+from matfdp.sandwich import fit_sandwich
 from matfdp.simlab import PRESETS, gen_correlations, gen_round, preset_spec
 from matfdp.teststats import p_values, rejection_count, test_matrix
 from scipy.special import ndtr, ndtri
@@ -203,3 +205,23 @@ def test_trimmed_estimator_smoke():
     assert np.max(np.abs(fit.factors - w_true)) < 0.2
     est = fdp_noodle(fit, 4, 0.01)
     assert 0.0 <= est <= 30 / 4
+
+
+@pytest.mark.parametrize(
+    "fit, build",
+    [(fit_noodle, build_noodle_loadings), (fit_sandwich, build_sandwich_loadings)],
+    ids=["noodle", "sandwich"],
+)
+def test_trimmed_fit_at_the_iteration_cap_is_not_converged(fit, build, monkeypatch):
+    # A preset-1a statistic's kept set takes several C-steps to repeat.
+    spec = preset_spec(1, "a", p=40, q=40, n=20, m=20)
+    sigma1, sigma2 = gen_correlations(spec, derive_rng(6, 0, 0))
+    ds, _ = gen_round(spec, sigma1, sigma2, derive_rng(6, 1, 1))
+    x = test_matrix(ds)
+    loadings = build(estimate_correlations(ds, x.sigma_hat))
+    assert fit(x, loadings, "trimmed_l1").trim_converged is True
+    assert fit(x, loadings).trim_converged is True
+    monkeypatch.setattr(trimreg, "MAX_ITERS", 1)
+    capped = fit(x, loadings, "trimmed_l1")
+    assert capped.trim_converged is False
+    assert capped.trim_fallback is False

@@ -155,23 +155,28 @@ def test_model1_factor_rebuilds_sigma(spec):
     assert _RoundGenerator(spec, *sigmas).factored
 
 
+@pytest.mark.parametrize("model", [1, 2, 3])
+def test_generated_correlations_are_read_only(model):
+    spec = preset_spec(model, "a", p=6, q=5, n=6, m=6, signal_rows=2, signal_cols=2)
+    sigmas = gen_correlations(spec, derive_rng(14, 0, 0))
+    parts = list(sigmas)
+    if model == 1:
+        parts += [part for sigma in sigmas for part in sigma.factor]
+    for part in parts:
+        with pytest.raises(ValueError, match="read-only"):
+            part[0] += 1.0
+
+
 def _edited_copy(sigma):
     out = sigma.copy()
     out[0, 0] += 1e-3
     return out
 
 
-def _edited_in_place(sigma):
-    # The attribute survives an edit in place, so this factor is stale.
-    sigma[0, 0] += 1e-3
-    assert sigma.factor is not None
-    return sigma
-
-
 @pytest.mark.parametrize(
     "derive",
-    [np.array, lambda s: s * 1.0, _edited_copy, _edited_in_place],
-    ids=["np.array", "times-one", "edited-copy", "edited-in-place"],
+    [np.array, lambda s: s * 1.0, _edited_copy, lambda s: s.T, lambda s: s[:, :]],
+    ids=["np.array", "times-one", "edited-copy", "transpose", "full-slice"],
 )
 def test_derived_sigma_generates_through_the_dense_root(derive):
     spec = preset_spec(1, "a", p=12, q=9, n=5, m=6, signal_rows=3, signal_cols=4)
