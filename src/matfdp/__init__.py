@@ -10,6 +10,11 @@ spectrum of the two correlation estimates), ``sandwich`` (the same model on
 the full top-``k1`` x top-``k2`` grid of pairs), and ``pfa`` (a
 principal-factor baseline on the vectorised data).  A simulation
 lab, dataset file format, and command-line interface sit on top.
+
+The top level exports the pipeline (statistics, correlations, loadings,
+fit, plug-in FDP) with its result types; lower-level
+pieces (``linalg``'s primitives, ``eigenvalue_ratio``, ``build_thin_factor``,
+``trimmed_l1_fit``) are imported from their own modules.
 """
 
 from .covfactor import (
@@ -17,8 +22,6 @@ from .covfactor import (
     PairLoadings,
     build_noodle_loadings,
     build_sandwich_loadings,
-    default_max_factors,
-    eigenvalue_ratio,
     estimate_correlations,
     noodle_loadings_from_corr,
     sandwich_loadings_from_corr,
@@ -33,18 +36,8 @@ from .errors import (
     NonPositiveEigenvalue,
     NotPsd,
 )
-from .linalg import (
-    EigenSystem,
-    KronEigenIndex,
-    corr_from_cov,
-    kron_eigenpairs,
-    sym_eigen,
-    symmetric_sqrt,
-    unvec,
-    vec,
-)
 from .noodle import FactorFit, fdp_noodle, fdp_oracle, fit_noodle
-from .pfa import ThinFactor, build_thin_factor, fdp_pfa
+from .pfa import fdp_pfa
 from .rng import derive_rng
 from .sandwich import fdp_sandwich, fit_sandwich
 from .simlab import (
@@ -64,70 +57,59 @@ from .teststats import (
     TrueFdp,
     TwoSampleDataset,
     p_values,
-    pooled_sigma,
     rejection_count,
     test_matrix,
     true_fdp,
 )
-from .trimreg import TrimmedFit, trimmed_l1_fit
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CorrEstimates",
-    "DatasetFormatError",
-    "DegenerateVariance",
-    "EigenSystem",
-    "ExperimentResult",
-    "FactorFit",
-    "InvalidFactorCount",
-    "InvalidMatrix",
-    "KronEigenIndex",
-    "METHODS",
-    "MatfdpError",
-    "MethodSummary",
-    "ModelSpec",
-    "NonPositiveEigenvalue",
-    "NotPsd",
-    "PairLoadings",
-    "RoundFailure",
-    "RoundRecord",
-    "TestMatrix",
-    "ThinFactor",
-    "TrimmedFit",
-    "TrueFdp",
+    # Data.
     "TwoSampleDataset",
+    "read_dataset",
+    "write_dataset",
+    # Statistics.
+    "test_matrix",
+    "TestMatrix",
+    "p_values",
+    "rejection_count",
+    "true_fdp",
+    "TrueFdp",
+    # Estimation.
+    "estimate_correlations",
+    "CorrEstimates",
     "build_noodle_loadings",
     "build_sandwich_loadings",
-    "build_thin_factor",
-    "corr_from_cov",
-    "default_max_factors",
-    "derive_rng",
-    "eigenvalue_ratio",
-    "estimate_correlations",
-    "fdp_noodle",
-    "fdp_oracle",
-    "fdp_pfa",
-    "fdp_sandwich",
+    "PairLoadings",
     "fit_noodle",
     "fit_sandwich",
+    "FactorFit",
+    "fdp_noodle",
+    "fdp_sandwich",
+    "fdp_pfa",
+    # Oracle.
+    "fdp_oracle",
+    "noodle_loadings_from_corr",
+    "sandwich_loadings_from_corr",
+    # Simulation.
+    "METHODS",
+    "ModelSpec",
+    "preset_spec",
     "gen_correlations",
     "gen_round",
-    "kron_eigenpairs",
-    "noodle_loadings_from_corr",
-    "p_values",
-    "pooled_sigma",
-    "preset_spec",
-    "read_dataset",
-    "rejection_count",
     "run_experiment",
-    "sandwich_loadings_from_corr",
-    "sym_eigen",
-    "symmetric_sqrt",
-    "test_matrix",
-    "trimmed_l1_fit",
-    "true_fdp",
-    "unvec",
-    "vec",
-    "write_dataset",
+    "ExperimentResult",
+    "RoundRecord",
+    "RoundFailure",
+    "MethodSummary",
+    "derive_rng",
+    # Errors.
+    "MatfdpError",
+    "DatasetFormatError",
+    "DegenerateVariance",
+    "InvalidFactorCount",
+    "InvalidMatrix",
+    "NonPositiveEigenvalue",
+    "NotPsd",
 ]

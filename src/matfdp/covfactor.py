@@ -273,15 +273,15 @@ def _grid_pairs(e1: EigenSystem, e2: EigenSystem, k1: int, k2: int) -> PairLoadi
     return _pair_loadings(e1, e2, idx1, idx2, lam[idx1] * xi[idx2])
 
 
-def build_noodle_loadings(ce: CorrEstimates, h: int | None = None) -> PairLoadings:
+def build_noodle_loadings(ce: CorrEstimates) -> PairLoadings:
     """Top-``h`` Kronecker-spectrum pairs from fitted correlations.
 
-    With ``h=None`` the count is selected by :func:`eigenvalue_ratio` over the
-    sorted eigenvalue products, capped at ``default_max_factors(n_total)``.
+    The count ``h`` is selected by :func:`eigenvalue_ratio` over the sorted
+    eigenvalue products, capped at ``default_max_factors(n_total)``; for an
+    explicit count, see :func:`noodle_loadings_from_corr`.
     """
     kron = kron_eigenpairs(ce.eig1, ce.eig2)
-    if h is None:
-        h = eigenvalue_ratio(kron.values, default_max_factors(ce.n_total))
+    h = eigenvalue_ratio(kron.values, default_max_factors(ce.n_total))
     return _top_pairs(ce.eig1, ce.eig2, kron, h)
 
 
@@ -296,20 +296,17 @@ def noodle_loadings_from_corr(sigma1, sigma2, h: int) -> PairLoadings:
     return _top_pairs(e1, e2, kron_eigenpairs(e1, e2), h)
 
 
-def build_sandwich_loadings(
-    ce: CorrEstimates, k1: int | None = None, k2: int | None = None
-) -> PairLoadings:
+def build_sandwich_loadings(ce: CorrEstimates) -> PairLoadings:
     """Full top-``k1`` x top-``k2`` grid of pairs from fitted correlations.
 
-    Factor counts default to :func:`eigenvalue_ratio` applied to each side's
-    eigenvalues with the same cap as :func:`build_noodle_loadings`.  Negative
+    Each count is selected by :func:`eigenvalue_ratio` over its side's
+    eigenvalues, with the same cap as :func:`build_noodle_loadings`; for
+    explicit counts, see :func:`sandwich_loadings_from_corr`.  Negative
     eigenvalues are clamped to zero in the pair weights.
     """
     cap = default_max_factors(ce.n_total)
-    if k1 is None:
-        k1 = eigenvalue_ratio(ce.eig1.values, cap)
-    if k2 is None:
-        k2 = eigenvalue_ratio(ce.eig2.values, cap)
+    k1 = eigenvalue_ratio(ce.eig1.values, cap)
+    k2 = eigenvalue_ratio(ce.eig2.values, cap)
     return _grid_pairs(ce.eig1, ce.eig2, k1, k2)
 
 

@@ -81,8 +81,9 @@ def read_dataset(directory: str | os.PathLike) -> TwoSampleDataset:
     ------
     DatasetFormatError
         On a missing or malformed manifest (including a foreign
-        ``schema_version``, a non-integer dimension or a member file name that
-        is not a plain name inside ``directory``), a group-size mismatch, the
+        or non-integer ``schema_version``, a non-integer dimension, a member
+        file name that is not a plain name inside ``directory`` or that is
+        listed twice), a group-size mismatch, the
         first member file (in manifest order) that is not a regular file or
         fails to parse to a finite ``p x q`` matrix, or stacks too large to
         allocate.  The exception's ``path`` names the offending file.
@@ -102,8 +103,9 @@ def read_dataset(directory: str | os.PathLike) -> TwoSampleDataset:
         ) from exc
     if not isinstance(manifest, dict):
         raise DatasetFormatError("manifest must be a JSON object", path=manifest_path)
+    # type() rather than isinstance: bool is an int subclass, and 1.0 == 1.
     version = manifest.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise DatasetFormatError(
             f"manifest schema_version {version!r} is not {SCHEMA_VERSION}", path=manifest_path
         )
@@ -115,8 +117,8 @@ def read_dataset(directory: str | os.PathLike) -> TwoSampleDataset:
             )
     p, q, n, m = (manifest[k] for k in ("p", "q", "n", "m"))
     for key, value in zip("pqnm", (p, q, n, m)):
-        # bool is an int subclass; a float would be truncated silently.
-        if not isinstance(value, int) or isinstance(value, bool):
+        # A float would be truncated silently.
+        if type(value) is not int:
             raise DatasetFormatError(
                 f"manifest dimension {key!r} must be an integer, got {value!r}",
                 path=manifest_path,
@@ -135,6 +137,12 @@ def read_dataset(directory: str | os.PathLike) -> TwoSampleDataset:
                     "dataset directory",
                     path=manifest_path,
                 )
+    names = treatment_files + control_files
+    if len(set(names)) != len(names):
+        twice = next(name for i, name in enumerate(names) if name in names[:i])
+        raise DatasetFormatError(
+            f"manifest lists member file {twice!r} more than once", path=manifest_path
+        )
     if len(treatment_files) != n or len(control_files) != m:
         raise DatasetFormatError(
             f"manifest group sizes (n={n}, m={m}) do not match file lists "
@@ -144,7 +152,7 @@ def read_dataset(directory: str | os.PathLike) -> TwoSampleDataset:
 
     # The manifest's numbers size nothing until a member file has parsed to
     # (p, q).
-    paths = [os.path.join(directory, name) for name in treatment_files + control_files]
+    paths = [os.path.join(directory, name) for name in names]
     if not paths:
         raise DatasetFormatError("manifest lists no member files", path=manifest_path)
     first = _read_matrix(paths[0], p, q)

@@ -60,11 +60,6 @@ def vec(x: np.ndarray) -> np.ndarray:
     return np.ravel(x, order="F")
 
 
-def unvec(v: np.ndarray, p: int, q: int) -> np.ndarray:
-    """Inverse of :func:`vec` for a ``p x q`` matrix."""
-    return np.reshape(v, (p, q), order="F")
-
-
 def _fix_signs(vectors: np.ndarray) -> None:
     """Flip columns in place so the leading non-negligible component is positive."""
     # Two comparisons rather than np.abs: no float temporary the size of vectors.

@@ -20,9 +20,6 @@ from scipy.special import ndtr
 
 from .errors import DegenerateVariance
 
-#: Pooled standard deviations at or below this are treated as degenerate.
-SIGMA_FLOOR = 1e-300
-
 
 @dataclass(frozen=True)
 class TwoSampleDataset:
@@ -88,7 +85,8 @@ def _pooled_moments(ds: TwoSampleDataset) -> tuple[np.ndarray, np.ndarray, np.nd
     Squared deviations are added one observation at a time, the order of
     numpy's axis-0 sum, so the result has the bits of the two-pass formula
     ``((y - ybar) ** 2).sum(0) + ((z - zbar) ** 2).sum(0)`` without its
-    data-sized temporaries.
+    data-sized temporaries.  A cell whose standard deviation is zero raises
+    :class:`DegenerateVariance` through :func:`check_sigma_hat`.
     """
     means = (ds.treatment.mean(axis=0), ds.control.mean(axis=0))
     ss = np.zeros((ds.p, ds.q))
@@ -101,27 +99,7 @@ def _pooled_moments(ds: TwoSampleDataset) -> tuple[np.ndarray, np.ndarray, np.nd
             acc += dev
         ss += acc
     ss /= ds.n + ds.m - 2
-    sigma = np.sqrt(ss, out=ss)
-    bad = np.argwhere(sigma <= SIGMA_FLOOR)
-    if bad.size:
-        i, j = (int(v) for v in bad[0])
-        raise DegenerateVariance(i, j)
-    return means[0], means[1], sigma
-
-
-def pooled_sigma(ds: TwoSampleDataset) -> np.ndarray:
-    """Cell-wise pooled standard deviation, shape ``(p, q)``.
-
-    Sums squared deviations from each group mean and divides by
-    ``n + m - 2`` before taking the square root.
-
-    Raises
-    ------
-    DegenerateVariance
-        If any cell's pooled standard deviation is at or below ``SIGMA_FLOOR``;
-        the exception carries the first offending cell in row-major order.
-    """
-    return _pooled_moments(ds)[2]
+    return means[0], means[1], check_sigma_hat(ds, np.sqrt(ss, out=ss))
 
 
 @dataclass(frozen=True)

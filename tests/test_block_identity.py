@@ -24,7 +24,7 @@ from matfdp.simlab import (
     gen_round,
     preset_spec,
 )
-from matfdp.teststats import TwoSampleDataset, pooled_sigma
+from matfdp.teststats import TwoSampleDataset
 from matfdp.teststats import test_matrix as build_stats
 
 # p * q > 1 throughout: for 1 x 1 matrices numpy's axis-0 sum runs along a
@@ -97,7 +97,6 @@ def test_statistics_are_bit_identical_to_the_two_pass_formula(p, q, n, m):
     scale = math.sqrt(n * m / (n + m))
     x = scale * (y.mean(axis=0) - z.mean(axis=0)) / sigma
     tm = build_stats(ds)
-    assert pooled_sigma(ds).tobytes() == sigma.tobytes()
     assert tm.sigma_hat.tobytes() == sigma.tobytes()
     assert tm.x.tobytes() == x.tobytes()
     assert tm.scale == scale
@@ -112,7 +111,7 @@ def residual_stack(ds, sigma_hat):
 @pytest.mark.parametrize("p,q,n,m", SHAPES)
 def test_correlations_in_blocks_match_one_block(monkeypatch, p, q, n, m):
     ds = random_dataset(10, p, q, n, m)
-    sig = pooled_sigma(ds)
+    sig = build_stats(ds).sigma_hat
     monkeypatch.setattr(covfactor, "_BLOCK_SLICES", n + m)
     whole = estimate_correlations(ds, sig)
     # One block is the products of the whole (p, n + m, q) residual stack.

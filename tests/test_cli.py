@@ -458,13 +458,20 @@ def test_simulate_tiny_trim_fraction_records_failures(tmp_path, capsys, monkeypa
         # Right length, so only the element type is wrong.
         lambda manifest: {**manifest, "treatment": [3, *manifest["treatment"][1:]]},
         lambda manifest: {**manifest, "schema_version": 2},
+        # Both compare equal to 1.
+        lambda manifest: {**manifest, "schema_version": True},
+        lambda manifest: {**manifest, "schema_version": 1.0},
         # No file is left after the first, so no share is dealt out.
         lambda manifest: {
             **manifest, "n": 1, "m": 0, "treatment": manifest["treatment"][:1], "control": [],
         },
+        # Well-formed, but the same observation twice.
+        lambda manifest: {
+            **manifest, "control": [manifest["control"][0], *manifest["control"][:-1]],
+        },
     ],
     ids=["number", "null", "treatment-number", "treatment-int-list", "foreign-schema",
-         "single-member"],
+         "schema-true", "schema-float", "single-member", "duplicate-member"],
 )
 def test_malformed_manifest_exit_3(tmp_path, capsys, edit):
     data = tmp_path / "data"

@@ -11,9 +11,9 @@ from matfdp.covfactor import (
     sandwich_loadings_from_corr,
 )
 from matfdp.errors import InvalidFactorCount, NonPositiveEigenvalue
-from matfdp.linalg import unvec, vec
+from matfdp.linalg import vec
 from matfdp.rng import derive_rng
-from matfdp.teststats import TwoSampleDataset, pooled_sigma
+from matfdp.teststats import TwoSampleDataset, test_matrix
 
 from helpers import random_corr, sample_matrix_normal_stack, side_loadings
 
@@ -28,7 +28,7 @@ def correlated_dataset(seed, n=8, m=9, p=5, q=6):
 
 
 def estimates_for(ds):
-    return estimate_correlations(ds, pooled_sigma(ds))
+    return estimate_correlations(ds, test_matrix(ds).sigma_hat)
 
 
 def test_unit_diagonals_and_symmetry():
@@ -74,7 +74,7 @@ def test_single_row_matrix_gives_trivial_sigma1():
 def test_estimator_matches_direct_formula():
     # Direct per-observation outer-product oracle against the vectorised path.
     ds = correlated_dataset(21, n=6, m=5, p=4, q=3)
-    sigma = pooled_sigma(ds)
+    sigma = test_matrix(ds).sigma_hat
     ce = estimate_correlations(ds, sigma)
     df = ds.n + ds.m - 2
     ybar = ds.treatment.mean(axis=0)
@@ -198,7 +198,7 @@ def test_sandwich_row_norms_match_dense_kron():
         design = np.kron(right, left)  # rows follow column-major cells
         dense = (design**2).sum(axis=1)
         assert np.allclose(
-            sl.row_norms_sq, np.minimum(unvec(dense, p, q), 1.0 - 1e-8), atol=1e-10
+            sl.row_norms_sq, np.minimum(dense.reshape((p, q), order="F"), 1.0 - 1e-8), atol=1e-10
         )
 
 
@@ -230,7 +230,3 @@ def test_build_from_estimates_data_driven_counts():
     cap = default_max_factors(ce.n_total)
     assert 1 <= nl.h <= cap
     assert 1 <= sl.k1 <= cap and 1 <= sl.k2 <= cap
-    # Explicit counts pass through unchanged.
-    assert build_noodle_loadings(ce, h=3).h == 3
-    sl2 = build_sandwich_loadings(ce, k1=2, k2=4)
-    assert (sl2.k1, sl2.k2) == (2, 4)

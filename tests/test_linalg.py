@@ -9,7 +9,6 @@ from matfdp.linalg import (
     kron_eigenpairs,
     sym_eigen,
     symmetric_sqrt,
-    unvec,
     vec,
 )
 from matfdp.rng import derive_rng
@@ -220,7 +219,7 @@ def test_vec_roundtrip_column_major():
     v = vec(m)
     # Column stacking: cell (r, c) lands at c * p + r.
     assert np.allclose(v, [0.0, 3.0, 1.0, 4.0, 2.0, 5.0])
-    assert np.array_equal(unvec(v, 2, 3), m)
+    assert np.array_equal(np.reshape(v, (2, 3), order="F"), m)
 
 
 def test_derive_rng_slots_are_independent():

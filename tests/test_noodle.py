@@ -7,7 +7,7 @@ from matfdp.covfactor import (
     estimate_correlations,
     noodle_loadings_from_corr,
 )
-from matfdp.linalg import unvec, vec
+from matfdp.linalg import vec
 from matfdp.noodle import fdp_noodle, fdp_oracle, fit_noodle
 from matfdp import trimreg
 from matfdp.rng import derive_rng

@@ -8,7 +8,6 @@ from matfdp.rng import derive_rng
 from matfdp.teststats import (
     TwoSampleDataset,
     p_values,
-    pooled_sigma,
     rejection_count,
 )
 from matfdp.teststats import test_matrix as build_stats
@@ -45,7 +44,7 @@ def dense_cov(ds, sigma_hat=None):
 def test_gram_route_matches_dense_eigendecomposition():
     for seed in range(4):
         ds = random_dataset(seed, correlated=True)
-        sig = pooled_sigma(ds)
+        sig = build_stats(ds).sigma_hat
         tf = build_thin_factor(ds, sig)
         s = dense_cov(ds, sig)
         dense_vals = np.linalg.eigvalsh(s)[::-1]
@@ -80,7 +79,7 @@ def test_constant_groups_have_empty_spectrum():
     assert tf.rank == 0
     assert tf.values.size == 0
     with pytest.raises(DegenerateVariance):
-        pooled_sigma(ds)
+        build_stats(ds)
 
 
 def test_eigenvectors_count_validation():
@@ -148,7 +147,7 @@ def test_threshold_and_shape_validation():
 
 def test_invalid_scale_and_factor_count_raise():
     ds = random_dataset(17)
-    sig = pooled_sigma(ds)
+    sig = build_stats(ds).sigma_hat.copy()
     sig[1, 2] = 0.0
     with pytest.raises(DegenerateVariance, match=r"\(1, 2\)"):
         build_thin_factor(ds, sig)

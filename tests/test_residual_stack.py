@@ -12,7 +12,7 @@ from matfdp.linalg import vec
 from matfdp.pfa import _row_chunks, build_thin_factor
 from matfdp.rng import derive_rng
 from matfdp.simlab import METHODS, _RoundGenerator, gen_correlations, preset_spec, run_experiment
-from matfdp.teststats import TwoSampleDataset, pooled_sigma
+from matfdp.teststats import TwoSampleDataset
 from matfdp.teststats import test_matrix as build_stats
 
 SHAPES = [(4, 5), (1, 6), (5, 1), (1, 1)]
@@ -36,7 +36,7 @@ def test_thin_factor_columns_are_vec_of_residuals(monkeypatch, p, q):
     # The factor is never held whole: put its columns together from the row
     # chunks that both walks of build_thin_factor see.
     ds = random_dataset(1, p, q)
-    sig = pooled_sigma(ds)
+    sig = build_stats(ds).sigma_hat
     for slices in (1, 2, covfactor._BLOCK_SLICES):
         monkeypatch.setattr(covfactor, "_BLOCK_SLICES", slices)
         for sigma_hat in (np.ones((p, q)), sig):
@@ -59,7 +59,7 @@ def test_thin_factor_columns_are_vec_of_residuals(monkeypatch, p, q):
 def test_estimators_leave_the_data_unchanged(p, q):
     ds = random_dataset(2, p, q)
     y, z = ds.treatment.copy(), ds.control.copy()
-    sig = pooled_sigma(ds)
+    sig = build_stats(ds).sigma_hat
     estimate_correlations(ds, sig)
     build_thin_factor(ds, sig)
     assert np.array_equal(ds.treatment, y)
@@ -86,7 +86,7 @@ def test_correlation_peak_memory_is_one_default_block():
     # 1.25 when the whole stack was one block).
     p = q = 60
     ds = random_dataset(3, p, q, n=20, m=20)
-    sig = pooled_sigma(ds)
+    sig = build_stats(ds).sigma_hat
     stack_bytes = 8 * (ds.n + ds.m) * p * q
     peak = traced_peak(estimate_correlations, ds, sig)
     assert peak < 0.6 * stack_bytes, (peak, stack_bytes)
@@ -95,7 +95,7 @@ def test_correlation_peak_memory_is_one_default_block():
 def test_correlation_peak_memory_is_one_block(monkeypatch):
     p = q = 60
     ds = random_dataset(3, p, q, n=20, m=20)
-    sig = pooled_sigma(ds)
+    sig = build_stats(ds).sigma_hat
     stack_bytes = 8 * (ds.n + ds.m) * p * q
     monkeypatch.setattr(covfactor, "_BLOCK_SLICES", 4)
     peak = traced_peak(estimate_correlations, ds, sig)
@@ -108,7 +108,7 @@ def test_thin_factor_peak_memory_is_one_chunk():
     # measured 0.39 stacks, against 1.18 for the whole factor.
     p = q = 60
     ds = random_dataset(3, p, q, n=20, m=20)
-    sig = pooled_sigma(ds)
+    sig = build_stats(ds).sigma_hat
     stack_bytes = 8 * (ds.n + ds.m) * p * q
     peak = traced_peak(lambda: build_thin_factor(ds, sig).eigenvectors(3))
     assert peak < 0.5 * stack_bytes, (peak, stack_bytes)
@@ -129,7 +129,7 @@ def test_round_peak_memory_is_the_data_plus_small_arrays():
 def test_sigma_hat_is_checked_before_any_residual_is_built(estimator):
     p = q = 60
     ds = random_dataset(7, p, q, n=20, m=20)
-    sig = pooled_sigma(ds)
+    sig = build_stats(ds).sigma_hat
     zero = sig.copy()
     zero[1, 2] = 0.0
     for bad, error, match in (

@@ -7,7 +7,6 @@ from matfdp.teststats import (
     TestMatrix,
     TwoSampleDataset,
     p_values,
-    pooled_sigma,
     rejection_count,
     true_fdp,
 )
@@ -57,20 +56,20 @@ def test_pooled_sigma_hand_case():
     expected = np.sqrt(
         (((y - y.mean()) ** 2).sum() + ((z - z.mean()) ** 2).sum()) / 3.0
     )
-    assert pooled_sigma(ds)[0, 0] == pytest.approx(expected, abs=1e-14)
+    assert build_stats(ds).sigma_hat[0, 0] == pytest.approx(expected, abs=1e-14)
 
     ds2 = make_dataset([1.0, 3.0], [2.0, 4.0, 3.0])
     y2, z2 = np.array([1.0, 3.0]), np.array([2.0, 4.0, 3.0])
     expected2 = np.sqrt(
         (((y2 - y2.mean()) ** 2).sum() + ((z2 - z2.mean()) ** 2).sum()) / 3.0
     )
-    assert pooled_sigma(ds2)[0, 0] == pytest.approx(expected2, abs=1e-14)
+    assert build_stats(ds2).sigma_hat[0, 0] == pytest.approx(expected2, abs=1e-14)
 
 
 def test_pooled_sigma_degenerate_cell():
     ds = make_dataset([2.0, 2.0, 2.0], [5.0, 5.0])
     with pytest.raises(DegenerateVariance) as err:
-        pooled_sigma(ds)
+        build_stats(ds)
     assert (err.value.row, err.value.col) == (0, 0)
 
 
