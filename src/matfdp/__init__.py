@@ -13,8 +13,8 @@ lab, dataset file format, and command-line interface sit on top.
 
 The top level exports the pipeline (statistics, correlations, loadings,
 fit, plug-in FDP) with its result types; lower-level
-pieces (``linalg``'s primitives, ``eigenvalue_ratio``, ``build_thin_factor``,
-``trimmed_l1_fit``) are imported from their own modules.
+pieces (``linalg``'s primitives, ``eigenvalue_ratio``, ``trimmed_l1_fit``)
+are imported from their own modules.
 """
 
 from .covfactor import (

@@ -40,9 +40,8 @@ NORM_SQ_CEIL = 1.0 - 1e-8
 RATIO_FLOOR_REL = 1e-12
 
 #: Slices in one residual block: observations per block in
-#: :func:`estimate_correlations` and matrix rows per chunk in
-#: :func:`~matfdp.pfa.build_thin_factor`.  Read at call time, so tests can
-#: change it.
+#: :func:`estimate_correlations` and matrix rows per chunk in both walks of
+#: :func:`~matfdp.pfa.fdp_pfa`.  Read at call time, so tests can change it.
 _BLOCK_SLICES = 8
 
 

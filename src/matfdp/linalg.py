@@ -1,10 +1,10 @@
 """Dense symmetric-matrix primitives.
 
-Everything downstream leans on four operations implemented here: symmetric
+Everything downstream leans on the operations implemented here: symmetric
 eigendecomposition with a deterministic ordering and sign convention, the
 eigenpair bookkeeping for Kronecker products of two symmetric matrices,
-symmetric square roots of semidefinite matrices, and conversion of a
-covariance matrix to a correlation matrix.
+checked eigendecompositions and symmetric square roots of semidefinite
+matrices, and conversion of a covariance matrix to a correlation matrix.
 
 Conventions
 -----------
@@ -156,11 +156,11 @@ def kron_eigenpairs(e1: EigenSystem, e2: EigenSystem) -> KronEigenIndex:
     return KronEigenIndex(values=prods[order], idx1=idx1, idx2=idx2)
 
 
-def symmetric_sqrt(m) -> np.ndarray:
-    """Symmetric square root of a positive semidefinite matrix.
+def psd_eigen(m) -> EigenSystem:
+    """Eigendecomposition of a positive semidefinite matrix.
 
-    Eigenvalues in ``[-PSD_RTOL * max_eigenvalue, 0)`` are clamped to zero;
-    anything more negative raises :class:`NotPsd`.
+    As :func:`sym_eigen`, but eigenvalues in ``[-PSD_RTOL * max_eigenvalue, 0)``
+    are clamped to zero; anything more negative raises :class:`NotPsd`.
     """
     es = sym_eigen(m)
     top = max(float(es.values[0]), 0.0)
@@ -169,8 +169,13 @@ def symmetric_sqrt(m) -> np.ndarray:
             f"matrix has eigenvalue {es.values[-1]:.6g} beyond the "
             f"semidefinite tolerance (largest is {top:.6g})"
         )
-    clamped = np.clip(es.values, 0.0, None)
-    return (es.vectors * np.sqrt(clamped)) @ es.vectors.T
+    return EigenSystem(values=np.clip(es.values, 0.0, None), vectors=es.vectors)
+
+
+def symmetric_sqrt(m) -> np.ndarray:
+    """Symmetric square root of a positive semidefinite matrix (see :func:`psd_eigen`)."""
+    es = psd_eigen(m)
+    return (es.vectors * np.sqrt(es.values)) @ es.vectors.T
 
 
 def corr_from_cov(c) -> np.ndarray:

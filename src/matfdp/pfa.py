@@ -1,33 +1,32 @@
 """Principal-factor baseline on the vectorised data.
 
 This estimator ignores the two-sided dependence structure and works with the
-pooled sample covariance of ``vec(X)`` directly.  That covariance is never
-formed, and neither is its thin factor: with ``F`` the ``(n+m, p*q)`` matrix
-of standardised residuals (row ``s`` is ``vec`` of observation ``s``), the
-covariance is ``F' F / (n+m-2)`` and its eigenpairs come from the small Gram
-matrix ``F F' / (n+m-2)`` (decomposed by :func:`~matfdp.linalg.sym_eigen`).
-Both the Gram matrix and, for a Gram eigenpair ``(s, u)``, the covariance
-eigenvector ``F' u / sqrt((n+m-2) s)`` are summed over chunks of
-``covfactor._BLOCK_SLICES`` matrix rows: rows ``r0:r1`` of every observation,
-centred and standardised into one reused buffer.  So pfa holds the data plus
-one chunk, never a second stack, at the price of a second walk for the
-eigenvectors.
+pooled sample covariance of ``vec(X)`` directly, on the correlation scale.
+With ``F`` the ``(n+m, p*q)`` thin factor of standardised residuals (row
+``s`` is ``vec`` of observation ``s``), the covariance is ``F' F / (n+m-2)``
+and its eigenpairs come from the small Gram matrix ``F F' / (n+m-2)``.  For
+Gram eigenpairs ``(s_k, U_k)`` the covariance eigenvectors are ``rho = F' W``
+with ``W = U_k / sqrt((n+m-2) s_k)``, and the plug-in needs only each cell's
+squared loading norm ``(rho * rho) @ s_k`` and least-squares common part
+``rho W' F vec(x)``.  So neither the covariance, nor ``F``, nor ``rho`` is
+held: two walks over chunks of ``covfactor._BLOCK_SLICES`` matrix rows (rows
+``r0:r1`` of every observation, standardised into one reused buffer) sum the
+Gram matrix and ``F vec(x)``, then write each chunk's rows of both ``(p, q)``
+arrays.  pfa holds the data plus one chunk.
 
-The FDP estimate runs through the plug-in core that noodle and sandwich use,
-but with eigenpairs of the vectorised (standardised) covariance, so it serves
-as the single-dependency baseline in comparisons.
+The estimate runs through the plug-in core that noodle and sandwich use, so
+pfa serves as the single-dependency baseline in comparisons.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import covfactor
 from .covfactor import NORM_SQ_CEIL, default_max_factors, eigenvalue_ratio
-from .linalg import _fix_signs, sym_eigen, vec
+from .linalg import sym_eigen
 from .noodle import _plugin_estimate
 from .teststats import TestMatrix, TwoSampleDataset, check_sigma_hat, p_values, rejection_count
 
@@ -56,72 +55,12 @@ def _row_chunks(
             (ds.treatment, 0, ds.n, means[0]),
             (ds.control, ds.n, n_total, means[1]),
         ):
-            np.subtract(group[:, r0:r1], mean[r0:r1], out=chunk[lo:hi])
+            # Copy, then subtract in place: numpy buffers one operand of this
+            # broadcast (up to 64 kB), and two of a three-operand subtract.
+            chunk[lo:hi] = group[:, r0:r1]
+            chunk[lo:hi] -= mean[r0:r1]
         chunk /= sigma_hat[r0:r1]
         yield r0, r1, chunk.reshape(n_total, -1)
-
-
-@dataclass(frozen=True)
-class ThinFactor:
-    """Eigenpairs of a pooled vec-covariance, from its small Gram matrix.
-
-    ``values`` are the covariance's nonzero eigenvalues (Gram eigenvalues
-    above the cutoff), non-increasing; ``gram_vectors`` the matching
-    orthonormal Gram eigenvectors, shape ``(n_total, rank)``.  The factor
-    itself is not kept: ``ds`` and ``sigma_hat`` are references to the
-    dataset and scale it was built from, which :meth:`eigenvectors` walks
-    again, so the dataset must not change while the factor is in use.
-    """
-
-    ds: TwoSampleDataset
-    sigma_hat: np.ndarray
-    values: np.ndarray
-    gram_vectors: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return int(self.values.shape[0])
-
-    def eigenvectors(self, count: int) -> np.ndarray:
-        """Leading ``count`` covariance eigenvectors, shape ``(p*q, count)``.
-
-        Summed chunk by chunk straight into vec order; columns are
-        orthonormal and sign-normalised the same way as dense
-        eigendecompositions in this package.
-        """
-        if not 0 <= count <= self.rank:
-            raise ValueError(f"count must be in [0, {self.rank}], got {count}")
-        p, q, n_total = self.ds.p, self.ds.q, self.ds.n + self.ds.m
-        w = self.gram_vectors[:, :count] / np.sqrt((n_total - 2) * self.values[:count])
-        vecs = np.empty((p * q, count))
-        # vec order: cell (r, c) is row c * p + r.
-        cells = vecs.reshape(q, p, count)
-        if count:
-            for r0, r1, chunk in _row_chunks(self.ds, self.sigma_hat):
-                cells[:, r0:r1] = (chunk.T @ w).reshape(r1 - r0, q, count).transpose(1, 0, 2)
-        _fix_signs(vecs)
-        return vecs
-
-
-def build_thin_factor(ds: TwoSampleDataset, sigma_hat: np.ndarray) -> ThinFactor:
-    """Eigenpairs of the pooled sample covariance of the vectorised data.
-
-    The standardised residuals are the observations centred at their group
-    means and divided cell-wise by ``sigma_hat`` (shape ``(p, q)``, all
-    positive, checked by :func:`~matfdp.teststats.check_sigma_hat` first),
-    which puts the covariance on the correlation scale (unit diagonal).  The
-    Gram matrix is summed over row chunks, so the peak memory is the data
-    plus one chunk.
-    """
-    sigma_hat = check_sigma_hat(ds, sigma_hat)
-    n_total = ds.n + ds.m
-    gram = np.zeros((n_total, n_total))
-    for _, _, chunk in _row_chunks(ds, sigma_hat):
-        gram += chunk @ chunk.T
-    gram = (0.5 / (n_total - 2)) * (gram + gram.T)
-    es = sym_eigen(gram)
-    keep = es.values > GRAM_EIGEN_CUTOFF
-    return ThinFactor(ds, sigma_hat, es.values[keep], es.vectors[:, keep])
 
 
 def fdp_pfa(
@@ -133,10 +72,13 @@ def fdp_pfa(
     """Plug-in FDP estimate from principal factors of the vectorised data.
 
     Operates on the standardised centred observations (division by
-    ``x.sigma_hat``), so the eigenstructure lives on the correlation scale
-    like the other estimators.  With ``n_factors=None`` the count is chosen by
-    the eigenvalue-ratio rule capped at ``floor(0.2 * (n + m))``; an explicit
-    count is capped at the factor rank.  Zero factors reduce exactly to
+    ``x.sigma_hat``, all positive, checked by
+    :func:`~matfdp.teststats.check_sigma_hat` first), so the eigenstructure
+    lives on the correlation scale like the other estimators.  With
+    ``n_factors=None`` the count is chosen by the eigenvalue-ratio rule
+    capped at ``floor(0.2 * (n + m))``; an explicit count must be
+    non-negative and is capped at the factor rank (the Gram eigenvalues above
+    ``GRAM_EIGEN_CUTOFF``).  Zero factors reduce exactly to
     ``p * q * threshold / rejections``.  The realised factors are always the
     least-squares projection: the ``estimator`` of
     :func:`~matfdp.simlab.run_experiment` (``simulate --estimator``) and
@@ -146,16 +88,33 @@ def fdp_pfa(
         raise ValueError(
             f"statistic shape {(x.p, x.q)} does not match data ({ds.p}, {ds.q})"
         )
+    if n_factors is not None and n_factors < 0:
+        raise ValueError(f"n_factors must be >= 0, got {n_factors}")
+    sigma_hat = check_sigma_hat(ds, x.sigma_hat)
     rejections = rejection_count(p_values(x), threshold)
     if rejections == 0:
         return 0.0
-    tf = build_thin_factor(ds, sigma_hat=x.sigma_hat)
+    n_total = ds.n + ds.m
+    gram = np.zeros((n_total, n_total))
+    fx = np.zeros(n_total)
+    for r0, r1, chunk in _row_chunks(ds, sigma_hat):
+        gram += chunk @ chunk.T
+        fx += chunk @ x.x[r0:r1].ravel()
+    del chunk  # the last chunk is a view that would keep walk 1's buffer alive
+    es = sym_eigen((0.5 / (n_total - 2)) * (gram + gram.T))
+    values = es.values[es.values > GRAM_EIGEN_CUTOFF]
     if n_factors is None:
-        n_factors = eigenvalue_ratio(tf.values, default_max_factors(ds.n + ds.m))
-    # A negative count fails the range check in ThinFactor.eigenvectors.
-    n_factors = min(n_factors, tf.rank)
-    rho = tf.eigenvectors(n_factors)
-    norms = np.einsum("ik,ik,k->i", rho, rho, tf.values[:n_factors])
-    norms = np.clip(norms, 0.0, NORM_SQ_CEIL, out=norms)
-    common = rho @ (rho.T @ vec(x.x)) if n_factors else None
+        n_factors = eigenvalue_ratio(values, default_max_factors(n_total))
+    k = min(n_factors, values.shape[0])
+    norms = np.zeros((ds.p, ds.q))
+    common = np.empty((ds.p, ds.q)) if k else None
+    if k:
+        s_k = values[:k]
+        w = es.vectors[:, :k] / np.sqrt((n_total - 2) * s_k)
+        c = w.T @ fx  # rho' vec(x)
+        for r0, r1, chunk in _row_chunks(ds, sigma_hat):
+            rho = chunk.T @ w
+            norms[r0:r1] = np.einsum("ik,ik,k->i", rho, rho, s_k).reshape(r1 - r0, ds.q)
+            common[r0:r1] = (rho @ c).reshape(r1 - r0, ds.q)
+    np.clip(norms, 0.0, NORM_SQ_CEIL, out=norms)
     return _plugin_estimate(norms, common, rejections, threshold)

@@ -23,7 +23,8 @@ def derive_rng(seed: int, round_index: int = 0, stream: int = 0) -> np.random.Ge
     seed : int
         Master seed.  Reduced modulo 2**64.
     round_index : int
-        Simulation round (or any coarse task index), ``>= 0``.
+        Simulation round (or any coarse task index),
+        ``0 <= round_index < 2**32``.
     stream : int
         Sub-stream within the round, ``0 <= stream < 2**32``.
 
@@ -33,8 +34,8 @@ def derive_rng(seed: int, round_index: int = 0, stream: int = 0) -> np.random.Ge
         Generator backed by a Philox counter-based bit stream whose key encodes
         ``(seed, round_index, stream)``.  Two distinct slots never collide.
     """
-    if round_index < 0:
-        raise ValueError(f"round_index must be >= 0, got {round_index}")
+    if not 0 <= round_index < (1 << (64 - _STREAM_BITS)):
+        raise ValueError(f"round_index must be in [0, 2**{64 - _STREAM_BITS}), got {round_index}")
     if not 0 <= stream < (1 << _STREAM_BITS):
         raise ValueError(f"stream must be in [0, 2**{_STREAM_BITS}), got {stream}")
     key = np.array(

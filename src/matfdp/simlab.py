@@ -33,7 +33,7 @@ import numpy as np
 from .covfactor import build_noodle_loadings, build_sandwich_loadings, estimate_correlations
 from .datafiles import _usable_cores
 from .errors import MatfdpError
-from .linalg import corr_from_cov, sym_eigen, symmetric_sqrt
+from .linalg import corr_from_cov, psd_eigen, symmetric_sqrt
 from .noodle import check_estimator, fdp_noodle, fit_noodle
 from .pfa import fdp_pfa
 from .rng import derive_rng
@@ -266,10 +266,10 @@ class _RoundGenerator:
             self.col_scale = math.sqrt(0.5) * d2
         elif spec.model == 3:
             # Dense noise is left @ E @ right: left @ left.T = sigma1, right.T @ right = sigma2.
-            e1 = sym_eigen(sigma1)
-            e2 = sym_eigen(sigma2)
-            self.left = e1.vectors * np.sqrt(np.clip(e1.values, 0.0, None))
-            self.right = (e2.vectors * np.sqrt(np.clip(e2.values, 0.0, None))).T
+            e1 = psd_eigen(sigma1)
+            e2 = psd_eigen(sigma2)
+            self.left = e1.vectors * np.sqrt(e1.values)
+            self.right = (e2.vectors * np.sqrt(e2.values)).T
         else:
             self.left = symmetric_sqrt(sigma1)
             self.right = symmetric_sqrt(sigma2)

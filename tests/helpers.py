@@ -5,10 +5,12 @@ modules import it by name because pytest puts ``tests/`` on ``sys.path``.
 """
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
+from matfdp.covfactor import NORM_SQ_CEIL
 from matfdp.errors import InvalidMatrix
 from matfdp.linalg import as_matrix, symmetric_sqrt
-from matfdp.teststats import TestMatrix
+from matfdp.teststats import TestMatrix, p_values, rejection_count
 
 
 def random_spd(rng, dim, spread=1.0):
@@ -65,3 +67,34 @@ def dense_columns(loadings):
     v1, g1 = loadings.vector_factors()
     cols = [np.kron(g1[:, k], v1[:, k]) for k in range(loadings.h)]
     return np.stack(cols, axis=1) if cols else np.zeros((loadings.p * loadings.q, 0))
+
+
+def dense_vec_covariance(ds, sigma_hat):
+    """Pooled covariance of ``vec`` of the residuals over ``sigma_hat``, ``(p*q, p*q)``."""
+    resid = np.concatenate(
+        [ds.treatment - ds.treatment.mean(axis=0), ds.control - ds.control.mean(axis=0)]
+    ) / sigma_hat
+    flat = resid.transpose(0, 2, 1).reshape(resid.shape[0], -1)  # row s is vec(resid[s])
+    return flat.T @ flat / (ds.n + ds.m - 2)
+
+
+def dense_pfa(ds, x, threshold, count):
+    """pfa's plug-in FDP from a dense eigendecomposition of the vec-covariance.
+
+    The leading ``count`` eigenpairs ``(values, rho)`` give each cell the
+    squared norm ``(rho * rho) @ values`` and the least-squares common part
+    ``rho rho' vec(x)``; the estimate is
+    ``sum(Phi(a (z + common)) + Phi(a (z - common))) / R`` with
+    ``z = Phi^-1(t / 2)`` and ``a = 1 / sqrt(1 - norm)``, clamped to ``pq / R``.
+    """
+    rejections = rejection_count(p_values(x), threshold)
+    if rejections == 0:
+        return 0.0
+    values, vectors = np.linalg.eigh(dense_vec_covariance(ds, x.sigma_hat))
+    values, rho = values[::-1][:count], vectors[:, ::-1][:, :count]
+    norms = np.minimum((rho * rho) @ values, NORM_SQ_CEIL)
+    common = rho @ (rho.T @ np.ravel(x.x, order="F"))
+    z = ndtri(threshold / 2.0)
+    a = 1.0 / np.sqrt(1.0 - norms)
+    total = float((ndtr(a * (z + common)) + ndtr(a * (z - common))).sum())
+    return min(total / rejections, x.x.size / rejections)

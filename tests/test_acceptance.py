@@ -28,7 +28,7 @@ from matfdp.linalg import (
     vec,
 )
 from matfdp.noodle import fdp_noodle, fit_noodle
-from matfdp.pfa import build_thin_factor, fdp_pfa
+from matfdp.pfa import fdp_pfa
 from matfdp.sandwich import fdp_sandwich, fit_sandwich
 from matfdp.simlab import preset_spec, run_experiment
 from matfdp.teststats import (
@@ -39,7 +39,7 @@ from matfdp.teststats import (
 )
 from matfdp.trimreg import trimmed_l1_fit
 
-from helpers import random_spd, sample_matrix_normal_stack, stat_matrix
+from helpers import dense_pfa, random_spd, sample_matrix_normal_stack, stat_matrix
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -327,7 +327,9 @@ def test_08_sampler_covariance_law():
     _report(8, "sampler matches its covariance law", ok, f"rel err {rel:.3f}")
 
 
-def test_09_thin_factor_route_matches_dense():
+def test_09_pfa_chunked_route_matches_dense():
+    # Every count from 0 to the rank n + m - 2 = 6, against the plug-in from a
+    # dense eigendecomposition of the vec-covariance.
     rng = np.random.default_rng(99)
     worst = 0.0
     for p, q in ((4, 4), (8, 8), (2, 5)):
@@ -337,29 +339,14 @@ def test_09_thin_factor_route_matches_dense():
         y = sample_matrix_normal_stack(mu, u, v, 4, rng)
         z = sample_matrix_normal_stack(mu, u, v, 4, rng)
         ds = TwoSampleDataset(treatment=y, control=z)
-        thin = build_thin_factor(ds, np.ones((ds.p, ds.q)))
-
-        df = ds.n + ds.m - 2
-        res = np.concatenate(
-            [ds.treatment - ds.treatment.mean(axis=0), ds.control - ds.control.mean(axis=0)]
-        )
-        flat = res.transpose(0, 2, 1).reshape(res.shape[0], p * q)
-        dvals, dvecs = np.linalg.eigh(flat.T @ flat / df)
-        dvals = dvals[::-1]
-        dvecs = dvecs[:, ::-1]
-
-        rank = thin.rank
-        worst = max(worst, float(np.max(np.abs(thin.values - dvals[:rank]))))
-        if rank:
-            tv = thin.eigenvectors(rank)
-            worst = max(
-                worst,
-                float(
-                    np.linalg.norm(tv @ tv.T - dvecs[:, :rank] @ dvecs[:, :rank].T)
-                ),
-            )
+        x = test_matrix(ds)
+        t = 0.5
+        assert rejection_count(p_values(x), t) > 0
+        for count in range(ds.n + ds.m - 1):
+            ref = dense_pfa(ds, x, t, count)
+            worst = max(worst, abs(fdp_pfa(ds, x, t, n_factors=count) - ref) / ref)
     ok = worst <= 1e-8
-    _report(9, "thin factor route equals the dense eigendecomposition", ok, f"max err {worst:.2e}")
+    _report(9, "pfa's chunked route equals the dense eigendecomposition", ok, f"max rel err {worst:.2e}")
 
 
 def test_10_simulation_output_is_thread_invariant():

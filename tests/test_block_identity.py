@@ -4,8 +4,8 @@ Data generation transforms one observation at a time and the statistics add
 one observation at a time; both must give the bits of the whole-group
 formulas.  ``covfactor._BLOCK_SLICES`` sets the observations in a residual
 block of correlation estimation and the matrix rows in a chunk of pfa's thin
-factor: changing it must move the correlation estimates, pfa's eigenpairs
-and its FDP estimate only by the order of their Gram sums.
+factor: changing it must move the correlation estimates and pfa's FDP
+estimate only by the order of their Gram and projection sums.
 """
 
 import math
@@ -15,7 +15,7 @@ import pytest
 
 from matfdp import covfactor
 from matfdp.covfactor import estimate_correlations
-from matfdp.pfa import build_thin_factor, fdp_pfa
+from matfdp.pfa import fdp_pfa
 from matfdp.rng import derive_rng
 from matfdp.simlab import (
     _draw_noise_entries,
@@ -133,20 +133,18 @@ def test_correlations_in_blocks_match_one_block(monkeypatch, p, q, n, m):
 @pytest.mark.parametrize("p,q,n,m", SHAPES)
 def test_thin_factor_in_blocks_matches_one_block(monkeypatch, p, q, n, m):
     # One row per chunk, three (a partial last chunk for every p here but
-    # 30) and every row in one chunk.
+    # 30) and every row in one chunk.  Each count's estimate reads the Gram
+    # eigenvalues, the leading subspace and the LS common part, so all of
+    # them must move only by the order of the Gram and projection sums.
     ds = random_dataset(11, p, q, n, m)
     x = build_stats(ds)
-    t = 0.2
     results = []
     for rows in (1, 3, p):
         monkeypatch.setattr(covfactor, "_BLOCK_SLICES", rows)
-        tf = build_thin_factor(ds, x.sigma_hat)
-        vecs = tf.eigenvectors(min(3, tf.rank))
-        results.append((tf.values, vecs @ vecs.T, fdp_pfa(ds, x, t, n_factors=3)))
-    whole = results[-1]
-    assert whole[2] > 0.0
-    for values, projector, fdp in results[:-1]:
-        assert values.shape == whole[0].shape
-        assert np.abs(values - whole[0]).max() <= 1e-12 * whole[0].max()
-        assert np.abs(projector - whole[1]).max() <= 1e-12 * np.abs(whole[1]).max()
-        assert abs(fdp - whole[2]) <= 1e-12 * whole[2]
+        results.append(
+            [fdp_pfa(ds, x, t, n_factors=k) for t in (0.01, 0.2) for k in (None, 1, 2, 3)]
+        )
+    whole = np.array(results[-1])
+    assert np.all(whole > 0.0)
+    for blocked in results[:-1]:
+        assert np.all(np.abs(np.array(blocked) - whole) <= 1e-12 * whole)

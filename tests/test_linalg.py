@@ -229,3 +229,8 @@ def test_derive_rng_slots_are_independent():
     assert not np.allclose(a, b)
     assert not np.allclose(a, c)
     assert np.array_equal(a, derive_rng(3, 1, 0).standard_normal(4))
+    # The round fills the key's upper 32 bits: round 2**32 would be round 0.
+    last = derive_rng(7, 2**32 - 1, 0).standard_normal(4)
+    assert not np.allclose(last, derive_rng(7, 0, 0).standard_normal(4))
+    with pytest.raises(ValueError, match="round_index"):
+        derive_rng(7, 2**32, 0)

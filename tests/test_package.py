@@ -49,8 +49,6 @@ def test_public_names_are_the_pipeline():
     + [
         ("covfactor", "default_max_factors"),
         ("covfactor", "eigenvalue_ratio"),
-        ("pfa", "ThinFactor"),
-        ("pfa", "build_thin_factor"),
         ("trimreg", "TrimmedFit"),
         ("trimreg", "trimmed_l1_fit"),
     ],

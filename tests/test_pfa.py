@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 from matfdp.errors import DegenerateVariance
-from matfdp.linalg import vec
-from matfdp.pfa import build_thin_factor, fdp_pfa
+from matfdp.pfa import fdp_pfa
 from matfdp.rng import derive_rng
 from matfdp.teststats import (
+    TestMatrix,
     TwoSampleDataset,
     p_values,
     rejection_count,
 )
 from matfdp.teststats import test_matrix as build_stats
 
-from helpers import random_corr, sample_matrix_normal_stack
+from helpers import dense_pfa, dense_vec_covariance, random_corr, sample_matrix_normal_stack
 
 
 def random_dataset(seed, n=7, m=8, p=4, q=4, correlated=False):
@@ -28,45 +28,37 @@ def random_dataset(seed, n=7, m=8, p=4, q=4, correlated=False):
     return TwoSampleDataset(y, z)
 
 
-def dense_cov(ds, sigma_hat=None):
-    resid = np.concatenate(
-        [
-            ds.treatment - ds.treatment.mean(axis=0),
-            ds.control - ds.control.mean(axis=0),
-        ]
-    )
-    if sigma_hat is not None:
-        resid = resid / sigma_hat
-    cols = np.stack([vec(r) for r in resid], axis=1)
-    return cols @ cols.T / (ds.n + ds.m - 2)
-
-
 def test_gram_route_matches_dense_eigendecomposition():
+    # fdp_pfa never forms an eigenvector: each count's estimate is compared
+    # with the plug-in from a dense eigendecomposition of the vec-covariance,
+    # which checks the Gram eigenvalues, the leading subspaces and the LS
+    # common part.  A block of signal makes every threshold reject.
     for seed in range(4):
-        ds = random_dataset(seed, correlated=True)
-        sig = build_stats(ds).sigma_hat
-        tf = build_thin_factor(ds, sig)
-        s = dense_cov(ds, sig)
-        dense_vals = np.linalg.eigvalsh(s)[::-1]
-        assert tf.rank <= ds.n + ds.m - 2
-        assert np.max(np.abs(tf.values - dense_vals[: tf.rank])) <= 1e-8
-        # The eigenpairs reconstruct the dense covariance.
-        vecs = tf.eigenvectors(tf.rank)
-        assert np.max(np.abs(vecs @ np.diag(tf.values) @ vecs.T - s)) <= 1e-10
-        # Leading eigenvectors span the same subspace (projector match).
-        k = min(3, tf.rank)
-        rho = tf.eigenvectors(k)
-        _, dense_vecs = np.linalg.eigh(s)
-        dv = dense_vecs[:, ::-1][:, :k]
-        assert np.max(np.abs(rho @ rho.T - dv @ dv.T)) <= 1e-8
-        assert np.allclose(rho.T @ rho, np.eye(k), atol=1e-10)
+        ds = random_dataset(seed, n=10, m=12, p=5, q=6, correlated=True)
+        ds.treatment[:, :2, :3] += 2.5
+        x = build_stats(ds)
+        dense_vals = np.linalg.eigvalsh(dense_vec_covariance(ds, x.sigma_hat))
+        rank = int(np.count_nonzero(dense_vals > 1e-8))
+        assert rank == ds.n + ds.m - 2
+        for t in (0.001, 0.01, 0.2):
+            assert rejection_count(p_values(x), t) > 0
+            for count in range(rank + 1):
+                ref = dense_pfa(ds, x, t, count)
+                assert fdp_pfa(ds, x, t, n_factors=count) == pytest.approx(ref, rel=1e-10)
+            assert fdp_pfa(ds, x, t, n_factors=rank + 1) == fdp_pfa(ds, x, t, n_factors=rank)
 
 
 def test_rank_bounded_by_degrees_of_freedom():
-    # Group centering removes one dimension per group.
+    # Group centering removes one dimension per group: no count beyond
+    # n + m - 2 = 3 changes the estimate.
     ds = random_dataset(11, n=2, m=3, p=3, q=5)
-    tf = build_thin_factor(ds, np.ones((ds.p, ds.q)))
-    assert tf.rank <= 3
+    x = build_stats(ds)
+    t = 0.5
+    assert rejection_count(p_values(x), t) > 0
+    capped = fdp_pfa(ds, x, t, n_factors=3)
+    assert fdp_pfa(ds, x, t, n_factors=4) == capped
+    assert fdp_pfa(ds, x, t, n_factors=50) == capped
+    assert fdp_pfa(ds, x, t, n_factors=2) != capped
 
 
 def test_constant_groups_have_empty_spectrum():
@@ -75,21 +67,28 @@ def test_constant_groups_have_empty_spectrum():
     ds = TwoSampleDataset(
         np.stack([base_y] * 3), np.stack([base_z] * 4)
     )
-    tf = build_thin_factor(ds, np.ones((ds.p, ds.q)))
-    assert tf.rank == 0
-    assert tf.values.size == 0
     with pytest.raises(DegenerateVariance):
         build_stats(ds)
+    # With unit scales the residuals are zero, so no factor survives the
+    # cutoff: every explicit count gives the counting formula.
+    x = TestMatrix(np.linspace(-4.0, 4.0, 12).reshape(3, 4), np.ones((3, 4)), 1.0)
+    t = 0.3
+    rej = rejection_count(p_values(x), t)
+    assert rej > 0
+    for n_factors in (1, 3):
+        assert fdp_pfa(ds, x, t, n_factors=n_factors) == 12 * t / rej
 
 
-def test_eigenvectors_count_validation():
+def test_factor_count_validation():
     ds = random_dataset(13)
-    tf = build_thin_factor(ds, np.ones((ds.p, ds.q)))
-    with pytest.raises(ValueError):
-        tf.eigenvectors(tf.rank + 1)
-    with pytest.raises(ValueError):
-        tf.eigenvectors(-1)
-    assert tf.eigenvectors(0).shape == (16, 0)
+    x = build_stats(ds)
+    # A negative count is refused before anything is computed, even when
+    # nothing is rejected.
+    for t in (0.5, 1e-300):
+        with pytest.raises(ValueError, match="n_factors"):
+            fdp_pfa(ds, x, t, n_factors=-1)
+    rej = rejection_count(p_values(x), 0.5)
+    assert fdp_pfa(ds, x, 0.5, n_factors=0) == 16 * 0.5 / rej
 
 
 def test_zero_factors_reduces_to_counting_formula():
@@ -118,10 +117,11 @@ def test_explicit_count_is_capped_at_rank():
     x = build_stats(ds)
     t = 0.5
     rej = rejection_count(p_values(x), t)
-    tf = build_thin_factor(ds, x.sigma_hat)
+    rank = ds.n + ds.m - 2  # p * q = 9 exceeds it
     # Far beyond the rank: must behave like n_factors=rank, not fail.
     est = fdp_pfa(ds, x, t, n_factors=50)
-    ref = fdp_pfa(ds, x, t, n_factors=tf.rank)
+    ref = fdp_pfa(ds, x, t, n_factors=rank)
+    assert ref != fdp_pfa(ds, x, t, n_factors=rank - 1)
     assert est == pytest.approx(ref, rel=1e-12)
     assert rej > 0
 
@@ -149,10 +149,10 @@ def test_invalid_scale_and_factor_count_raise():
     ds = random_dataset(17)
     sig = build_stats(ds).sigma_hat.copy()
     sig[1, 2] = 0.0
-    with pytest.raises(DegenerateVariance, match=r"\(1, 2\)"):
-        build_thin_factor(ds, sig)
-    with pytest.raises(ValueError):
-        build_thin_factor(ds, sig[:, :2])
     x = build_stats(ds)
+    with pytest.raises(DegenerateVariance, match=r"\(1, 2\)"):
+        fdp_pfa(ds, TestMatrix(x.x, sig, x.scale), 0.5)
+    with pytest.raises(ValueError, match="sigma_hat shape"):
+        fdp_pfa(ds, TestMatrix(x.x, sig[:, :2], x.scale), 0.5)
     with pytest.raises(ValueError):
         fdp_pfa(ds, x, 0.5, n_factors=-1)

@@ -9,10 +9,10 @@ from matfdp import covfactor
 from matfdp.covfactor import estimate_correlations
 from matfdp.errors import DegenerateVariance
 from matfdp.linalg import vec
-from matfdp.pfa import _row_chunks, build_thin_factor
+from matfdp.pfa import _row_chunks, fdp_pfa
 from matfdp.rng import derive_rng
 from matfdp.simlab import METHODS, _RoundGenerator, gen_correlations, preset_spec, run_experiment
-from matfdp.teststats import TwoSampleDataset
+from matfdp.teststats import TestMatrix, TwoSampleDataset
 from matfdp.teststats import test_matrix as build_stats
 
 SHAPES = [(4, 5), (1, 6), (5, 1), (1, 1)]
@@ -34,7 +34,7 @@ def expected_residual(ds, s, sigma_hat):
 @pytest.mark.parametrize("p,q", SHAPES)
 def test_thin_factor_columns_are_vec_of_residuals(monkeypatch, p, q):
     # The factor is never held whole: put its columns together from the row
-    # chunks that both walks of build_thin_factor see.
+    # chunks that both walks of fdp_pfa see.
     ds = random_dataset(1, p, q)
     sig = build_stats(ds).sigma_hat
     for slices in (1, 2, covfactor._BLOCK_SLICES):
@@ -59,9 +59,10 @@ def test_thin_factor_columns_are_vec_of_residuals(monkeypatch, p, q):
 def test_estimators_leave_the_data_unchanged(p, q):
     ds = random_dataset(2, p, q)
     y, z = ds.treatment.copy(), ds.control.copy()
-    sig = build_stats(ds).sigma_hat
-    estimate_correlations(ds, sig)
-    build_thin_factor(ds, sig)
+    x = build_stats(ds)
+    estimate_correlations(ds, x.sigma_hat)
+    # The threshold rejects some cell, so pfa walks the data twice.
+    assert fdp_pfa(ds, x, 0.99, n_factors=1) > 0.0
     assert np.array_equal(ds.treatment, y)
     assert np.array_equal(ds.control, z)
 
@@ -103,15 +104,19 @@ def test_correlation_peak_memory_is_one_block(monkeypatch):
 
 
 def test_thin_factor_peak_memory_is_one_chunk():
-    # Both walks fill one chunk of 8 of the 60 matrix rows; no factor or
-    # copy of the stack lives beside it.  With three eigenvectors this
-    # measured 0.39 stacks, against 1.18 for the whole factor.
+    # Each of pfa's two walks fills one chunk of 8 of the 60 matrix rows, and
+    # the first walk's chunk is freed before the second starts; beside it live
+    # the group means and a few (p, q) arrays, never the factor, a copy of
+    # the stack or a (p*q, k) eigenvector array.  Measured with numpy 2.4.6:
+    # 0.33 stacks with three factors and 0.32 with the chosen count (1 here),
+    # against 1.18 when the whole factor was held.
     p = q = 60
     ds = random_dataset(3, p, q, n=20, m=20)
-    sig = build_stats(ds).sigma_hat
+    x = build_stats(ds)
     stack_bytes = 8 * (ds.n + ds.m) * p * q
-    peak = traced_peak(lambda: build_thin_factor(ds, sig).eigenvectors(3))
-    assert peak < 0.5 * stack_bytes, (peak, stack_bytes)
+    for n_factors in (3, None):
+        peak = traced_peak(fdp_pfa, ds, x, 0.2, n_factors)
+        assert peak < 0.4 * stack_bytes, (n_factors, peak, stack_bytes)
 
 
 def test_round_peak_memory_is_the_data_plus_small_arrays():
@@ -125,11 +130,20 @@ def test_round_peak_memory_is_the_data_plus_small_arrays():
     assert peak < 2.1 * data_bytes, (peak, data_bytes)
 
 
-@pytest.mark.parametrize("estimator", [estimate_correlations, build_thin_factor])
+@pytest.mark.parametrize(
+    "estimator",
+    [
+        lambda ds, x, bad: estimate_correlations(ds, bad),
+        # Checked before the p-values too, which are a (p, q) array.
+        lambda ds, x, bad: fdp_pfa(ds, TestMatrix(x.x, bad, x.scale), 0.5),
+    ],
+    ids=["estimate_correlations", "fdp_pfa"],
+)
 def test_sigma_hat_is_checked_before_any_residual_is_built(estimator):
     p = q = 60
     ds = random_dataset(7, p, q, n=20, m=20)
-    sig = build_stats(ds).sigma_hat
+    x = build_stats(ds)
+    sig = x.sigma_hat
     zero = sig.copy()
     zero[1, 2] = 0.0
     for bad, error, match in (
@@ -139,11 +153,12 @@ def test_sigma_hat_is_checked_before_any_residual_is_built(estimator):
         tracemalloc.start()
         try:
             with pytest.raises(error, match=match):
-                estimator(ds, bad)
+                estimator(ds, x, bad)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # A residual block holds at least one observation.
+        # A residual block holds at least one observation, and so does any
+        # (p, q) array.
         assert peak < 8 * p * q, (peak, 8 * p * q)
 
 

@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from matfdp.errors import NotPsd
 from matfdp.linalg import symmetric_sqrt
 from matfdp.simlab import (
     ModelSpec,
@@ -191,6 +192,17 @@ def test_derived_sigma_generates_through_the_dense_root(derive):
     ds, _ = gen_round(spec, sigma1, sigma2, derive_rng(13, 1, 1))
     assert ds.treatment.tobytes() == (gen.mu + left @ ey @ right).tobytes()
     assert ds.control.tobytes() == (left @ ez @ right).tobytes()
+
+
+@pytest.mark.parametrize("model", [2, 3])
+def test_indefinite_correlation_is_refused(model):
+    # Smallest eigenvalue -0.8: neither model 2's symmetric root nor model 3's
+    # eigenfactor exists, so neither may clip the spectrum and draw.
+    bad = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
+    spec = preset_spec(model, "a", p=3, q=3, n=4, m=4, signal_rows=1, signal_cols=1)
+    for sigma1, sigma2 in ((bad, np.eye(3)), (np.eye(3), bad)):
+        with pytest.raises(NotPsd, match="semidefinite"):
+            gen_round(spec, sigma1, sigma2, derive_rng(1, 1, 1))
 
 
 def test_gen_round_is_deterministic():
