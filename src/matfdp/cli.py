@@ -39,6 +39,7 @@ from .rng import derive_rng
 from .simlab import (
     METHODS,
     ModelSpec,
+    check_rounds,
     gen_correlations,
     gen_round,
     preset_spec,
@@ -153,8 +154,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
     methods = tuple(m for m in METHODS if m in requested)
     spec = _build_spec(args)
     check_threshold(args.t)
-    if args.rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {args.rounds}")
+    check_rounds(args.rounds)
     _check_out_path(args.out)
     result = run_experiment(
         spec,

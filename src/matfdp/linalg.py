@@ -3,8 +3,8 @@
 Everything downstream leans on the operations implemented here: symmetric
 eigendecomposition with a deterministic ordering and sign convention, the
 eigenpair bookkeeping for Kronecker products of two symmetric matrices,
-checked eigendecompositions and symmetric square roots of semidefinite
-matrices, and conversion of a covariance matrix to a correlation matrix.
+and checked eigendecompositions and symmetric square roots of semidefinite
+matrices.
 
 Conventions
 -----------
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVariance, InvalidMatrix, NotPsd
+from .errors import InvalidMatrix, NotPsd
 
 #: Relative tolerance for symmetry checks.
 SYMMETRY_RTOL = 1e-12
@@ -177,25 +177,3 @@ def symmetric_sqrt(m) -> np.ndarray:
     es = psd_eigen(m)
     return (es.vectors * np.sqrt(es.values)) @ es.vectors.T
 
-
-def corr_from_cov(c) -> np.ndarray:
-    """Scale a covariance matrix to a correlation matrix.
-
-    The diagonal of the result is set to exactly 1.
-
-    Raises
-    ------
-    DegenerateVariance
-        If any diagonal entry of ``c`` is not strictly positive.
-    """
-    arr = check_symmetric(c, "covariance")
-    d = np.diag(arr)
-    bad = np.flatnonzero(d <= 0.0)
-    if bad.size:
-        i = int(bad[0])
-        raise DegenerateVariance(i, i)
-    s = 1.0 / np.sqrt(d)
-    out = arr * np.outer(s, s)
-    out = 0.5 * (out + out.T)
-    np.fill_diagonal(out, 1.0)
-    return out

@@ -32,7 +32,7 @@ from scipy.special import ndtr, ndtri
 
 from .covfactor import PairLoadings
 from .teststats import TestMatrix, check_threshold
-from .trimreg import trimmed_l1_fit
+from .trimreg import TrimmedFit, trimmed_l1_fit
 
 _ESTIMATORS = ("least_squares", "trimmed_l1")
 
@@ -44,16 +44,15 @@ class FactorFit:
     ``common_part`` holds the fitted factor contribution per cell, shape
     ``(p, q)``; ``factors`` the realised factor estimates per pair, shape
     ``(h,)``.  For grid loadings ``factors.reshape((k1, k2), order="F")`` is
-    the realised factor matrix.  ``trim_fallback`` and ``trim_converged``
-    copy the trimmed fit's ``used_fallback`` and ``converged``; they stay
-    ``False`` and ``True`` on the least-squares path and with no live pair.
+    the realised factor matrix.  ``trim`` is the trimmed fit run on the pairs
+    with nonzero weight, which says how it ended (``converged``,
+    ``used_fallback``, ``iterations``); ``None`` on the least-squares path.
     """
 
     loadings: PairLoadings
     factors: np.ndarray
     common_part: np.ndarray
-    trim_fallback: bool = False
-    trim_converged: bool = True
+    trim: TrimmedFit | None = None
 
 
 def _sqrt_weights(loadings: PairLoadings) -> np.ndarray:
@@ -80,14 +79,13 @@ def _fit(x: TestMatrix, loadings: PairLoadings, estimator: str, trimmed_fit) -> 
             f"{(loadings.p, loadings.q)}"
         )
     sqrt_theta = _sqrt_weights(loadings)
-    fallback, converged = False, True
+    trim = None
     if estimator == "trimmed_l1":
         live = sqrt_theta > 0.0
+        v1, g1 = loadings.vector_factors()
+        trim = trimmed_fit(x.x, v1[:, live] * sqrt_theta[live], g1[:, live])
         factors = np.zeros(loadings.h)
-        if live.any():
-            v1, g1 = loadings.vector_factors()
-            fit = trimmed_fit(x.x, v1[:, live] * sqrt_theta[live], g1[:, live])
-            factors[live], fallback, converged = fit.w, fit.used_fallback, fit.converged
+        factors[live] = trim.w
         coef = sqrt_theta * factors
     else:
         v = loadings.eig1.vectors[:, : loadings.k1]
@@ -96,7 +94,7 @@ def _fit(x: TestMatrix, loadings: PairLoadings, estimator: str, trimmed_fit) -> 
         with np.errstate(divide="ignore", invalid="ignore"):
             factors = np.where(sqrt_theta > 0.0, proj / sqrt_theta, 0.0)
         coef = np.where(sqrt_theta > 0.0, proj, 0.0)
-    return FactorFit(loadings, factors, loadings.expand(coef), fallback, converged)
+    return FactorFit(loadings, factors, loadings.expand(coef), trim)
 
 
 def fit_noodle(
@@ -126,34 +124,33 @@ def _plugin_estimate(
 ) -> float:
     """Plug-in sum over the cells in ``mask`` (every cell when ``None``) per rejection.
 
-    ``row_norms_sq`` and ``common`` hold one entry per cell, in any matching
-    shape; ``common=None`` means the model has no factors and gives the exact
-    independence value ``cells * t / R``.  Returns 0 when nothing is rejected
-    and clamps to ``[0, cells / R]``.  All three estimators end here.
+    ``row_norms_sq`` and ``common`` are the ``(p, q)`` squared loading norms
+    and common part; when both are all zero no factor loads any cell, and the
+    sum is exactly ``cells * t``.  Returns 0 when nothing is rejected and
+    clamps to ``[0, cells / R]``.  All three estimators end here.
     """
     check_threshold(threshold)
     if rejections <= 0:
         return 0.0
     cells = row_norms_sq.size
-    if common is None:
-        total = (cells if mask is None else np.count_nonzero(mask)) * threshold
-    else:
+    if row_norms_sq.any() or common.any():
         z = ndtri(threshold / 2.0)
         a = 1.0 / np.sqrt(1.0 - row_norms_sq)
         terms = ndtr(a * (z + common)) + ndtr(a * (z - common))
         total = float((terms if mask is None else terms[mask]).sum())
+    else:
+        total = (cells if mask is None else np.count_nonzero(mask)) * threshold
     return float(min(max(total / rejections, 0.0), cells / rejections))
 
 
 def fdp_noodle(fit: FactorFit, rejections: int, threshold: float) -> float:
     """Plug-in FDP estimate at ``threshold`` given ``rejections`` discoveries.
 
-    Returns 0 when nothing is rejected.  With zero factors the estimate is
-    exactly ``p * q * threshold / rejections``.  The result is clamped to
-    ``[0, p * q / rejections]``.
+    Returns 0 when nothing is rejected.  With zero factors (or every weight
+    clipped to 0) the estimate is exactly ``p * q * threshold / rejections``.
+    The result is clamped to ``[0, p * q / rejections]``.
     """
-    common = fit.common_part if fit.loadings.h else None
-    return _plugin_estimate(fit.loadings.row_norms_sq, common, rejections, threshold)
+    return _plugin_estimate(fit.loadings.row_norms_sq, fit.common_part, rejections, threshold)
 
 
 def fdp_oracle(
@@ -173,5 +170,5 @@ def fdp_oracle(
     w = np.asarray(factors, dtype=np.float64)
     if w.shape != (loadings.h,):
         raise ValueError(f"factors shape {w.shape} does not match ({loadings.h},)")
-    common = loadings.expand(_sqrt_weights(loadings) * w) if loadings.h else None
+    common = loadings.expand(_sqrt_weights(loadings) * w)
     return _plugin_estimate(loadings.row_norms_sq, common, rejections, threshold, mask)

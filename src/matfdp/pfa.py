@@ -107,7 +107,7 @@ def fdp_pfa(
         n_factors = eigenvalue_ratio(values, default_max_factors(n_total))
     k = min(n_factors, values.shape[0])
     norms = np.zeros((ds.p, ds.q))
-    common = np.empty((ds.p, ds.q)) if k else None
+    common = np.zeros((ds.p, ds.q))
     if k:
         s_k = values[:k]
         w = es.vectors[:, :k] / np.sqrt((n_total - 2) * s_k)

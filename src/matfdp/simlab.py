@@ -33,7 +33,7 @@ import numpy as np
 from .covfactor import build_noodle_loadings, build_sandwich_loadings, estimate_correlations
 from .datafiles import _usable_cores
 from .errors import MatfdpError
-from .linalg import corr_from_cov, psd_eigen, symmetric_sqrt
+from .linalg import as_matrix, psd_eigen, symmetric_sqrt
 from .noodle import check_estimator, fdp_noodle, fit_noodle
 from .pfa import fdp_pfa
 from .rng import derive_rng
@@ -201,12 +201,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _correlation(spec: ModelSpec, loadings: np.ndarray, side: int) -> np.ndarray:
-    cov = loadings @ loadings.T + _noise_floor(spec, side)
-    sigma = _read_only(corr_from_cov(cov))
+    # The diagonal is squares plus a positive floor: only an overflow can break it.
+    cov = as_matrix(loadings @ loadings.T + _noise_floor(spec, side), "covariance")
+    d = _read_only(1.0 / np.sqrt(np.diag(cov)))
+    sigma = cov * np.outer(d, d)
+    np.fill_diagonal(sigma, 1.0)
+    sigma = _read_only(0.5 * (sigma + sigma.T))
     if spec.model != 1:
         return sigma
     sigma = sigma.view(_FactoredCorrelation)
-    sigma.factor = (_read_only(1.0 / np.sqrt(np.diag(cov))), _read_only(loadings))
+    sigma.factor = (d, _read_only(loadings))
     return sigma
 
 
@@ -215,12 +219,13 @@ def gen_correlations(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw the row and column correlation matrices for one experiment.
 
-    Each is ``corr_from_cov(B B' + F)`` for random loadings ``B`` and the
-    model's floor ``F``, and is read-only: to change one, edit a copy
-    (``np.array(sigma)``).  For model 1, ``F = I / 2`` and each matrix also
-    carries its read-only factor ``(d, B)`` as ``.factor``
+    Each is ``D (B B' + F) D``, with unit diagonal, for random loadings ``B``,
+    the model's floor ``F`` and ``d = diag(D)``, and is read-only: to change
+    one, edit a copy (``np.array(sigma)``).  For model 1, ``F = I / 2`` and
+    each matrix also carries its read-only factor ``(d, B)`` as ``.factor``
     (:class:`_FactoredCorrelation`, still an ndarray with the same values),
-    which :class:`_RoundGenerator` draws from.
+    which :class:`_RoundGenerator` draws from.  Loadings whose ``B B'``
+    overflows raise :class:`~matfdp.errors.InvalidMatrix`.
     """
     b1 = _draw_loadings(spec.loading_dist, (spec.p, spec.l1), rng)
     b2 = _draw_loadings(spec.loading_dist, (spec.q, spec.l2), rng)
@@ -361,6 +366,12 @@ class ExperimentResult:
     failures: list[RoundFailure]
 
 
+def check_rounds(rounds: int) -> None:
+    """Raise ``ValueError`` unless rounds ``1..rounds`` each have a ``derive_rng`` stream."""
+    if not 1 <= rounds < 2**32:
+        raise ValueError(f"rounds must be in [1, 2**32), got {rounds}")
+
+
 def run_experiment(
     spec: ModelSpec,
     threshold: float,
@@ -382,8 +393,7 @@ def run_experiment(
     """
     check_threshold(threshold)
     check_estimator(estimator)
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    check_rounds(rounds)
     methods = tuple(methods)
     unknown = [m for m in methods if m not in METHODS]
     if unknown:

@@ -26,11 +26,11 @@ from matfdp.covfactor import (
     estimate_correlations,
 )
 from matfdp.datafiles import read_dataset, write_dataset
-from matfdp.errors import NotPsd
+from matfdp.errors import DegenerateVariance, NotPsd
 from matfdp.noodle import fdp_noodle, fit_noodle
 from matfdp.rng import derive_rng
 from matfdp.sandwich import fdp_sandwich, fit_sandwich
-from matfdp.simlab import gen_correlations, gen_round, preset_spec, run_experiment
+from matfdp.simlab import RoundFailure, gen_correlations, gen_round, preset_spec, run_experiment
 from matfdp.teststats import TwoSampleDataset, p_values, rejection_count, test_matrix
 
 GEN_FLAGS = ["--model", "1", "--p", "8", "--q", "25", "--n", "6", "--m", "6"]
@@ -196,6 +196,66 @@ def test_small_matrix_shrinks_the_signal_block(tmp_path):
     written = read_dataset(str(gen))
     assert np.array_equal(written.treatment, ds.treatment)
     assert np.array_equal(written.control, ds.control)
+
+
+def test_w_dist_reaches_model_3(tmp_path):
+    flags = ["--model", "3", "--p", "8", "--q", "25", "--n", "6", "--m", "6",
+             "--w-dist", "scaled_t6", "--seed", "4"]
+    gen = tmp_path / "gen"
+    assert main(["gen-synthetic", *flags, "--out", str(gen)]) == 0
+    spec = preset_spec(3, "a", w_dist="scaled_t6", p=8, q=25, n=6, m=6)
+    s1, s2 = gen_correlations(spec, derive_rng(4, 0, 0))
+    ds, _ = gen_round(spec, s1, s2, derive_rng(4, 1, 1))
+    written = read_dataset(str(gen))
+    assert np.array_equal(written.treatment, ds.treatment)
+    assert np.array_equal(written.control, ds.control)
+    out = tmp_path / "sim"
+    rc = main(["simulate", *flags, "--rounds", "1", "--methods", "pfa", "--out", str(out)])
+    assert rc == 0
+    assert json.loads((out / "summary.json").read_text())["config"]["w_dist"] == "scaled_t6"
+
+
+def test_a_failed_round_costs_only_that_round(tmp_path, monkeypatch):
+    # GEN_FLAGS at seed 7 is this spec; the fake fails on round 2's data alone.
+    spec = preset_spec(1, "a", p=8, q=25, n=6, m=6)
+    plain = run_experiment(spec, threshold=0.05, rounds=3, seed=7)
+    sigma1, sigma2 = gen_correlations(spec, derive_rng(7, 0, 0))
+    doomed = gen_round(spec, sigma1, sigma2, derive_rng(7, 2, 1))[0].treatment
+
+    def fail_round_2(ds, sigma_hat):
+        if np.array_equal(ds.treatment, doomed):
+            raise DegenerateVariance(0, 1)
+        return estimate_correlations(ds, sigma_hat)
+
+    monkeypatch.setattr("matfdp.simlab.estimate_correlations", fail_round_2)
+    error = repr(DegenerateVariance(0, 1))
+    result = run_experiment(spec, threshold=0.05, rounds=3, seed=7)
+    assert result.failures == [RoundFailure(2, "", error)]
+    assert result.records == [rec for rec in plain.records if rec.round_index != 2]
+    assert all(s.rounds == 2 for s in result.summaries.values())
+
+    out = tmp_path / "sim"
+    rc = main(["simulate", *GEN_FLAGS, "--seed", "7", "--t", "0.05", "--rounds", "3",
+               "--out", str(out)])
+    assert rc == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failures"] == [{"round": 2, "method": "", "error": error}]
+    assert {r["round"] for r in read_csv(out / "rounds.csv")} == {"1", "3"}
+
+
+def test_simulate_refuses_rounds_without_a_stream(tmp_path, capsys, monkeypatch):
+    # derive_rng has no round 2**32; the check must come before any draw (the
+    # round pool would queue one future per round first).
+    def no_draw(*args, **kwargs):
+        raise AssertionError("data drawn before --rounds was checked")
+
+    monkeypatch.setattr("matfdp.simlab.gen_correlations", no_draw)
+    out = tmp_path / "sim"
+    rc = main(["simulate", *GEN_FLAGS, "--rounds", str(2**32), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: rounds must be")
+    assert not out.exists()
 
 
 def test_bad_flags_exit_2(tmp_path, capsys):
@@ -449,47 +509,90 @@ def test_simulate_tiny_trim_fraction_records_failures(tmp_path, capsys, monkeypa
     assert [(r["round"], r["method"]) for r in rows] == [("1", "pfa"), ("2", "pfa")]
 
 
+def _manifest_edit(change):
+    """A case that rewrites the manifest as ``change(manifest)``; the manifest is blamed."""
+
+    def apply(data):
+        path = data / "manifest.json"
+        path.write_text(json.dumps(change(json.loads(path.read_text()))))
+        return path
+
+    return apply
+
+
+def _not_json(data):
+    path = data / "manifest.json"
+    path.write_text("{not json")
+    return path
+
+
+def _missing_member(data):
+    path = data / "control_002.csv"
+    path.unlink()
+    return path
+
+
+def _nan_member(data):
+    path = data / "treatment_001.csv"
+    mat = np.loadtxt(path, delimiter=",")
+    mat[3, 7] = np.nan
+    np.savetxt(path, mat, delimiter=",")
+    return path
+
+
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda manifest: 5,
-        lambda manifest: None,
-        lambda manifest: {**manifest, "treatment": 7},
+        _manifest_edit(lambda manifest: 5),
+        _manifest_edit(lambda manifest: None),
+        _manifest_edit(lambda manifest: {**manifest, "treatment": 7}),
         # Right length, so only the element type is wrong.
-        lambda manifest: {**manifest, "treatment": [3, *manifest["treatment"][1:]]},
-        lambda manifest: {**manifest, "schema_version": 2},
+        _manifest_edit(
+            lambda manifest: {**manifest, "treatment": [3, *manifest["treatment"][1:]]}
+        ),
+        _manifest_edit(lambda manifest: {**manifest, "schema_version": 2}),
         # Both compare equal to 1.
-        lambda manifest: {**manifest, "schema_version": True},
-        lambda manifest: {**manifest, "schema_version": 1.0},
+        _manifest_edit(lambda manifest: {**manifest, "schema_version": True}),
+        _manifest_edit(lambda manifest: {**manifest, "schema_version": 1.0}),
         # No file is left after the first, so no share is dealt out.
-        lambda manifest: {
+        _manifest_edit(lambda manifest: {
             **manifest, "n": 1, "m": 0, "treatment": manifest["treatment"][:1], "control": [],
-        },
+        }),
         # Well-formed, but the same observation twice.
-        lambda manifest: {
+        _manifest_edit(lambda manifest: {
             **manifest, "control": [manifest["control"][0], *manifest["control"][:-1]],
-        },
+        }),
+        _not_json,
+        _manifest_edit(lambda manifest: {k: v for k, v in manifest.items() if k != "control"}),
+        _manifest_edit(lambda manifest: {**manifest, "n": manifest["n"] + 1}),
+        _manifest_edit(
+            lambda manifest: {**manifest, "n": 0, "m": 0, "treatment": [], "control": []}
+        ),
+        _missing_member,
+        _nan_member,
     ],
     ids=["number", "null", "treatment-number", "treatment-int-list", "foreign-schema",
-         "schema-true", "schema-float", "single-member", "duplicate-member"],
+         "schema-true", "schema-float", "single-member", "duplicate-member", "not-json",
+         "missing-key", "size-mismatch", "no-member", "missing-member", "nan-member"],
 )
 def test_malformed_manifest_exit_3(tmp_path, capsys, edit):
     data = tmp_path / "data"
     assert main(["gen-synthetic", *GEN_FLAGS, "--seed", "1", "--out", str(data)]) == 0
     capsys.readouterr()
-    manifest = data / "manifest.json"
-    manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+    blamed = edit(data)
 
+    out = tmp_path / "out"
     rc = main(
         [
             "analyze", "--data", str(data), "--method", "noodle",
-            "--threshold", "0.1", "--out", str(tmp_path / "out"),
+            "--threshold", "0.1", "--out", str(out),
         ]
     )
     assert rc == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: malformed dataset")
-    assert f"malformed dataset ({manifest}):" in err
+    assert f"malformed dataset ({blamed}):" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -114,6 +114,12 @@ def test_eigenvalue_ratio_errors():
         eigenvalue_ratio([0.0, 0.0], 1)
     with pytest.raises(NonPositiveEigenvalue):
         eigenvalue_ratio([1.0, 1e-20, 1e-20], 2)
+    with pytest.raises(NonPositiveEigenvalue, match="at least two"):
+        eigenvalue_ratio([3.0], 1)
+    # Unsorted: 0.9 keeps two values above the floor, so the examined prefix
+    # is [1.0, -0.5].
+    with pytest.raises(NonPositiveEigenvalue, match="inside the examined prefix"):
+        eigenvalue_ratio([1.0, -0.5, 0.9], 2)
     with pytest.raises(ValueError):
         eigenvalue_ratio([2.0, 1.0], 0)
 

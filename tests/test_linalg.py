@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from matfdp.errors import DegenerateVariance, InvalidMatrix, NotPsd
+from matfdp.errors import InvalidMatrix, NotPsd
 from matfdp.linalg import (
     SIGN_EPS,
     _fix_signs,
-    corr_from_cov,
     kron_eigenpairs,
     sym_eigen,
     symmetric_sqrt,
@@ -113,6 +112,8 @@ def test_sym_eigen_rejects_bad_input():
         sym_eigen(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(InvalidMatrix):
         sym_eigen(np.ones((2, 3)))
+    with pytest.raises(InvalidMatrix, match="2-D"):
+        sym_eigen(np.ones(3))
 
 
 def test_kron_eigenpairs_hand_case():
@@ -202,18 +203,6 @@ def test_sampler_rejects_shape_mismatch():
         sample_matrix_normal_stack(np.zeros((2, 3)), np.eye(3), np.eye(3), 1, derive_rng(0))
 
 
-def test_corr_from_cov_basic():
-    c = np.array([[4.0, 2.0], [2.0, 9.0]])
-    r = corr_from_cov(c)
-    assert np.allclose(np.diag(r), 1.0)
-    assert np.allclose(r[0, 1], 2.0 / 6.0)
-
-
-def test_corr_from_cov_degenerate():
-    with pytest.raises(DegenerateVariance):
-        corr_from_cov(np.array([[0.0, 0.0], [0.0, 1.0]]))
-
-
 def test_vec_roundtrip_column_major():
     m = np.arange(6.0).reshape(2, 3)
     v = vec(m)
@@ -234,3 +223,6 @@ def test_derive_rng_slots_are_independent():
     assert not np.allclose(last, derive_rng(7, 0, 0).standard_normal(4))
     with pytest.raises(ValueError, match="round_index"):
         derive_rng(7, 2**32, 0)
+    # The stream fills the lower 32 bits: stream 2**32 would be round + 1.
+    with pytest.raises(ValueError, match="stream"):
+        derive_rng(7, 0, 2**32)

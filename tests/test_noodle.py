@@ -201,7 +201,9 @@ def test_trimmed_estimator_smoke():
     w_true = np.array([1.0, -0.5])
     x = (v1 * (np.sqrt(nl.values) * w_true)) @ g1.T + 0.05 * rng.standard_normal((6, 5))
     fit = fit_noodle(stat_matrix(x), nl, estimator="trimmed_l1")
-    assert not fit.trim_fallback
+    assert not fit.trim.used_fallback
+    assert fit.trim.iterations >= 1
+    np.testing.assert_array_equal(fit.factors, fit.trim.w)
     assert np.max(np.abs(fit.factors - w_true)) < 0.2
     est = fdp_noodle(fit, 4, 0.01)
     assert 0.0 <= est <= 30 / 4
@@ -219,9 +221,12 @@ def test_trimmed_fit_at_the_iteration_cap_is_not_converged(fit, build, monkeypat
     ds, _ = gen_round(spec, sigma1, sigma2, derive_rng(6, 1, 1))
     x = test_matrix(ds)
     loadings = build(estimate_correlations(ds, x.sigma_hat))
-    assert fit(x, loadings, "trimmed_l1").trim_converged is True
-    assert fit(x, loadings).trim_converged is True
+    full = fit(x, loadings, "trimmed_l1").trim
+    assert full.converged is True and full.iterations > 1
+    # The least-squares path runs no trimmed fit.
+    assert fit(x, loadings).trim is None
     monkeypatch.setattr(trimreg, "MAX_ITERS", 1)
-    capped = fit(x, loadings, "trimmed_l1")
-    assert capped.trim_converged is False
-    assert capped.trim_fallback is False
+    capped = fit(x, loadings, "trimmed_l1").trim
+    assert capped.converged is False
+    assert capped.used_fallback is False
+    assert capped.iterations == 1

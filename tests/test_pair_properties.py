@@ -10,7 +10,7 @@ from matfdp.covfactor import (
     sandwich_loadings_from_corr,
 )
 from matfdp.linalg import vec
-from matfdp.noodle import fdp_noodle, fit_noodle
+from matfdp.noodle import fdp_noodle, fdp_oracle, fit_noodle
 from matfdp.sandwich import fdp_sandwich, fit_sandwich
 
 from helpers import dense_columns, random_corr, stat_matrix
@@ -66,21 +66,28 @@ def test_estimate_lies_in_zero_to_cells_over_r(case, t, data):
 @given(
     st.integers(2, 6),
     st.integers(2, 6),
-    st.booleans(),
+    st.sampled_from(["top", "grid", "clipped-grid"]),
     st.floats(1e-6, 0.999),
     st.data(),
 )
-def test_zero_pairs_give_cells_t_over_r(p, q, top, t, data):
-    if top:
+def test_zero_pairs_give_cells_t_over_r(p, q, kind, t, data):
+    # No pairs, or a grid whose every weight is clipped to 0 (each row
+    # eigenvalue of -I is -1): either way no factor loads any cell.
+    if kind == "top":
         loadings = noodle_loadings_from_corr(np.eye(p), np.eye(q), 0)
-    else:
+    elif kind == "grid":
         k2 = data.draw(st.integers(0, q))
         loadings = sandwich_loadings_from_corr(np.eye(p), np.eye(q), 0, k2)
+    else:
+        k1, k2 = data.draw(st.integers(1, p)), data.draw(st.integers(1, q))
+        loadings = sandwich_loadings_from_corr(-np.eye(p), np.eye(q), k1, k2)
     x = np.random.default_rng(p * q).standard_normal((p, q))
     r = data.draw(st.integers(1, p * q))
+    every_cell = np.ones((p, q), dtype=bool)
     for estimator in ("least_squares", "trimmed_l1"):
         fit = fit_noodle(stat_matrix(x), loadings, estimator)
         assert fdp_noodle(fit, r, t) == p * q * t / r
+        assert fdp_oracle(loadings, fit.factors, every_cell, r, t) == p * q * t / r
 
 
 @PROPERTY

@@ -138,7 +138,7 @@ def test_trimmed_estimator_recovers_planted_factors():
     left, right = side_loadings(sl)
     x = left @ w_true @ right.T + 0.05 * rng.standard_normal((6, 6))
     fit = fit_sandwich(stat_matrix(x), sl, estimator="trimmed_l1")
-    assert not fit.trim_fallback
+    assert not fit.trim.used_fallback
     assert np.max(np.abs(fit.factors.reshape((2, 2), order="F") - w_true)) < 0.3
 
 
@@ -171,7 +171,9 @@ def test_zero_weight_pair_adds_nothing_to_the_common_part(kind, estimator):
     fit = fit_fn(stat_matrix(x), loadings, estimator=estimator)
     if estimator == "trimmed_l1":
         # The zero-weight pair stays out of the trimmed design, so the fit trims.
-        assert fit.trim_fallback is False
+        assert fit.trim.used_fallback is False
+    else:
+        assert fit.trim is None
     coef = np.sqrt(np.clip(loadings.values, 0.0, None)) * fit.factors
     np.testing.assert_allclose(fit.common_part, loadings.expand(coef), rtol=0, atol=1e-15)
     every_cell = np.ones((loadings.p, loadings.q), dtype=bool)

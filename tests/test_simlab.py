@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from matfdp.errors import NotPsd
+from matfdp.errors import InvalidMatrix, NotPsd
 from matfdp.linalg import symmetric_sqrt
 from matfdp.simlab import (
     ModelSpec,
@@ -233,6 +233,8 @@ def test_spec_validation():
         ModelSpec(model=1, p=1)
     with pytest.raises(ValueError, match="n, m"):
         ModelSpec(model=1, n=2, m=2)
+    with pytest.raises(ValueError, match="loading ranks"):
+        ModelSpec(model=1, l2=-1)
     with pytest.raises(ValueError, match="rho1"):
         ModelSpec(model=2, rho2=0.3)
     with pytest.raises(ValueError, match="w_dist"):
@@ -270,6 +272,17 @@ def test_spec_rejects_non_finite_amplitude(amplitude):
 def test_spec_rejects_an_unbounded_uniform_range(dist):
     with pytest.raises(ValueError, match="finite range"):
         ModelSpec(model=1, p=4, q=4, signal_rows=2, signal_cols=2, loading_dist=dist)
+
+
+def test_overflowing_loadings_are_refused():
+    # The range is finite, so the spec accepts it; B B' overflows to inf.
+    spec = ModelSpec(
+        model=1, p=4, q=4, signal_rows=2, signal_cols=2,
+        loading_dist=("uniform", -1e200, 1e200),
+    )
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(InvalidMatrix, match="covariance contains non-finite"):
+            gen_correlations(spec, derive_rng(0))
 
 
 def test_run_experiment_records_and_summaries():
@@ -367,6 +380,9 @@ def test_round_workers_follow_the_cpu_affinity(monkeypatch, affinity, workers):
         (dict(threshold=0.0), "threshold"),
         (dict(max_workers=0), "max_workers"),
         (dict(methods=("pfa", "pfa")), "repeat"),
+        # Round 2**32 has no derive_rng stream, and the pool would queue one
+        # future per round before running any.
+        (dict(rounds=2**32), "rounds"),
     ],
 )
 def test_run_experiment_rejects_bad_arguments_before_drawing(monkeypatch, kwargs, match):

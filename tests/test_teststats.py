@@ -33,6 +33,10 @@ def test_dataset_validation():
         TwoSampleDataset(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))  # n + m < 5
     with pytest.raises(ValueError):
         TwoSampleDataset(np.zeros((3, 2, 2)), np.zeros((3, 2, 3)))
+    with pytest.raises(ValueError, match="3-D"):
+        TwoSampleDataset(np.zeros((3, 2)), np.zeros((3, 2, 2)))
+    with pytest.raises(ValueError, match="dimensions must be positive"):
+        TwoSampleDataset(np.zeros((3, 0, 2)), np.zeros((3, 0, 2)))
     bad = np.zeros((3, 2, 2))
     bad[0, 0, 0] = np.inf
     with pytest.raises(ValueError):
@@ -144,6 +148,8 @@ def test_true_fdp_conventions():
     # All-null mask makes V = R.
     outall = true_fdp(p, np.ones((2, 2), dtype=bool), 0.05)
     assert outall.false_discoveries == outall.discoveries == 2
+    with pytest.raises(ValueError, match="mask shape"):
+        true_fdp(p, np.ones((2, 3), dtype=bool), 0.05)
 
 
 def test_true_fdp_monotone_counts():
