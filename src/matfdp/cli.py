@@ -33,13 +33,13 @@ from .covfactor import (
 )
 from .datafiles import read_dataset, write_dataset
 from .errors import DatasetFormatError, MatfdpError
-from .linalg import kron_eigenpairs, vec
+from .linalg import kron_eigenpairs
 from .noodle import fdp_noodle, fit_noodle
 from .rng import derive_rng
 from .simlab import (
     METHODS,
     ModelSpec,
-    check_rounds,
+    check_experiment,
     gen_correlations,
     gen_round,
     preset_spec,
@@ -147,14 +147,9 @@ def _check_out_path(path: str) -> None:
 
 
 def _run_simulate(args: argparse.Namespace) -> int:
-    requested = set(filter(None, args.methods.split(",")))
-    if not requested or not requested <= set(METHODS):
-        raise ValueError(f"--methods must be a subset of {','.join(METHODS)}")
-    # Keep the canonical method order in the output regardless of flag order.
-    methods = tuple(m for m in METHODS if m in requested)
     spec = _build_spec(args)
-    check_threshold(args.t)
-    check_rounds(args.rounds)
+    estimator = _ESTIMATOR_FLAGS[args.estimator]
+    methods = check_experiment(args.t, args.rounds, args.methods.split(","), estimator)
     _check_out_path(args.out)
     result = run_experiment(
         spec,
@@ -162,7 +157,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
         rounds=args.rounds,
         seed=args.seed,
         methods=methods,
-        estimator=_ESTIMATOR_FLAGS[args.estimator],
+        estimator=estimator,
     )
 
     with _open_out(args.out, "rounds.csv") as fh:
@@ -183,7 +178,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
             "rounds": args.rounds,
             "seed": args.seed,
             "methods": list(methods),
-            "estimator": _ESTIMATOR_FLAGS[args.estimator],
+            "estimator": estimator,
             "trim_fraction": trimreg.TRIM_FRACTION,
         },
         "methods": {name: dataclasses.asdict(s) for name, s in result.summaries.items()},
@@ -201,7 +196,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
 
 def _sweep_thresholds(pv: np.ndarray, step: int) -> list[float]:
     """Every ``step``-th sorted p-value, at most ``_SWEEP_ROW_CAP`` of them."""
-    sorted_p = np.sort(vec(pv))
+    sorted_p = np.sort(pv, axis=None)
     thresholds: list[float] = []
     for i in range(1, min(sorted_p.size // step, _SWEEP_ROW_CAP) + 1):
         t = float(sorted_p[i * step - 1])

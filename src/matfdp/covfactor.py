@@ -8,8 +8,9 @@ stack, summed over blocks of ``_BLOCK_SLICES`` observations so that peak
 memory is the data plus one block, never the whole stack; their
 eigensystems supply one kind of factor loadings used by the FDP
 estimators: pairs of a row eigenvector ``nu_b`` and a column eigenvector
-``gamma_a`` with weight ``lam_b * xi_a`` (:class:`PairLoadings`).  Two
-selectors choose the pairs:
+``gamma_a`` with weight ``max(lam_b, 0) * max(xi_a, 0)``, the same under
+either selector (:class:`PairLoadings`).  Two selectors choose the pairs by
+the raw eigenvalues, as the scree and the ratio rule read them:
 
 * noodle keeps the top-``h`` products of the Kronecker spectrum, and
 * sandwich keeps the full top-``k1`` x top-``k2`` grid.
@@ -35,8 +36,8 @@ from .teststats import TwoSampleDataset, check_sigma_hat
 #: variance-inflation factor 1 / sqrt(1 - norm^2) stays finite.
 NORM_SQ_CEIL = 1.0 - 1e-8
 
-#: Eigenvalues below this fraction of the largest are unusable for ratio
-#: selection (their ratios are numerical noise).
+#: Eigenvalues below this fraction of the largest are numerical nulls: unusable
+#: for ratio selection (their ratios are noise), and no factor in pfa.
 RATIO_FLOOR_REL = 1e-12
 
 #: Slices in one residual block: observations per block in
@@ -158,7 +159,7 @@ def eigenvalue_ratio(values, max_factors: int) -> int:
         raise NonPositiveEigenvalue(f"leading eigenvalue is {vals[0]:.6g}")
     cutoff = RATIO_FLOOR_REL * vals[0]
     usable = int(np.count_nonzero(vals >= cutoff))
-    limit = min(max_factors, usable - 1, vals.size - 1)
+    limit = min(max_factors, usable - 1)
     if limit < 1:
         raise NonPositiveEigenvalue(
             "no usable adjacent eigenvalue pair above the relative floor"
@@ -191,7 +192,8 @@ class PairLoadings:
 
     Factor ``k`` pairs column ``b = idx1[k]`` of the row eigensystem with
     column ``a = idx2[k]`` of the column eigensystem; its weight
-    ``values[k]`` is the eigenvalue product ``lam_b * xi_a`` and its loading
+    ``values[k]`` is the product ``max(lam_b, 0) * max(xi_a, 0)``, so a pair
+    with a negative eigenvalue on either side weighs 0, and its loading
     column is ``sqrt(values[k]) * kron(gamma_a, nu_b)``.  Nothing builds the
     dense ``(p*q, h)`` loading matrix: the fits use the separable form through
     :meth:`expand`, and the trimmed fit takes the per-pair columns of
@@ -242,7 +244,9 @@ class PairLoadings:
         return _pair_sum(self.eig1.vectors, self.eig2.vectors, self.idx1, self.idx2, coef)
 
 
-def _pair_loadings(e1: EigenSystem, e2: EigenSystem, idx1, idx2, values) -> PairLoadings:
+def _pair_loadings(e1: EigenSystem, e2: EigenSystem, idx1, idx2) -> PairLoadings:
+    """Both selectors' pairs: each side's eigenvalue clamped at 0, then the product."""
+    values = np.clip(e1.values, 0.0, None)[idx1] * np.clip(e2.values, 0.0, None)[idx2]
     norms = _pair_sum(e1.vectors**2, e2.vectors**2, idx1, idx2, values)
     return PairLoadings(e1, e2, values, idx1, idx2, np.clip(norms, 0.0, NORM_SQ_CEIL))
 
@@ -253,9 +257,7 @@ def _top_pairs(
     p, q = e1.dim, e2.dim
     if h < 0 or h > p * q:
         raise InvalidFactorCount(f"factor count must be in [0, {p * q}], got {h}")
-    return _pair_loadings(
-        e1, e2, kron.idx1[:h].copy(), kron.idx2[:h].copy(), kron.values[:h].copy()
-    )
+    return _pair_loadings(e1, e2, kron.idx1[:h].copy(), kron.idx2[:h].copy())
 
 
 def _grid_pairs(e1: EigenSystem, e2: EigenSystem, k1: int, k2: int) -> PairLoadings:
@@ -267,17 +269,15 @@ def _grid_pairs(e1: EigenSystem, e2: EigenSystem, k1: int, k2: int) -> PairLoadi
     # b runs fastest, so factors.reshape((k1, k2), order="F") is the factor matrix.
     idx1 = np.tile(np.arange(k1), k2)
     idx2 = np.repeat(np.arange(k2), k1)
-    lam = np.clip(e1.values[:k1], 0.0, None)
-    xi = np.clip(e2.values[:k2], 0.0, None)
-    return _pair_loadings(e1, e2, idx1, idx2, lam[idx1] * xi[idx2])
+    return _pair_loadings(e1, e2, idx1, idx2)
 
 
 def build_noodle_loadings(ce: CorrEstimates) -> PairLoadings:
     """Top-``h`` Kronecker-spectrum pairs from fitted correlations.
 
     The count ``h`` is selected by :func:`eigenvalue_ratio` over the sorted
-    eigenvalue products, capped at ``default_max_factors(n_total)``; for an
-    explicit count, see :func:`noodle_loadings_from_corr`.
+    raw eigenvalue products, capped at ``default_max_factors(n_total)``; for
+    an explicit count, see :func:`noodle_loadings_from_corr`.
     """
     kron = kron_eigenpairs(ce.eig1, ce.eig2)
     h = eigenvalue_ratio(kron.values, default_max_factors(ce.n_total))
@@ -299,9 +299,9 @@ def build_sandwich_loadings(ce: CorrEstimates) -> PairLoadings:
     """Full top-``k1`` x top-``k2`` grid of pairs from fitted correlations.
 
     Each count is selected by :func:`eigenvalue_ratio` over its side's
-    eigenvalues, with the same cap as :func:`build_noodle_loadings`; for
-    explicit counts, see :func:`sandwich_loadings_from_corr`.  Negative
-    eigenvalues are clamped to zero in the pair weights.
+    eigenvalues, with the same cap as :func:`build_noodle_loadings`; the
+    pairs run row index fastest and are weighed as in :class:`PairLoadings`.
+    For explicit counts, see :func:`sandwich_loadings_from_corr`.
     """
     cap = default_max_factors(ce.n_total)
     k1 = eigenvalue_ratio(ce.eig1.values, cap)

@@ -55,11 +55,6 @@ def check_symmetric(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def vec(x: np.ndarray) -> np.ndarray:
-    """Column-stack a matrix into a 1-D array."""
-    return np.ravel(x, order="F")
-
-
 def _fix_signs(vectors: np.ndarray) -> None:
     """Flip columns in place so the leading non-negligible component is positive."""
     # Two comparisons rather than np.abs: no float temporary the size of vectors.

@@ -3,15 +3,15 @@
 The statistic vector is modelled as ``vec(X) = F w + noise`` where column
 ``k`` of ``F`` is the separable eigenvector ``kron(gamma_a, nu_b)`` of one
 selected pair (see :class:`~matfdp.covfactor.PairLoadings`), scaled by the
-square root of its weight ``theta_k = lam_b * xi_a``.  Noodle selects the
-top-``h`` products of the Kronecker spectrum; sandwich runs the same fit and
-estimate on the full top-``k1`` x top-``k2`` grid.  Because those
-eigenvectors are orthonormal, the least-squares realised factors have the
+square root of its weight ``theta_k = max(lam_b, 0) * max(xi_a, 0)``.
+Noodle selects the top-``h`` products of the Kronecker spectrum; sandwich
+runs the same fit and estimate on the full top-``k1`` x top-``k2`` grid.
+Because those eigenvectors are orthonormal, the least-squares realised factors have the
 closed form ``w_k = nu_b' X gamma_a / sqrt(theta_k)`` and the fitted common
 component is the orthogonal projection of ``vec(X)`` onto the span of the
-pairs with nonzero weight.  A pair whose weight is clipped to 0 has a zero
-loading column: its factor is 0 and it adds nothing to the common component,
-as in the trimmed fit and :func:`fdp_oracle`.
+pairs with nonzero weight.  A pair with a negative eigenvalue weighs 0 and
+has a zero loading column: its factor is 0 and it adds nothing to the
+common component, as in the trimmed fit and :func:`fdp_oracle`.
 
 The FDP estimate at threshold ``t`` sums, over all cells, the conditional
 probability that a null cell rejects given the common component:
@@ -55,10 +55,6 @@ class FactorFit:
     trim: TrimmedFit | None = None
 
 
-def _sqrt_weights(loadings: PairLoadings) -> np.ndarray:
-    return np.sqrt(np.clip(loadings.values, 0.0, None))
-
-
 def check_estimator(estimator: str) -> None:
     """Raise ``ValueError`` unless ``estimator`` is a known realised-factor fit."""
     if estimator not in _ESTIMATORS:
@@ -68,9 +64,9 @@ def check_estimator(estimator: str) -> None:
 def _fit(x: TestMatrix, loadings: PairLoadings, estimator: str, trimmed_fit) -> FactorFit:
     """The realised-factor fit of both methods; ``trimmed_fit`` is the caller's ``trimmed_l1_fit``.
 
-    A pair whose weight is clipped to 0 gets factor 0 and adds nothing to the
-    common part on either path.  Its loading column is all zeros, so it stays
-    out of the trimmed design, which would otherwise be rank-deficient.
+    A pair of weight 0 gets factor 0 and adds nothing to the common part on
+    either path.  Its loading column is all zeros, so it stays out of the
+    trimmed design, which would otherwise be rank-deficient.
     """
     check_estimator(estimator)
     if (x.p, x.q) != (loadings.p, loadings.q):
@@ -78,7 +74,7 @@ def _fit(x: TestMatrix, loadings: PairLoadings, estimator: str, trimmed_fit) -> 
             f"statistic shape {(x.p, x.q)} does not match loadings "
             f"{(loadings.p, loadings.q)}"
         )
-    sqrt_theta = _sqrt_weights(loadings)
+    sqrt_theta = np.sqrt(loadings.values)
     trim = None
     if estimator == "trimmed_l1":
         live = sqrt_theta > 0.0
@@ -119,15 +115,14 @@ def fit_noodle(
     return _fit(x, loadings, estimator, trimmed_l1_fit)
 
 
-def _plugin_estimate(
-    row_norms_sq, common, rejections: int, threshold: float, mask=None
-) -> float:
-    """Plug-in sum over the cells in ``mask`` (every cell when ``None``) per rejection.
+def _plugin_estimate(row_norms_sq, common, rejections: int, threshold: float) -> float:
+    """Plug-in sum over the given cells per rejection.
 
-    ``row_norms_sq`` and ``common`` are the ``(p, q)`` squared loading norms
-    and common part; when both are all zero no factor loads any cell, and the
-    sum is exactly ``cells * t``.  Returns 0 when nothing is rejected and
-    clamps to ``[0, cells / R]``.  All three estimators end here.
+    ``row_norms_sq`` and ``common`` are the squared loading norms and common
+    part of the same cells (all ``(p, q)``, or the oracle's null cells); when
+    both are all zero no factor loads them, and the sum is exactly
+    ``cells * t``.  Returns 0 when nothing is rejected and clamps to
+    ``[0, cells / R]``.  All three estimators end here.
     """
     check_threshold(threshold)
     if rejections <= 0:
@@ -136,10 +131,9 @@ def _plugin_estimate(
     if row_norms_sq.any() or common.any():
         z = ndtri(threshold / 2.0)
         a = 1.0 / np.sqrt(1.0 - row_norms_sq)
-        terms = ndtr(a * (z + common)) + ndtr(a * (z - common))
-        total = float((terms if mask is None else terms[mask]).sum())
+        total = float((ndtr(a * (z + common)) + ndtr(a * (z - common))).sum())
     else:
-        total = (cells if mask is None else np.count_nonzero(mask)) * threshold
+        total = cells * threshold
     return float(min(max(total / rejections, 0.0), cells / rejections))
 
 
@@ -147,8 +141,8 @@ def fdp_noodle(fit: FactorFit, rejections: int, threshold: float) -> float:
     """Plug-in FDP estimate at ``threshold`` given ``rejections`` discoveries.
 
     Returns 0 when nothing is rejected.  With zero factors (or every weight
-    clipped to 0) the estimate is exactly ``p * q * threshold / rejections``.
-    The result is clamped to ``[0, p * q / rejections]``.
+    0) the estimate is exactly ``p * q * threshold / rejections``.  The
+    result is clamped to ``[0, p * q / rejections]``.
     """
     return _plugin_estimate(fit.loadings.row_norms_sq, fit.common_part, rejections, threshold)
 
@@ -161,7 +155,8 @@ def fdp_oracle(
     ``factors`` holds the known realised factors, shape ``(loadings.h,)`` in
     the order of :attr:`FactorFit.factors`: ``W.ravel(order="F")`` for a grid
     factor matrix ``W``.  The plug-in estimate approximates this sum from
-    above by summing over every cell.
+    above by summing over every cell.  With no factor loading a null cell it
+    is exactly ``#nulls * t / R``.
     """
     mask = np.asarray(null_mask, dtype=bool)
     p, q = loadings.p, loadings.q
@@ -170,5 +165,5 @@ def fdp_oracle(
     w = np.asarray(factors, dtype=np.float64)
     if w.shape != (loadings.h,):
         raise ValueError(f"factors shape {w.shape} does not match ({loadings.h},)")
-    common = loadings.expand(_sqrt_weights(loadings) * w)
-    return _plugin_estimate(loadings.row_norms_sq, common, rejections, threshold, mask)
+    common = loadings.expand(np.sqrt(loadings.values) * w)
+    return _plugin_estimate(loadings.row_norms_sq[mask], common[mask], rejections, threshold)

@@ -25,27 +25,24 @@ from collections.abc import Iterator
 import numpy as np
 
 from . import covfactor
-from .covfactor import NORM_SQ_CEIL, default_max_factors, eigenvalue_ratio
+from .covfactor import NORM_SQ_CEIL, RATIO_FLOOR_REL, default_max_factors, eigenvalue_ratio
 from .linalg import sym_eigen
 from .noodle import _plugin_estimate
 from .teststats import TestMatrix, TwoSampleDataset, check_sigma_hat, p_values, rejection_count
 
-#: Gram eigenvalues at or below this are numerical nulls and carry no factor.
-GRAM_EIGEN_CUTOFF = 1e-12
-
 
 def _row_chunks(
-    ds: TwoSampleDataset, sigma_hat: np.ndarray
+    ds: TwoSampleDataset, sigma_hat: np.ndarray, means: tuple[np.ndarray, np.ndarray]
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """Yield ``(r0, r1, chunk)`` over blocks of ``covfactor._BLOCK_SLICES`` rows.
 
     ``chunk`` is C-contiguous, shape ``(n+m, (r1-r0)*q)``: rows ``r0:r1`` of
-    every observation (treatment first), centred at its group mean and
-    divided by ``sigma_hat``, each row of the chunk row-major in ``(r, c)``.
-    One buffer backs every chunk, so each is overwritten by the next.
+    every observation (treatment first), centred at its group mean (``means``
+    holds the treatment and control means, each ``(p, q)``) and divided by
+    ``sigma_hat``, each row of the chunk row-major in ``(r, c)``.  One buffer
+    backs every chunk, so each is overwritten by the next.
     """
     p, q, n_total = ds.p, ds.q, ds.n + ds.m
-    means = (ds.treatment.mean(axis=0), ds.control.mean(axis=0))
     step = min(covfactor._BLOCK_SLICES, p)
     buf = np.empty(n_total * step * q)
     for r0 in range(0, p, step):
@@ -77,10 +74,11 @@ def fdp_pfa(
     lives on the correlation scale like the other estimators.  With
     ``n_factors=None`` the count is chosen by the eigenvalue-ratio rule
     capped at ``floor(0.2 * (n + m))``; an explicit count must be
-    non-negative and is capped at the factor rank (the Gram eigenvalues above
-    ``GRAM_EIGEN_CUTOFF``).  Zero factors reduce exactly to
-    ``p * q * threshold / rejections``.  The realised factors are always the
-    least-squares projection: the ``estimator`` of
+    non-negative and is capped at the factor rank (the Gram eigenvalues
+    above ``RATIO_FLOOR_REL`` times the largest, the ratio rule's floor).
+    Zero factors reduce exactly to ``p * q * threshold / rejections``.  The
+    group means are computed once, for both walks.  The realised factors are
+    always the least-squares projection: the ``estimator`` of
     :func:`~matfdp.simlab.run_experiment` (``simulate --estimator``) and
     ``trimreg.TRIM_FRACTION`` act only on the noodle and sandwich fit.
     """
@@ -95,14 +93,15 @@ def fdp_pfa(
     if rejections == 0:
         return 0.0
     n_total = ds.n + ds.m
+    means = (ds.treatment.mean(axis=0), ds.control.mean(axis=0))
     gram = np.zeros((n_total, n_total))
     fx = np.zeros(n_total)
-    for r0, r1, chunk in _row_chunks(ds, sigma_hat):
+    for r0, r1, chunk in _row_chunks(ds, sigma_hat, means):
         gram += chunk @ chunk.T
         fx += chunk @ x.x[r0:r1].ravel()
     del chunk  # the last chunk is a view that would keep walk 1's buffer alive
     es = sym_eigen((0.5 / (n_total - 2)) * (gram + gram.T))
-    values = es.values[es.values > GRAM_EIGEN_CUTOFF]
+    values = es.values[es.values > RATIO_FLOOR_REL * es.values[0]]
     if n_factors is None:
         n_factors = eigenvalue_ratio(values, default_max_factors(n_total))
     k = min(n_factors, values.shape[0])
@@ -112,7 +111,7 @@ def fdp_pfa(
         s_k = values[:k]
         w = es.vectors[:, :k] / np.sqrt((n_total - 2) * s_k)
         c = w.T @ fx  # rho' vec(x)
-        for r0, r1, chunk in _row_chunks(ds, sigma_hat):
+        for r0, r1, chunk in _row_chunks(ds, sigma_hat, means):
             rho = chunk.T @ w
             norms[r0:r1] = np.einsum("ik,ik,k->i", rho, rho, s_k).reshape(r1 - r0, ds.q)
             common[r0:r1] = (rho @ c).reshape(r1 - r0, ds.q)

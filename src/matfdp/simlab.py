@@ -366,10 +366,26 @@ class ExperimentResult:
     failures: list[RoundFailure]
 
 
-def check_rounds(rounds: int) -> None:
-    """Raise ``ValueError`` unless rounds ``1..rounds`` each have a ``derive_rng`` stream."""
+def check_experiment(threshold: float, rounds: int, methods, estimator: str) -> tuple[str, ...]:
+    """Check an experiment's arguments; return ``methods`` in ``METHODS`` order.
+
+    Raises ``ValueError`` on a bad threshold or estimator, on rounds outside
+    ``[1, 2**32)`` (``derive_rng``'s streams), or on methods that are empty,
+    unknown or repeated.
+    """
+    check_threshold(threshold)
+    check_estimator(estimator)
     if not 1 <= rounds < 2**32:
         raise ValueError(f"rounds must be in [1, 2**32), got {rounds}")
+    methods = tuple(methods)
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
+    if not methods:
+        raise ValueError("need at least one method")
+    if len(set(methods)) != len(methods):
+        raise ValueError(f"methods must not repeat, got {methods}")
+    return tuple(m for m in METHODS if m in methods)
 
 
 def run_experiment(
@@ -389,19 +405,10 @@ def run_experiment(
     threads, at most the usable cores (the default).  Per-round estimator
     failures are recorded and the round (or just that method) is skipped; the
     experiment never aborts on them.  Invalid arguments raise ``ValueError``
-    before any data is drawn.
+    (see :func:`check_experiment`) before any data is drawn.  Records and
+    summaries follow ``METHODS`` order, whatever the order of ``methods``.
     """
-    check_threshold(threshold)
-    check_estimator(estimator)
-    check_rounds(rounds)
-    methods = tuple(methods)
-    unknown = [m for m in methods if m not in METHODS]
-    if unknown:
-        raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
-    if not methods:
-        raise ValueError("need at least one method")
-    if len(set(methods)) != len(methods):
-        raise ValueError(f"methods must not repeat, got {methods}")
+    methods = check_experiment(threshold, rounds, methods, estimator)
     if max_workers is not None and max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     cores = _usable_cores()

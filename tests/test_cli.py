@@ -258,6 +258,16 @@ def test_simulate_refuses_rounds_without_a_stream(tmp_path, capsys, monkeypatch)
     assert not out.exists()
 
 
+def test_simulate_refuses_repeated_methods(tmp_path, capsys):
+    # The library refuses a repeated method, so the CLI does too, before --out.
+    out = tmp_path / "sim"
+    rc = main(["simulate", *GEN_FLAGS, "--rounds", "1", "--methods", "pfa,pfa", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: methods must not repeat")
+    assert not out.exists()
+
+
 def test_bad_flags_exit_2(tmp_path, capsys):
     out = str(tmp_path / "x")
     cases = [
@@ -821,6 +831,15 @@ def test_killed_parser_costs_only_time(tmp_path, capsys, monkeypatch):
         expected = (tmp_path / "expected" / name).read_bytes()
         assert (tmp_path / "out" / name).read_bytes() == expected
     assert multiprocessing.active_children() == []
+
+
+def test_usable_cores_without_an_affinity_call(monkeypatch):
+    # Where os has no sched_getaffinity, the CPU count decides; 1 if unknown.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert datafiles._usable_cores() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert datafiles._usable_cores() == 1
 
 
 def test_parsers_leave_the_reader_only_its_share(tmp_path, capsys, monkeypatch):

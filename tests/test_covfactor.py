@@ -11,7 +11,6 @@ from matfdp.covfactor import (
     sandwich_loadings_from_corr,
 )
 from matfdp.errors import InvalidFactorCount, NonPositiveEigenvalue
-from matfdp.linalg import vec
 from matfdp.rng import derive_rng
 from matfdp.teststats import TwoSampleDataset, test_matrix
 
@@ -100,6 +99,12 @@ def test_eigenvalue_ratio_examples():
     assert eigenvalue_ratio([8.0, 2.0, 1.9, 1.8], 3) == 1
     # Tie: positions 1 and 2 share the max ratio, smallest wins.
     assert eigenvalue_ratio([4.0, 2.0, 1.0, 0.9], 3) == 1
+    # One ulp from that tie decides it: lowering either 4.0 or 1.0 by one ulp
+    # makes position 2 win; raising either keeps position 1.
+    assert eigenvalue_ratio([np.nextafter(4.0, 0.0), 2.0, 1.0], 2) == 2
+    assert eigenvalue_ratio([4.0, 2.0, np.nextafter(1.0, 0.0)], 2) == 2
+    assert eigenvalue_ratio([np.nextafter(4.0, 8.0), 2.0, 1.0], 2) == 1
+    assert eigenvalue_ratio([4.0, 2.0, np.nextafter(1.0, 2.0)], 2) == 1
 
 
 def test_eigenvalue_ratio_caps_null_tail():
@@ -163,7 +168,8 @@ def test_noodle_row_norms_match_dense():
             axis=1,
         )
         dense = (f_cols**2).sum(axis=1)
-        assert np.allclose(vec(nl.row_norms_sq), np.minimum(dense, 1.0 - 1e-8), atol=1e-10)
+        norms = np.ravel(nl.row_norms_sq, order="F")
+        assert np.allclose(norms, np.minimum(dense, 1.0 - 1e-8), atol=1e-10)
 
 
 def test_noodle_loadings_factor_count_bounds():

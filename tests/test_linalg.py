@@ -8,7 +8,6 @@ from matfdp.linalg import (
     kron_eigenpairs,
     sym_eigen,
     symmetric_sqrt,
-    vec,
 )
 from matfdp.rng import derive_rng
 
@@ -201,14 +200,6 @@ def test_sampler_vec_covariance_monte_carlo():
 def test_sampler_rejects_shape_mismatch():
     with pytest.raises(InvalidMatrix):
         sample_matrix_normal_stack(np.zeros((2, 3)), np.eye(3), np.eye(3), 1, derive_rng(0))
-
-
-def test_vec_roundtrip_column_major():
-    m = np.arange(6.0).reshape(2, 3)
-    v = vec(m)
-    # Column stacking: cell (r, c) lands at c * p + r.
-    assert np.allclose(v, [0.0, 3.0, 1.0, 4.0, 2.0, 5.0])
-    assert np.array_equal(np.reshape(v, (2, 3), order="F"), m)
 
 
 def test_derive_rng_slots_are_independent():

@@ -6,8 +6,8 @@ from matfdp.covfactor import (
     build_sandwich_loadings,
     estimate_correlations,
     noodle_loadings_from_corr,
+    sandwich_loadings_from_corr,
 )
-from matfdp.linalg import vec
 from matfdp.noodle import fdp_noodle, fdp_oracle, fit_noodle
 from matfdp import trimreg
 from matfdp.rng import derive_rng
@@ -49,11 +49,11 @@ def test_least_squares_matches_dense_projection():
         x = rng.standard_normal((p, q))
         fit = fit_noodle(stat_matrix(x), nl)
         rho = dense_columns(nl)
-        proj = rho @ (rho.T @ vec(x))
-        assert np.max(np.abs(vec(fit.common_part) - proj)) <= 1e-10
+        proj = rho @ (rho.T @ np.ravel(x, order="F"))
+        assert np.max(np.abs(np.ravel(fit.common_part, order="F") - proj)) <= 1e-10
         # Realised factors match the scaled design pseudo-inverse.
         design = rho * np.sqrt(nl.values)
-        w_ref = np.linalg.pinv(design) @ vec(x)
+        w_ref = np.linalg.pinv(design) @ np.ravel(x, order="F")
         assert np.max(np.abs(fit.factors - w_ref)) <= 1e-8
 
 
@@ -87,8 +87,8 @@ def test_fdp_matches_direct_formula():
     t = 0.005
     r = 3
     z = ndtri(t / 2.0)
-    a = 1.0 / np.sqrt(1.0 - vec(nl.row_norms_sq))
-    zeta = vec(fit.common_part)
+    a = 1.0 / np.sqrt(1.0 - np.ravel(nl.row_norms_sq, order="F"))
+    zeta = np.ravel(fit.common_part, order="F")
     expected = (ndtr(a * (z + zeta)) + ndtr(a * (z - zeta))).sum() / r
     assert fdp_noodle(fit, r, t) == pytest.approx(expected, rel=1e-12)
 
@@ -153,7 +153,7 @@ def test_oracle_full_mask_matches_dense_recomputation():
     rho = dense_columns(nl)
     zeta = rho @ (np.sqrt(nl.values) * w)
     z = ndtri(t / 2.0)
-    a = 1.0 / np.sqrt(1.0 - vec(nl.row_norms_sq))
+    a = 1.0 / np.sqrt(1.0 - np.ravel(nl.row_norms_sq, order="F"))
     expected = (ndtr(a * (z + zeta)) + ndtr(a * (z - zeta))).sum() / r
     assert est == pytest.approx(expected, rel=1e-12)
 
@@ -230,3 +230,16 @@ def test_trimmed_fit_at_the_iteration_cap_is_not_converged(fit, build, monkeypat
     assert capped.converged is False
     assert capped.used_fallback is False
     assert capped.iterations == 1
+
+
+def test_oracle_is_exact_when_no_factor_loads_a_null_cell():
+    # Diagonal correlations have unit eigenvectors, so the 2 x 1 grid loads
+    # cells (0, 0) and (1, 0) alone. With those the only non-null cells, the
+    # oracle sums over unloaded cells only: exactly #nulls * t / R.
+    s1, s2 = np.diag([3.0, 2.0, 1.0, 0.5]), np.diag([2.0, 1.0, 0.5])
+    sl = sandwich_loadings_from_corr(s1, s2, 2, 1)
+    null = sl.row_norms_sq == 0.0
+    assert np.flatnonzero(~null).tolist() == [0, 3]
+    for t in (0.001, 0.01, 0.3):
+        for r in (1, 5):
+            assert fdp_oracle(sl, [1.5, -2.0], null, r, t) == 10 * t / r

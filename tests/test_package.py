@@ -44,7 +44,7 @@ def test_public_names_are_the_pipeline():
     [
         ("linalg", name)
         for name in ("EigenSystem", "KronEigenIndex", "kron_eigenpairs", "sym_eigen",
-                     "symmetric_sqrt", "vec")
+                     "symmetric_sqrt")
     ]
     + [
         ("covfactor", "default_max_factors"),

@@ -8,7 +8,6 @@ import pytest
 from matfdp import covfactor
 from matfdp.covfactor import estimate_correlations
 from matfdp.errors import DegenerateVariance
-from matfdp.linalg import vec
 from matfdp.pfa import _row_chunks, fdp_pfa
 from matfdp.rng import derive_rng
 from matfdp.simlab import METHODS, _RoundGenerator, gen_correlations, preset_spec, run_experiment
@@ -37,19 +36,20 @@ def test_thin_factor_columns_are_vec_of_residuals(monkeypatch, p, q):
     # chunks that both walks of fdp_pfa see.
     ds = random_dataset(1, p, q)
     sig = build_stats(ds).sigma_hat
+    means = (ds.treatment.mean(axis=0), ds.control.mean(axis=0))
     for slices in (1, 2, covfactor._BLOCK_SLICES):
         monkeypatch.setattr(covfactor, "_BLOCK_SLICES", slices)
         for sigma_hat in (np.ones((p, q)), sig):
             cols = np.full((p * q, ds.n + ds.m), np.nan)
             cells = cols.reshape(q, p, -1)  # vec order: cell (r, c) is row c * p + r
-            for r0, r1, chunk in _row_chunks(ds, sigma_hat):
+            for r0, r1, chunk in _row_chunks(ds, sigma_hat, means):
                 assert chunk.shape == (ds.n + ds.m, (r1 - r0) * q)
                 assert chunk.flags.c_contiguous
                 cells[:, r0:r1] = chunk.T.reshape(r1 - r0, q, -1).transpose(1, 0, 2)
             for s in range(ds.n + ds.m):
                 np.testing.assert_allclose(
                     cols[:, s],
-                    vec(expected_residual(ds, s, sigma_hat)),
+                    np.ravel(expected_residual(ds, s, sigma_hat), order="F"),
                     rtol=1e-14,
                     atol=1e-14,
                 )

@@ -6,7 +6,6 @@ from matfdp.covfactor import (
     noodle_loadings_from_corr,
     sandwich_loadings_from_corr,
 )
-from matfdp.linalg import vec
 from matfdp.noodle import fdp_noodle, fdp_oracle, fit_noodle
 from matfdp.sandwich import fdp_sandwich, fit_sandwich
 from matfdp.trimreg import trimmed_l1_fit
@@ -50,8 +49,8 @@ def test_common_part_matches_dense_two_sided_projection():
         fit = fit_sandwich(stat_matrix(x), sl)
         v1 = sl.eig1.vectors[:, :k1]
         g2 = sl.eig2.vectors[:, :k2]
-        proj = np.kron(g2 @ g2.T, v1 @ v1.T) @ vec(x)
-        assert np.max(np.abs(vec(fit.common_part) - proj)) <= 1e-10
+        proj = np.kron(g2 @ g2.T, v1 @ v1.T) @ np.ravel(x, order="F")
+        assert np.max(np.abs(np.ravel(fit.common_part, order="F") - proj)) <= 1e-10
 
 
 def test_fit_is_idempotent_on_common_part():

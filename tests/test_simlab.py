@@ -331,6 +331,16 @@ def test_run_experiment_validation():
         run_experiment(spec, threshold=0.05, rounds=1, seed=1, methods=())
 
 
+def test_run_experiment_keeps_the_methods_order():
+    # Records and summaries follow METHODS, whatever order the caller gives.
+    spec = preset_spec(1, "b", p=6, q=6, n=6, m=6, signal_rows=2, signal_cols=2)
+    res = run_experiment(spec, threshold=0.1, rounds=2, seed=1, methods=("pfa", "noodle"))
+    assert list(res.summaries) == ["noodle", "pfa"]
+    assert [(rec.round_index, rec.method) for rec in res.records] == [
+        (1, "noodle"), (1, "pfa"), (2, "noodle"), (2, "pfa")
+    ]
+
+
 class _UnreadableEnvironment(Mapping):
     def __getitem__(self, key):
         raise AssertionError(f"read the environment variable {key!r}")
