@@ -38,7 +38,6 @@ from .noodle import fdp_noodle, fit_noodle
 from .rng import derive_rng
 from .simlab import (
     METHODS,
-    ModelSpec,
     check_experiment,
     gen_correlations,
     gen_round,
@@ -118,14 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_spec(args: argparse.Namespace):
-    overrides = dict(
-        p=args.p,
-        q=args.q,
-        n=args.n,
-        m=args.m,
-        signal_rows=min(ModelSpec.signal_rows, args.p),
-        signal_cols=min(ModelSpec.signal_cols, args.q),
-    )
+    overrides = dict(p=args.p, q=args.q, n=args.n, m=args.m)
     if args.model == 3:
         overrides["w_dist"] = args.w_dist
     return preset_spec(args.model, args.setting, **overrides)

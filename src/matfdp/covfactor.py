@@ -37,7 +37,7 @@ from .teststats import TwoSampleDataset, check_sigma_hat
 NORM_SQ_CEIL = 1.0 - 1e-8
 
 #: Eigenvalues below this fraction of the largest are numerical nulls: unusable
-#: for ratio selection (their ratios are noise), and no factor in pfa.
+#: for ratio selection (their ratios are noise), so no data-driven count reaches them.
 RATIO_FLOOR_REL = 1e-12
 
 #: Slices in one residual block: observations per block in

@@ -75,21 +75,20 @@ def _fit(x: TestMatrix, loadings: PairLoadings, estimator: str, trimmed_fit) -> 
             f"{(loadings.p, loadings.q)}"
         )
     sqrt_theta = np.sqrt(loadings.values)
+    live = sqrt_theta > 0.0
+    factors = np.zeros(loadings.h)
     trim = None
     if estimator == "trimmed_l1":
-        live = sqrt_theta > 0.0
         v1, g1 = loadings.vector_factors()
         trim = trimmed_fit(x.x, v1[:, live] * sqrt_theta[live], g1[:, live])
-        factors = np.zeros(loadings.h)
         factors[live] = trim.w
         coef = sqrt_theta * factors
     else:
         v = loadings.eig1.vectors[:, : loadings.k1]
         g = loadings.eig2.vectors[:, : loadings.k2]
         proj = (v.T @ x.x @ g)[loadings.idx1, loadings.idx2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            factors = np.where(sqrt_theta > 0.0, proj / sqrt_theta, 0.0)
-        coef = np.where(sqrt_theta > 0.0, proj, 0.0)
+        factors[live] = proj[live] / sqrt_theta[live]
+        coef = np.where(live, proj, 0.0)
     return FactorFit(loadings, factors, loadings.expand(coef), trim)
 
 

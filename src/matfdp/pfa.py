@@ -25,7 +25,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from . import covfactor
-from .covfactor import NORM_SQ_CEIL, RATIO_FLOOR_REL, default_max_factors, eigenvalue_ratio
+from .covfactor import NORM_SQ_CEIL, default_max_factors, eigenvalue_ratio
 from .linalg import sym_eigen
 from .noodle import _plugin_estimate
 from .teststats import TestMatrix, TwoSampleDataset, check_sigma_hat, p_values, rejection_count
@@ -60,34 +60,28 @@ def _row_chunks(
         yield r0, r1, chunk.reshape(n_total, -1)
 
 
-def fdp_pfa(
-    ds: TwoSampleDataset,
-    x: TestMatrix,
-    threshold: float,
-    n_factors: int | None = None,
-) -> float:
+def fdp_pfa(ds: TwoSampleDataset, x: TestMatrix, threshold: float) -> float:
     """Plug-in FDP estimate from principal factors of the vectorised data.
 
     Operates on the standardised centred observations (division by
     ``x.sigma_hat``, all positive, checked by
     :func:`~matfdp.teststats.check_sigma_hat` first), so the eigenstructure
-    lives on the correlation scale like the other estimators.  With
-    ``n_factors=None`` the count is chosen by the eigenvalue-ratio rule
-    capped at ``floor(0.2 * (n + m))``; an explicit count must be
-    non-negative and is capped at the factor rank (the Gram eigenvalues
-    above ``RATIO_FLOOR_REL`` times the largest, the ratio rule's floor).
-    Zero factors reduce exactly to ``p * q * threshold / rejections``.  The
-    group means are computed once, for both walks.  The realised factors are
-    always the least-squares projection: the ``estimator`` of
-    :func:`~matfdp.simlab.run_experiment` (``simulate --estimator``) and
-    ``trimreg.TRIM_FRACTION`` act only on the noodle and sandwich fit.
+    lives on the correlation scale like the other estimators.  The factor
+    count is :func:`~matfdp.covfactor.eigenvalue_ratio` on the Gram spectrum,
+    capped at ``floor(0.2 * (n + m))`` as for noodle and sandwich.  That rule
+    ignores eigenvalues below ``RATIO_FLOOR_REL`` times the largest, so each
+    chosen one is positive, and it raises
+    :class:`~matfdp.errors.NonPositiveEigenvalue` when none is usable (all
+    residuals zero).  The group means are computed once, for both walks.
+    The realised factors are always the least-squares projection: the
+    ``estimator`` of :func:`~matfdp.simlab.run_experiment` (``simulate
+    --estimator``) and ``trimreg.TRIM_FRACTION`` act only on the noodle and
+    sandwich fit.
     """
     if (x.p, x.q) != (ds.p, ds.q):
         raise ValueError(
             f"statistic shape {(x.p, x.q)} does not match data ({ds.p}, {ds.q})"
         )
-    if n_factors is not None and n_factors < 0:
-        raise ValueError(f"n_factors must be >= 0, got {n_factors}")
     sigma_hat = check_sigma_hat(ds, x.sigma_hat)
     rejections = rejection_count(p_values(x), threshold)
     if rejections == 0:
@@ -101,19 +95,15 @@ def fdp_pfa(
         fx += chunk @ x.x[r0:r1].ravel()
     del chunk  # the last chunk is a view that would keep walk 1's buffer alive
     es = sym_eigen((0.5 / (n_total - 2)) * (gram + gram.T))
-    values = es.values[es.values > RATIO_FLOOR_REL * es.values[0]]
-    if n_factors is None:
-        n_factors = eigenvalue_ratio(values, default_max_factors(n_total))
-    k = min(n_factors, values.shape[0])
-    norms = np.zeros((ds.p, ds.q))
-    common = np.zeros((ds.p, ds.q))
-    if k:
-        s_k = values[:k]
-        w = es.vectors[:, :k] / np.sqrt((n_total - 2) * s_k)
-        c = w.T @ fx  # rho' vec(x)
-        for r0, r1, chunk in _row_chunks(ds, sigma_hat, means):
-            rho = chunk.T @ w
-            norms[r0:r1] = np.einsum("ik,ik,k->i", rho, rho, s_k).reshape(r1 - r0, ds.q)
-            common[r0:r1] = (rho @ c).reshape(r1 - r0, ds.q)
+    k = eigenvalue_ratio(es.values, default_max_factors(n_total))
+    s_k = es.values[:k]
+    w = es.vectors[:, :k] / np.sqrt((n_total - 2) * s_k)
+    c = w.T @ fx  # rho' vec(x)
+    norms = np.empty((ds.p, ds.q))
+    common = np.empty((ds.p, ds.q))
+    for r0, r1, chunk in _row_chunks(ds, sigma_hat, means):
+        rho = chunk.T @ w
+        norms[r0:r1] = np.einsum("ik,ik,k->i", rho, rho, s_k).reshape(r1 - r0, ds.q)
+        common[r0:r1] = (rho @ c).reshape(r1 - r0, ds.q)
     np.clip(norms, 0.0, NORM_SQ_CEIL, out=norms)
     return _plugin_estimate(norms, common, rejections, threshold)

@@ -140,13 +140,20 @@ PRESETS: dict[tuple[int, str], dict] = {
 
 
 def preset_spec(model: int, setting: str, **overrides) -> ModelSpec:
-    """Build a :class:`ModelSpec` from a named preset plus overrides."""
+    """Build a :class:`ModelSpec` from a named preset plus overrides.
+
+    The default 8 x 25 signal block is cut to ``min(8, p) x min(25, q)``; a
+    block given in ``overrides`` is kept as given, so one larger than the
+    matrix still raises.
+    """
     key = (model, setting)
     if key not in PRESETS:
         known = sorted(s for (mdl, s) in PRESETS if mdl == model)
         raise ValueError(f"unknown setting {setting!r} for model {model}; known: {known}")
     params = dict(PRESETS[key])
     params.update(overrides)
+    params.setdefault("signal_rows", min(ModelSpec.signal_rows, params.get("p", ModelSpec.p)))
+    params.setdefault("signal_cols", min(ModelSpec.signal_cols, params.get("q", ModelSpec.q)))
     return ModelSpec(model=model, **params)
 
 
@@ -251,6 +258,11 @@ class _RoundGenerator:
     """
 
     def __init__(self, spec: ModelSpec, sigma1: np.ndarray, sigma2: np.ndarray):
+        (p, q), shapes = (spec.p, spec.q), (np.shape(sigma1), np.shape(sigma2))
+        if shapes != ((p, p), (q, q)):
+            raise ValueError(
+                f"sigma1 {shapes[0]} and sigma2 {shapes[1]} do not match ({p}, {p}) and ({q}, {q})"
+            )
         self.spec = spec
         mu = np.zeros((spec.p, spec.q))
         mask = np.ones((spec.p, spec.q), dtype=bool)
@@ -326,7 +338,8 @@ def gen_round(
     the mask is all ``True`` (global null).  Model 1 draws through the
     factors that :func:`gen_correlations` attached to its read-only matrices;
     any other matrix, such as a writable copy of one, draws through its dense
-    symmetric root.
+    symmetric root.  ``ValueError`` when ``sigma1`` is not ``p x p`` or
+    ``sigma2`` is not ``q x q``, before any draw.
     """
     return _RoundGenerator(spec, sigma1, sigma2).generate(rng)
 

@@ -4,9 +4,12 @@ A plain module, not a test file: pytest does not collect it, and the test
 modules import it by name because pytest puts ``tests/`` on ``sys.path``.
 """
 
+from unittest import mock
+
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from matfdp import pfa
 from matfdp.covfactor import NORM_SQ_CEIL
 from matfdp.errors import InvalidMatrix
 from matfdp.linalg import as_matrix, symmetric_sqrt
@@ -76,6 +79,16 @@ def dense_vec_covariance(ds, sigma_hat):
     ) / sigma_hat
     flat = resid.transpose(0, 2, 1).reshape(resid.shape[0], -1)  # row s is vec(resid[s])
     return flat.T @ flat / (ds.n + ds.m - 2)
+
+
+def pfa_at_count(ds, x, threshold, count):
+    """``fdp_pfa`` with ``count`` factors in place of the ratio rule's choice.
+
+    ``count`` must not exceed the rank ``n + m - 2``: beyond it the Gram
+    eigenvalues are numerical nulls.
+    """
+    with mock.patch.object(pfa, "eigenvalue_ratio", lambda values, max_factors: count):
+        return pfa.fdp_pfa(ds, x, threshold)
 
 
 def dense_pfa(ds, x, threshold, count):

@@ -24,7 +24,6 @@ from matfdp.covfactor import (
 )
 from matfdp.linalg import kron_eigenpairs, sym_eigen
 from matfdp.noodle import fdp_noodle, fit_noodle
-from matfdp.pfa import fdp_pfa
 from matfdp.sandwich import fdp_sandwich, fit_sandwich
 from matfdp.simlab import preset_spec, run_experiment
 from matfdp.teststats import (
@@ -35,7 +34,7 @@ from matfdp.teststats import (
 )
 from matfdp.trimreg import trimmed_l1_fit
 
-from helpers import dense_pfa, random_spd, sample_matrix_normal_stack, stat_matrix
+from helpers import dense_pfa, pfa_at_count, random_spd, sample_matrix_normal_stack, stat_matrix
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -153,7 +152,7 @@ def test_03_independent_case_closed_form():
     sandwich_val = fdp_sandwich(
         fit_sandwich(x, sandwich_loadings_from_corr(np.eye(5), np.eye(4), 0, 0)), rej, t
     )
-    pfa_val = fdp_pfa(ds, x, t, n_factors=0)
+    pfa_val = pfa_at_count(ds, x, t, 0)
     ok = noodle_val == expected and sandwich_val == expected and pfa_val == expected
     _report(
         3,
@@ -339,7 +338,7 @@ def test_09_pfa_chunked_route_matches_dense():
         assert rejection_count(p_values(x), t) > 0
         for count in range(ds.n + ds.m - 1):
             ref = dense_pfa(ds, x, t, count)
-            worst = max(worst, abs(fdp_pfa(ds, x, t, n_factors=count) - ref) / ref)
+            worst = max(worst, abs(pfa_at_count(ds, x, t, count) - ref) / ref)
     ok = worst <= 1e-8
     _report(9, "pfa's chunked route equals the dense eigendecomposition", ok, f"max rel err {worst:.2e}")
 

@@ -27,6 +27,8 @@ from matfdp.simlab import (
 from matfdp.teststats import TwoSampleDataset
 from matfdp.teststats import test_matrix as build_stats
 
+from helpers import pfa_at_count
+
 # p * q > 1 throughout: for 1 x 1 matrices numpy's axis-0 sum runs along a
 # contiguous axis and switches to pairwise summation.
 SHAPES = [(4, 5, 6, 7), (1, 6, 9, 8), (5, 1, 12, 3), (30, 20, 40, 35)]
@@ -142,7 +144,8 @@ def test_thin_factor_in_blocks_matches_one_block(monkeypatch, p, q, n, m):
     for rows in (1, 3, p):
         monkeypatch.setattr(covfactor, "_BLOCK_SLICES", rows)
         results.append(
-            [fdp_pfa(ds, x, t, n_factors=k) for t in (0.01, 0.2) for k in (None, 1, 2, 3)]
+            [fdp_pfa(ds, x, t) for t in (0.01, 0.2)]
+            + [pfa_at_count(ds, x, t, k) for t in (0.01, 0.2) for k in (1, 2, 3)]
         )
     whole = np.array(results[-1])
     assert np.all(whole > 0.0)

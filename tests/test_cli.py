@@ -190,7 +190,7 @@ def test_small_matrix_shrinks_the_signal_block(tmp_path):
     assert (config["signal_rows"], config["signal_cols"]) == (8, 10)
     gen = tmp_path / "gen"
     assert main(["gen-synthetic", *SMALL_FLAGS, "--out", str(gen)]) == 0
-    spec = preset_spec(1, "a", p=10, q=10, n=10, m=10, signal_rows=8, signal_cols=10)
+    spec = preset_spec(1, "a", p=10, q=10, n=10, m=10)
     s1, s2 = gen_correlations(spec, derive_rng(0, 0, 0))
     ds, _ = gen_round(spec, s1, s2, derive_rng(0, 1, 1))
     written = read_dataset(str(gen))

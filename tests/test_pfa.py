@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from matfdp.errors import DegenerateVariance
+from matfdp import pfa
+from matfdp.covfactor import RATIO_FLOOR_REL
+from matfdp.errors import DegenerateVariance, NonPositiveEigenvalue
 from matfdp.pfa import fdp_pfa
 from matfdp.rng import derive_rng
 from matfdp.teststats import (
@@ -12,7 +14,13 @@ from matfdp.teststats import (
 )
 from matfdp.teststats import test_matrix as build_stats
 
-from helpers import dense_pfa, dense_vec_covariance, random_corr, sample_matrix_normal_stack
+from helpers import (
+    dense_pfa,
+    dense_vec_covariance,
+    pfa_at_count,
+    random_corr,
+    sample_matrix_normal_stack,
+)
 
 
 def random_dataset(seed, n=7, m=8, p=4, q=4, correlated=False):
@@ -44,21 +52,24 @@ def test_gram_route_matches_dense_eigendecomposition():
             assert rejection_count(p_values(x), t) > 0
             for count in range(rank + 1):
                 ref = dense_pfa(ds, x, t, count)
-                assert fdp_pfa(ds, x, t, n_factors=count) == pytest.approx(ref, rel=1e-10)
-            assert fdp_pfa(ds, x, t, n_factors=rank + 1) == fdp_pfa(ds, x, t, n_factors=rank)
+                assert pfa_at_count(ds, x, t, count) == pytest.approx(ref, rel=1e-10)
 
 
-def test_rank_bounded_by_degrees_of_freedom():
-    # Group centering removes one dimension per group: no count beyond
-    # n + m - 2 = 3 changes the estimate.
+def test_rank_bounded_by_degrees_of_freedom(monkeypatch):
+    # Group centering removes one dimension per group: the ratio rule sees
+    # n + m - 2 = 3 Gram eigenvalues above its floor, and the third factor
+    # still moves the estimate.
     ds = random_dataset(11, n=2, m=3, p=3, q=5)
     x = build_stats(ds)
     t = 0.5
     assert rejection_count(p_values(x), t) > 0
-    capped = fdp_pfa(ds, x, t, n_factors=3)
-    assert fdp_pfa(ds, x, t, n_factors=4) == capped
-    assert fdp_pfa(ds, x, t, n_factors=50) == capped
-    assert fdp_pfa(ds, x, t, n_factors=2) != capped
+    assert pfa_at_count(ds, x, t, 2) != pfa_at_count(ds, x, t, 3)
+    seen = []
+    monkeypatch.setattr(pfa, "eigenvalue_ratio", lambda values, cap: seen.append(values) or 1)
+    fdp_pfa(ds, x, t)
+    (values,) = seen
+    assert values.shape == (5,)
+    assert np.count_nonzero(values >= RATIO_FLOOR_REL * values[0]) == 3
 
 
 def test_constant_groups_have_empty_spectrum():
@@ -69,26 +80,13 @@ def test_constant_groups_have_empty_spectrum():
     )
     with pytest.raises(DegenerateVariance):
         build_stats(ds)
-    # With unit scales the residuals are zero, so no factor survives the
-    # cutoff: every explicit count gives the counting formula.
+    # With unit scales the residuals are zero, so the Gram spectrum is all
+    # zero and the ratio rule has no factor to count.
     x = TestMatrix(np.linspace(-4.0, 4.0, 12).reshape(3, 4), np.ones((3, 4)), 1.0)
     t = 0.3
-    rej = rejection_count(p_values(x), t)
-    assert rej > 0
-    for n_factors in (1, 3):
-        assert fdp_pfa(ds, x, t, n_factors=n_factors) == 12 * t / rej
-
-
-def test_factor_count_validation():
-    ds = random_dataset(13)
-    x = build_stats(ds)
-    # A negative count is refused before anything is computed, even when
-    # nothing is rejected.
-    for t in (0.5, 1e-300):
-        with pytest.raises(ValueError, match="n_factors"):
-            fdp_pfa(ds, x, t, n_factors=-1)
-    rej = rejection_count(p_values(x), 0.5)
-    assert fdp_pfa(ds, x, 0.5, n_factors=0) == 16 * 0.5 / rej
+    assert rejection_count(p_values(x), t) > 0
+    with pytest.raises(NonPositiveEigenvalue, match="leading eigenvalue"):
+        fdp_pfa(ds, x, t)
 
 
 def test_zero_factors_reduces_to_counting_formula():
@@ -97,8 +95,7 @@ def test_zero_factors_reduces_to_counting_formula():
     t = 0.4
     rej = rejection_count(p_values(x), t)
     assert rej > 0
-    est = fdp_pfa(ds, x, t, n_factors=0)
-    assert est == pytest.approx(25 * t / rej, abs=0.0)
+    assert pfa_at_count(ds, x, t, 0) == 25 * t / rej
 
 
 def test_no_rejections_returns_zero():
@@ -110,20 +107,6 @@ def test_no_rejections_returns_zero():
     x = build_stats(ds)
     assert rejection_count(p_values(x), 1e-8) == 0
     assert fdp_pfa(ds, x, 1e-8) == 0.0
-
-
-def test_explicit_count_is_capped_at_rank():
-    ds = random_dataset(23, n=3, m=4, p=3, q=3)
-    x = build_stats(ds)
-    t = 0.5
-    rej = rejection_count(p_values(x), t)
-    rank = ds.n + ds.m - 2  # p * q = 9 exceeds it
-    # Far beyond the rank: must behave like n_factors=rank, not fail.
-    est = fdp_pfa(ds, x, t, n_factors=50)
-    ref = fdp_pfa(ds, x, t, n_factors=rank)
-    assert ref != fdp_pfa(ds, x, t, n_factors=rank - 1)
-    assert est == pytest.approx(ref, rel=1e-12)
-    assert rej > 0
 
 
 def test_data_driven_count_runs_and_is_bounded():
@@ -145,7 +128,7 @@ def test_threshold_and_shape_validation():
         fdp_pfa(other, x, 0.1)
 
 
-def test_invalid_scale_and_factor_count_raise():
+def test_invalid_scale_raises():
     ds = random_dataset(17)
     sig = build_stats(ds).sigma_hat.copy()
     sig[1, 2] = 0.0
@@ -154,5 +137,3 @@ def test_invalid_scale_and_factor_count_raise():
         fdp_pfa(ds, TestMatrix(x.x, sig, x.scale), 0.5)
     with pytest.raises(ValueError, match="sigma_hat shape"):
         fdp_pfa(ds, TestMatrix(x.x, sig[:, :2], x.scale), 0.5)
-    with pytest.raises(ValueError):
-        fdp_pfa(ds, x, 0.5, n_factors=-1)

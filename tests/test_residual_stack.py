@@ -14,6 +14,8 @@ from matfdp.simlab import METHODS, _RoundGenerator, gen_correlations, preset_spe
 from matfdp.teststats import TestMatrix, TwoSampleDataset
 from matfdp.teststats import test_matrix as build_stats
 
+from helpers import pfa_at_count
+
 SHAPES = [(4, 5), (1, 6), (5, 1), (1, 1)]
 
 
@@ -62,7 +64,7 @@ def test_estimators_leave_the_data_unchanged(p, q):
     x = build_stats(ds)
     estimate_correlations(ds, x.sigma_hat)
     # The threshold rejects some cell, so pfa walks the data twice.
-    assert fdp_pfa(ds, x, 0.99, n_factors=1) > 0.0
+    assert pfa_at_count(ds, x, 0.99, 1) > 0.0
     assert np.array_equal(ds.treatment, y)
     assert np.array_equal(ds.control, z)
 
@@ -114,9 +116,8 @@ def test_thin_factor_peak_memory_is_one_chunk():
     ds = random_dataset(3, p, q, n=20, m=20)
     x = build_stats(ds)
     stack_bytes = 8 * (ds.n + ds.m) * p * q
-    for n_factors in (3, None):
-        peak = traced_peak(fdp_pfa, ds, x, 0.2, n_factors)
-        assert peak < 0.4 * stack_bytes, (n_factors, peak, stack_bytes)
+    for peak in (traced_peak(pfa_at_count, ds, x, 0.2, 3), traced_peak(fdp_pfa, ds, x, 0.2)):
+        assert peak < 0.4 * stack_bytes, (peak, stack_bytes)
 
 
 def test_round_peak_memory_is_the_data_plus_small_arrays():

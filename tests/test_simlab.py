@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -205,6 +206,25 @@ def test_indefinite_correlation_is_refused(model):
             gen_round(spec, sigma1, sigma2, derive_rng(1, 1, 1))
 
 
+@pytest.mark.parametrize(
+    "model,derive",
+    [(1, lambda s: s), (1, np.array), (2, lambda s: s), (3, lambda s: s)],
+    ids=["model1-factor", "model1-writable-copy", "model2-dense", "model3-dense"],
+)
+def test_mismatched_sigma_is_refused_before_any_draw(model, derive):
+    small = preset_spec(model, "a", p=10, q=9, n=5, m=5)
+    sigma1, sigma2 = (derive(s) for s in gen_correlations(small, derive_rng(3, 0, 0)))
+    for spec in (replace(small, p=11), replace(small, q=10)):
+        rng = derive_rng(3, 1, 1)
+        message = (
+            rf"sigma1 \(10, 10\) and sigma2 \(9, 9\) do not match "
+            rf"\({spec.p}, {spec.p}\) and \({spec.q}, {spec.q}\)"
+        )
+        with pytest.raises(ValueError, match=message):
+            gen_round(spec, sigma1, sigma2, rng)
+        assert rng.random() == derive_rng(3, 1, 1).random()
+
+
 def test_gen_round_is_deterministic():
     spec = preset_spec(1, "b", p=8, q=8, n=5, m=5, signal_rows=2, signal_cols=2)
     sigma1, sigma2 = gen_correlations(spec, derive_rng(42, 0, 0))
@@ -224,6 +244,20 @@ def test_presets_fill_parameters():
     assert (spec.rho1, spec.rho2) == (0.5, 0.3)
     with pytest.raises(ValueError, match="unknown setting"):
         preset_spec(1, "z")
+
+
+def test_preset_cuts_only_the_default_signal_block():
+    # The default 8 x 25 block is cut to a smaller matrix, as simulate and
+    # gen-synthetic run it; a block given explicitly is kept and checked.
+    for (p, q), block in (((10, 12), (8, 12)), ((5, 30), (5, 25)), ((30, 30), (8, 25))):
+        spec = preset_spec(1, "a", p=p, q=q, n=5, m=5)
+        assert (spec.signal_rows, spec.signal_cols) == block
+    spec = preset_spec(2, "b")
+    assert (spec.signal_rows, spec.signal_cols) == (8, 25)
+    with pytest.raises(ValueError, match=r"signal block \(8 x 25\) exceeds matrix \(10 x 12\)"):
+        preset_spec(1, "a", p=10, q=12, signal_rows=8, signal_cols=25)
+    with pytest.raises(ValueError, match=r"signal block \(11 x 12\) exceeds matrix \(10 x 12\)"):
+        preset_spec(1, "a", p=10, q=12, signal_rows=11)
 
 
 def test_spec_validation():
