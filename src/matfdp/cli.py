@@ -219,6 +219,9 @@ def _run_analyze(args: argparse.Namespace) -> int:
     select = build_noodle_loadings if args.method == "noodle" else build_sandwich_loadings
     ce = estimate_correlations(ds, x.sigma_hat)
     fit = fit_noodle(x, select(ce), estimator="trimmed_l1")
+    if fit.trim.used_fallback or not fit.trim.converged:
+        what = "fell back to the all-cell fit" if fit.trim.used_fallback else "did not converge"
+        print(f"warning: trimmed fit {what} after {fit.trim.iterations} C-steps", file=sys.stderr)
 
     with _open_out(args.out, "report.csv") as fh:
         fh.write("t,R,fdp_hat,estimated_false\n")

@@ -3,14 +3,13 @@
 The dependence model treats the ``p x q`` data matrices as doubly correlated:
 one correlation matrix across rows and one across columns, with the full
 dependence of ``vec(X)`` given by their Kronecker product.  Both correlation
-matrices are Gram products of the standardised ``(p, n + m, q)`` residual
-stack, summed over blocks of ``_BLOCK_SLICES`` observations so that peak
-memory is the data plus one block, never the whole stack; their
-eigensystems supply one kind of factor loadings used by the FDP
-estimators: pairs of a row eigenvector ``nu_b`` and a column eigenvector
-``gamma_a`` with weight ``max(lam_b, 0) * max(xi_a, 0)``, the same under
-either selector (:class:`PairLoadings`).  Two selectors choose the pairs by
-the raw eigenvalues, as the scree and the ratio rule read them:
+matrices are Gram products of the standardised residuals, summed over blocks
+that :func:`~matfdp.teststats._standardise` fills, so that peak memory is the
+data plus one block; their eigensystems supply one kind of factor loadings
+used by the FDP estimators: pairs of a row eigenvector ``nu_b`` and a column
+eigenvector ``gamma_a`` with weight ``max(lam_b, 0) * max(xi_a, 0)``, the
+same under either selector (:class:`PairLoadings`).  Two selectors choose the
+pairs by the raw eigenvalues, as the scree and the ratio rule read them:
 
 * noodle keeps the top-``h`` products of the Kronecker spectrum, and
 * sandwich keeps the full top-``k1`` x top-``k2`` grid.
@@ -30,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidFactorCount, NonPositiveEigenvalue
 from .linalg import EigenSystem, KronEigenIndex, kron_eigenpairs, sym_eigen
-from .teststats import TwoSampleDataset, check_sigma_hat
+from .teststats import TwoSampleDataset, _standardise, check_sigma_hat
 
 #: Squared loading row norms are clamped below 1 by this margin so the
 #: variance-inflation factor 1 / sqrt(1 - norm^2) stays finite.
@@ -78,18 +77,15 @@ class CorrEstimates:
 def estimate_correlations(ds: TwoSampleDataset, sigma_hat: np.ndarray) -> CorrEstimates:
     """Estimate both correlation matrices from standardised residuals.
 
-    Each observation is centred at its group mean and divided cell-wise by
-    ``sigma_hat``; the row estimate averages outer products of the residual
-    columns (normalised by ``(n + m - 2) * q``) and the column estimate does
-    the same across rows (normalised by ``(n + m - 2) * p``).  The residuals
-    are built one observation at a time, one buffer reused, in C-contiguous
-    ``(p, b, q)`` blocks of ``b = _BLOCK_SLICES`` observations (fewer in the
-    last; treatment first, so a block may span both groups): the row estimate
-    adds the block's ``(p, b q)`` reshape times its transpose and the column
-    estimate the transpose of its ``(b p, q)`` reshape times itself, so the
-    peak memory is the data plus one block.  A stack that fits in one block
-    gives the products of the whole stack; more blocks only change the order
-    in which the Gram sums are added.
+    The row estimate averages outer products of the residual columns
+    (normalised by ``(n + m - 2) * q``) and the column estimate does the same
+    across rows (normalised by ``(n + m - 2) * p``).  One reused C-contiguous
+    ``(p, b, q)`` buffer holds ``b = _BLOCK_SLICES`` observations at a time
+    (fewer in the last), which :func:`~matfdp.teststats._standardise` fills
+    through its ``(b, p, q)`` transpose; the row estimate adds its ``(p, b q)``
+    reshape times its transpose and the column estimate the transpose of its
+    ``(b p, q)`` reshape times itself.  More blocks only change the order in
+    which the Gram sums are added.
 
     Parameters
     ----------
@@ -102,7 +98,6 @@ def estimate_correlations(ds: TwoSampleDataset, sigma_hat: np.ndarray) -> CorrEs
     """
     sigma_hat = check_sigma_hat(ds, sigma_hat)
     p, q, n_total = ds.p, ds.q, ds.n + ds.m
-    means = (ds.treatment.mean(axis=0), ds.control.mean(axis=0))
     s1 = np.zeros((p, p))
     s2 = np.zeros((q, q))
     step = min(_BLOCK_SLICES, n_total)
@@ -110,12 +105,7 @@ def estimate_correlations(ds: TwoSampleDataset, sigma_hat: np.ndarray) -> CorrEs
     for start in range(0, n_total, step):
         stop = min(start + step, n_total)
         block = buf[: p * (stop - start) * q].reshape(p, stop - start, q)
-        for s in range(start, stop):
-            if s < ds.n:
-                np.subtract(ds.treatment[s], means[0], out=block[:, s - start])
-            else:
-                np.subtract(ds.control[s - ds.n], means[1], out=block[:, s - start])
-        block /= sigma_hat[:, None, :]
+        _standardise(block.transpose(1, 0, 2), ds, sigma_hat, start)
         rows = block.reshape(p, -1)
         cols = block.reshape(-1, q)
         s1 += rows @ rows.T

@@ -9,10 +9,10 @@ Gram eigenpairs ``(s_k, U_k)`` the covariance eigenvectors are ``rho = F' W``
 with ``W = U_k / sqrt((n+m-2) s_k)``, and the plug-in needs only each cell's
 squared loading norm ``(rho * rho) @ s_k`` and least-squares common part
 ``rho W' F vec(x)``.  So neither the covariance, nor ``F``, nor ``rho`` is
-held: two walks over chunks of ``covfactor._BLOCK_SLICES`` matrix rows (rows
-``r0:r1`` of every observation, standardised into one reused buffer) sum the
-Gram matrix and ``F vec(x)``, then write each chunk's rows of both ``(p, q)``
-arrays.  pfa holds the data plus one chunk.
+held: a walk over chunks of ``covfactor._BLOCK_SLICES`` matrix rows, each
+with every observation as the Gram needs, sums the Gram matrix and
+``F vec(x)``; after its eigendecomposition a second walk writes each chunk's
+rows of both ``(p, q)`` arrays.  pfa holds the data plus one chunk.
 
 The estimate runs through the plug-in core that noodle and sandwich use, so
 pfa serves as the single-dependency baseline in comparisons.
@@ -24,23 +24,19 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from . import covfactor
+from . import covfactor, teststats
 from .covfactor import NORM_SQ_CEIL, default_max_factors, eigenvalue_ratio
 from .linalg import sym_eigen
 from .noodle import _plugin_estimate
 from .teststats import TestMatrix, TwoSampleDataset, check_sigma_hat, p_values, rejection_count
 
 
-def _row_chunks(
-    ds: TwoSampleDataset, sigma_hat: np.ndarray, means: tuple[np.ndarray, np.ndarray]
-) -> Iterator[tuple[int, int, np.ndarray]]:
+def _row_chunks(ds: TwoSampleDataset, sigma_hat) -> Iterator[tuple[int, int, np.ndarray]]:
     """Yield ``(r0, r1, chunk)`` over blocks of ``covfactor._BLOCK_SLICES`` rows.
 
     ``chunk`` is C-contiguous, shape ``(n+m, (r1-r0)*q)``: rows ``r0:r1`` of
-    every observation (treatment first), centred at its group mean (``means``
-    holds the treatment and control means, each ``(p, q)``) and divided by
-    ``sigma_hat``, each row of the chunk row-major in ``(r, c)``.  One buffer
-    backs every chunk, so each is overwritten by the next.
+    every observation (treatment first) as :func:`~matfdp.teststats._standardise`
+    fills them, row-major in ``(r, c)``.  One buffer backs every chunk.
     """
     p, q, n_total = ds.p, ds.q, ds.n + ds.m
     step = min(covfactor._BLOCK_SLICES, p)
@@ -48,15 +44,7 @@ def _row_chunks(
     for r0 in range(0, p, step):
         r1 = min(r0 + step, p)
         chunk = buf[: n_total * (r1 - r0) * q].reshape(n_total, r1 - r0, q)
-        for group, lo, hi, mean in (
-            (ds.treatment, 0, ds.n, means[0]),
-            (ds.control, ds.n, n_total, means[1]),
-        ):
-            # Copy, then subtract in place: numpy buffers one operand of this
-            # broadcast (up to 64 kB), and two of a three-operand subtract.
-            chunk[lo:hi] = group[:, r0:r1]
-            chunk[lo:hi] -= mean[r0:r1]
-        chunk /= sigma_hat[r0:r1]
+        teststats._standardise(chunk, ds, sigma_hat, 0, slice(r0, r1))
         yield r0, r1, chunk.reshape(n_total, -1)
 
 
@@ -72,11 +60,10 @@ def fdp_pfa(ds: TwoSampleDataset, x: TestMatrix, threshold: float) -> float:
     ignores eigenvalues below ``RATIO_FLOOR_REL`` times the largest, so each
     chosen one is positive, and it raises
     :class:`~matfdp.errors.NonPositiveEigenvalue` when none is usable (all
-    residuals zero).  The group means are computed once, for both walks.
-    The realised factors are always the least-squares projection: the
-    ``estimator`` of :func:`~matfdp.simlab.run_experiment` (``simulate
-    --estimator``) and ``trimreg.TRIM_FRACTION`` act only on the noodle and
-    sandwich fit.
+    residuals zero).  The realised factors are always the least-squares
+    projection: the ``estimator`` of :func:`~matfdp.simlab.run_experiment`
+    (``simulate --estimator``) and ``trimreg.TRIM_FRACTION`` act only on the
+    noodle and sandwich fit.
     """
     if (x.p, x.q) != (ds.p, ds.q):
         raise ValueError(
@@ -87,10 +74,9 @@ def fdp_pfa(ds: TwoSampleDataset, x: TestMatrix, threshold: float) -> float:
     if rejections == 0:
         return 0.0
     n_total = ds.n + ds.m
-    means = (ds.treatment.mean(axis=0), ds.control.mean(axis=0))
     gram = np.zeros((n_total, n_total))
     fx = np.zeros(n_total)
-    for r0, r1, chunk in _row_chunks(ds, sigma_hat, means):
+    for r0, r1, chunk in _row_chunks(ds, sigma_hat):
         gram += chunk @ chunk.T
         fx += chunk @ x.x[r0:r1].ravel()
     del chunk  # the last chunk is a view that would keep walk 1's buffer alive
@@ -101,7 +87,7 @@ def fdp_pfa(ds: TwoSampleDataset, x: TestMatrix, threshold: float) -> float:
     c = w.T @ fx  # rho' vec(x)
     norms = np.empty((ds.p, ds.q))
     common = np.empty((ds.p, ds.q))
-    for r0, r1, chunk in _row_chunks(ds, sigma_hat, means):
+    for r0, r1, chunk in _row_chunks(ds, sigma_hat):
         rho = chunk.T @ w
         norms[r0:r1] = np.einsum("ik,ik,k->i", rho, rho, s_k).reshape(r1 - r0, ds.q)
         common[r0:r1] = (rho @ c).reshape(r1 - r0, ds.q)

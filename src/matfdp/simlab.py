@@ -382,14 +382,16 @@ class ExperimentResult:
 def check_experiment(threshold: float, rounds: int, methods, estimator: str) -> tuple[str, ...]:
     """Check an experiment's arguments; return ``methods`` in ``METHODS`` order.
 
-    Raises ``ValueError`` on a bad threshold or estimator, on rounds outside
-    ``[1, 2**32)`` (``derive_rng``'s streams), or on methods that are empty,
-    unknown or repeated.
+    Raises ``ValueError`` on a bad threshold or estimator, on rounds that are
+    not an integer in ``[1, 2**32)`` (``derive_rng``'s streams), or on methods
+    that are a bare string, empty, unknown or repeated.
     """
     check_threshold(threshold)
     check_estimator(estimator)
-    if not 1 <= rounds < 2**32:
-        raise ValueError(f"rounds must be in [1, 2**32), got {rounds}")
+    if not (np.issubdtype(type(rounds), np.integer) and 1 <= rounds < 2**32):
+        raise ValueError(f"rounds must be an integer in [1, 2**32), got {rounds!r}")
+    if isinstance(methods, str):
+        raise ValueError(f"methods must be a sequence of names, not the string {methods!r}")
     methods = tuple(methods)
     unknown = [m for m in methods if m not in METHODS]
     if unknown:

@@ -8,12 +8,15 @@ Given a treatment stack and a control stack of ``p x q`` matrices, each cell
 where ``sigma_ij`` is the pooled standard deviation over both groups.  Two-sided
 p-values come from the standard normal reference; rejection counts and the
 realised false discovery proportion are simple functionals of those p-values.
+:func:`_standardise` fills every residual block that the correlations and
+pfa read, with the group means each dataset computes once for those walks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr
@@ -24,6 +27,10 @@ from .errors import DegenerateVariance
 @dataclass(frozen=True)
 class TwoSampleDataset:
     """Two stacks of equally sized matrices, one per group.
+
+    A float64 stack is not copied: the dataset keeps a read-only view, so an
+    edit through ``treatment`` or ``control`` raises ``ValueError`` and the
+    group means that the residual walks share cannot go stale.
 
     Attributes
     ----------
@@ -37,8 +44,9 @@ class TwoSampleDataset:
     control: np.ndarray
 
     def __post_init__(self):
-        y = np.asarray(self.treatment, dtype=np.float64)
-        z = np.asarray(self.control, dtype=np.float64)
+        # Views, so that making them read-only leaves the caller's arrays writable.
+        y = np.asarray(self.treatment, dtype=np.float64).view()
+        z = np.asarray(self.control, dtype=np.float64).view()
         if y.ndim != 3 or z.ndim != 3:
             raise ValueError(
                 f"group stacks must be 3-D, got shapes {y.shape} and {z.shape}"
@@ -59,6 +67,7 @@ class TwoSampleDataset:
         for group in (y, z):
             if not (np.isfinite(group.min()) and np.isfinite(group.max())):
                 raise ValueError("dataset contains non-finite entries")
+            group.flags.writeable = False
         object.__setattr__(self, "treatment", y)
         object.__setattr__(self, "control", z)
 
@@ -77,6 +86,33 @@ class TwoSampleDataset:
     @property
     def q(self) -> int:
         return int(self.treatment.shape[2])
+
+    @cached_property
+    def _group_means(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(treatment.mean(axis=0), control.mean(axis=0))``, for the residual walks.
+
+        Computed on the first walk and kept with the dataset.  :func:`test_matrix`
+        frees its own copy on return, so a caller that stops at the statistics
+        holds nothing more than them.
+        """
+        return self.treatment.mean(axis=0), self.control.mean(axis=0)
+
+
+def _standardise(out, ds: TwoSampleDataset, sigma_hat, start: int, rows=slice(None)) -> None:
+    """Fill ``out[s - start]`` with rows ``rows`` of observation ``s``, standardised.
+
+    Treatment comes first, and each group's segment of the block is copied,
+    centred at its group mean and divided by ``sigma_hat`` in place.
+    """
+    for group, lo, mean in zip((ds.treatment, ds.control), (0, ds.n), ds._group_means):
+        a, b = max(start, lo), min(start + len(out), lo + len(group))
+        if a < b:
+            # Copy, then subtract in place: numpy buffers one operand of this
+            # broadcast (up to 64 kB), and two of a three-operand subtract.
+            seg = out[a - start : b - start]
+            seg[...] = group[a - lo : b - lo, rows]
+            seg -= mean[rows]
+            seg /= sigma_hat[rows]
 
 
 def _pooled_moments(ds: TwoSampleDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -13,12 +13,13 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import matfdp
-from matfdp import datafiles
+from matfdp import datafiles, noodle
 from matfdp.cli import main
 from matfdp.covfactor import (
     build_noodle_loadings,
@@ -430,6 +431,42 @@ def test_analyze_sweep_default_step(tmp_path):
     assert 0 < len(read_csv(out / "report.csv")) <= 200 // 25
 
 
+@pytest.mark.parametrize(
+    "change, what",
+    [
+        ({"converged": False}, "did not converge"),
+        ({"used_fallback": True}, "fell back to the all-cell fit"),
+    ],
+)
+def test_analyze_warns_when_the_trimmed_fit_did_not_end_cleanly(
+    tmp_path, capsys, monkeypatch, change, what
+):
+    data = tmp_path / "data"
+    assert main(["gen-synthetic", *GEN_FLAGS, "--seed", "13", "--out", str(data)]) == 0
+    real, fits = noodle.trimmed_l1_fit, []
+
+    def analyze(name):
+        capsys.readouterr()
+        out = tmp_path / name
+        flags = ["--method", "sandwich", "--sweep", "--out", str(out)]
+        assert main(["analyze", "--data", str(data), *flags]) == 0
+        files = [(out / f).read_bytes() for f in ("report.csv", "scree.csv")]
+        return capsys.readouterr().err, files
+
+    # A normal run writes nothing on stderr.
+    plain_err, plain_files = analyze("plain")
+    assert plain_err == ""
+    # A flagged fit adds one warning line with its C-step count; the exit
+    # code and both output files stay the same.
+    monkeypatch.setattr(
+        noodle, "trimmed_l1_fit", lambda *a: fits.append(replace(real(*a), **change)) or fits[-1]
+    )
+    err, files = analyze("flagged")
+    (fit,) = fits
+    assert err == f"warning: trimmed fit {what} after {fit.iterations} C-steps\n"
+    assert files == plain_files
+
+
 def test_analyze_sweep_without_thresholds_exit_2(tmp_path, capsys):
     # A 4 x 5 matrix has 20 p-values, fewer than one sweep step of 25.
     data = tmp_path / "data"
@@ -757,7 +794,7 @@ def test_parsers_exit_when_the_reader_is_killed(tmp_path):
     # the reader is killed while every parser is inside its first file.
     script = f"""
 import os, time
-from matfdp import datafiles
+from matfdp import datafiles, noodle
 reader, read = os.getpid(), datafiles._read_matrix
 def slow(path, p, q):
     if os.getpid() != reader:

@@ -23,7 +23,7 @@ from helpers import (
 )
 
 
-def random_dataset(seed, n=7, m=8, p=4, q=4, correlated=False):
+def random_stacks(seed, n=7, m=8, p=4, q=4, correlated=False):
     rng = derive_rng(seed)
     if correlated:
         u = random_corr(np.random.default_rng(seed), p)
@@ -33,7 +33,11 @@ def random_dataset(seed, n=7, m=8, p=4, q=4, correlated=False):
     else:
         y = rng.standard_normal((n, p, q))
         z = rng.standard_normal((m, p, q))
-    return TwoSampleDataset(y, z)
+    return y, z
+
+
+def random_dataset(*args, **kwargs):
+    return TwoSampleDataset(*random_stacks(*args, **kwargs))
 
 
 def test_gram_route_matches_dense_eigendecomposition():
@@ -42,8 +46,9 @@ def test_gram_route_matches_dense_eigendecomposition():
     # which checks the Gram eigenvalues, the leading subspaces and the LS
     # common part.  A block of signal makes every threshold reject.
     for seed in range(4):
-        ds = random_dataset(seed, n=10, m=12, p=5, q=6, correlated=True)
-        ds.treatment[:, :2, :3] += 2.5
+        y, z = random_stacks(seed, n=10, m=12, p=5, q=6, correlated=True)
+        y[:, :2, :3] += 2.5
+        ds = TwoSampleDataset(y, z)
         x = build_stats(ds)
         dense_vals = np.linalg.eigvalsh(dense_vec_covariance(ds, x.sigma_hat))
         rank = int(np.count_nonzero(dense_vals > 1e-8))

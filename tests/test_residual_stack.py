@@ -1,17 +1,29 @@
 """The residual stack and its observation blocks: layout, checks, aliasing and peak memory."""
 
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from matfdp import covfactor
 from matfdp.covfactor import estimate_correlations
+from matfdp.datafiles import read_dataset, write_dataset
 from matfdp.errors import DegenerateVariance
 from matfdp.pfa import _row_chunks, fdp_pfa
 from matfdp.rng import derive_rng
-from matfdp.simlab import METHODS, _RoundGenerator, gen_correlations, preset_spec, run_experiment
-from matfdp.teststats import TestMatrix, TwoSampleDataset
+from matfdp.simlab import (
+    METHODS,
+    _RoundGenerator,
+    gen_correlations,
+    gen_round,
+    preset_spec,
+    run_experiment,
+)
+from matfdp.teststats import TestMatrix, TwoSampleDataset, _standardise
 from matfdp.teststats import test_matrix as build_stats
 
 from helpers import pfa_at_count
@@ -32,19 +44,89 @@ def expected_residual(ds, s, sigma_hat):
     return (group[s if s < ds.n else s - ds.n] - group.mean(axis=0)) / sigma_hat
 
 
+@st.composite
+def standardise_cases(draw):
+    """A dataset, a positive sigma_hat and a block ``start:stop`` of rows ``rows``."""
+    p, q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n, m = draw(st.integers(2, 5)), draw(st.integers(3, 5))
+    values = st.floats(-1e3, 1e3)
+    ds = TwoSampleDataset(
+        draw(hnp.arrays(np.float64, (n, p, q), elements=values)),
+        draw(hnp.arrays(np.float64, (m, p, q), elements=values)),
+    )
+    sigma_hat = draw(hnp.arrays(np.float64, (p, q), elements=st.floats(0.01, 100.0)))
+    start = draw(st.integers(0, n + m - 1))
+    stop = draw(st.integers(start + 1, n + m))
+    r0 = draw(st.integers(0, p - 1))
+    rows = draw(st.sampled_from([slice(None), slice(r0, draw(st.integers(r0 + 1, p)))]))
+    return ds, sigma_hat, start, stop, rows, draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(standardise_cases())
+def test_standardise_matches_the_dense_formula(case):
+    # Blocks that straddle the groups, row slices, and a transposed out as in
+    # estimate_correlations, all bit for bit.
+    ds, sigma_hat, start, stop, rows, transposed = case
+    stack = np.concatenate([ds.treatment, ds.control])
+    own_mean = np.concatenate(
+        [np.broadcast_to(g.mean(axis=0), g.shape) for g in (ds.treatment, ds.control)]
+    )
+    expected = (stack[start:stop, rows] - own_mean[start:stop, rows]) / sigma_hat[rows]
+    b, r, q = expected.shape
+    out = np.full((b, r, q), np.nan)
+    if transposed:
+        out = np.full((r, b, q), np.nan).transpose(1, 0, 2)
+    _standardise(out, ds, sigma_hat, start, rows)
+    assert np.array_equal(out, expected)
+
+
+def test_residual_walks_compute_the_group_means_once_per_dataset(monkeypatch):
+    # The correlation walk and both of pfa's walks share them; the statistics
+    # keep theirs to themselves, so the dataset holds none after test_matrix.
+    compute = TwoSampleDataset._group_means.func
+    calls = []
+    counted = functools.cached_property(lambda ds: calls.append(ds) or compute(ds))
+    counted.__set_name__(TwoSampleDataset, "_group_means")
+    monkeypatch.setattr(TwoSampleDataset, "_group_means", counted)
+    ds = random_dataset(8, 5, 6)
+    x = build_stats(ds)
+    assert calls == []
+    estimate_correlations(ds, x.sigma_hat)
+    assert fdp_pfa(ds, x, 0.99) > 0.0  # it rejects, so pfa walks twice
+    assert calls == [ds]
+
+
+def test_dataset_stacks_are_read_only_views(tmp_path):
+    # An edit through the dataset would leave its cached group means stale.
+    rng = derive_rng(9)
+    y, z = rng.standard_normal((3, 4, 5)), rng.standard_normal((4, 4, 5))
+    own = TwoSampleDataset(y, z)
+    assert np.shares_memory(own.treatment, y) and np.shares_memory(own.control, z)
+    spec = preset_spec(1, "a", p=6, q=6, n=4, m=4)
+    drawn, _ = gen_round(spec, *gen_correlations(spec, derive_rng(9, 0, 0)), derive_rng(9, 1, 1))
+    write_dataset(tmp_path / "d", drawn)
+    for ds in (own, drawn, read_dataset(tmp_path / "d")):
+        for stack in (ds.treatment, ds.control):
+            with pytest.raises(ValueError, match="read-only"):
+                stack[0, 0, 0] += 1.0
+    # The caller's own arrays keep their flags.
+    y[0, 0, 0] += 1.0
+    z[0] = 0.0
+
+
 @pytest.mark.parametrize("p,q", SHAPES)
 def test_thin_factor_columns_are_vec_of_residuals(monkeypatch, p, q):
     # The factor is never held whole: put its columns together from the row
     # chunks that both walks of fdp_pfa see.
     ds = random_dataset(1, p, q)
     sig = build_stats(ds).sigma_hat
-    means = (ds.treatment.mean(axis=0), ds.control.mean(axis=0))
     for slices in (1, 2, covfactor._BLOCK_SLICES):
         monkeypatch.setattr(covfactor, "_BLOCK_SLICES", slices)
         for sigma_hat in (np.ones((p, q)), sig):
             cols = np.full((p * q, ds.n + ds.m), np.nan)
             cells = cols.reshape(q, p, -1)  # vec order: cell (r, c) is row c * p + r
-            for r0, r1, chunk in _row_chunks(ds, sigma_hat, means):
+            for r0, r1, chunk in _row_chunks(ds, sigma_hat):
                 assert chunk.shape == (ds.n + ds.m, (r1 - r0) * q)
                 assert chunk.flags.c_contiguous
                 cells[:, r0:r1] = chunk.T.reshape(r1 - r0, q, -1).transpose(1, 0, 2)

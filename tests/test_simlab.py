@@ -10,12 +10,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from matfdp import simlab
 from matfdp.errors import InvalidMatrix, NotPsd
 from matfdp.linalg import symmetric_sqrt
 from matfdp.simlab import (
+    METHODS,
     ModelSpec,
     _draw_noise_entries,
     _RoundGenerator,
+    check_experiment,
     gen_correlations,
     gen_round,
     preset_spec,
@@ -363,6 +366,28 @@ def test_run_experiment_validation():
         run_experiment(spec, threshold=0.05, rounds=1, seed=1, methods=("ols",))
     with pytest.raises(ValueError, match="at least one"):
         run_experiment(spec, threshold=0.05, rounds=1, seed=1, methods=())
+
+
+def _no_draw(*args):
+    raise AssertionError("drew data before checking the arguments")
+
+
+@pytest.mark.parametrize("rounds", [1.5, 2.0, True, "2"])
+def test_run_experiment_refuses_a_non_integer_round_count(monkeypatch, rounds):
+    # Refused before any draw, with the argument named; a numpy integer is fine.
+    spec = preset_spec(1, "b", p=6, q=6, n=6, m=6, signal_rows=2, signal_cols=2)
+    monkeypatch.setattr(simlab, "gen_correlations", _no_draw)
+    with pytest.raises(ValueError, match="rounds must be an integer"):
+        run_experiment(spec, threshold=0.05, rounds=rounds, seed=1)
+    assert check_experiment(0.05, np.int64(2), METHODS, "least_squares") == METHODS
+
+
+def test_run_experiment_refuses_a_string_of_methods(monkeypatch):
+    # "pfa" is a string, not a sequence of names: it must not split into letters.
+    spec = preset_spec(1, "b", p=6, q=6, n=6, m=6, signal_rows=2, signal_cols=2)
+    monkeypatch.setattr(simlab, "gen_correlations", _no_draw)
+    with pytest.raises(ValueError, match="not the string 'pfa'"):
+        run_experiment(spec, threshold=0.05, rounds=1, seed=1, methods="pfa")
 
 
 def test_run_experiment_keeps_the_methods_order():
