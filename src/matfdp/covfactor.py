@@ -84,8 +84,10 @@ def estimate_correlations(ds: TwoSampleDataset, sigma_hat: np.ndarray) -> CorrEs
     (fewer in the last), which :func:`~matfdp.teststats._standardise` fills
     through its ``(b, p, q)`` transpose; the row estimate adds its ``(p, b q)``
     reshape times its transpose and the column estimate the transpose of its
-    ``(b p, q)`` reshape times itself.  More blocks only change the order in
-    which the Gram sums are added.
+    ``(b p, q)`` reshape times itself.  Each product of a block with its own
+    transpose runs as one symmetric rank-k update, so both sums are exactly
+    symmetric.  More blocks only change the order in which the Gram sums are
+    added.
 
     Parameters
     ----------
@@ -114,8 +116,6 @@ def estimate_correlations(ds: TwoSampleDataset, sigma_hat: np.ndarray) -> CorrEs
     df = n_total - 2
     s1 /= df * q
     s2 /= df * p
-    s1 = 0.5 * (s1 + s1.T)
-    s2 = 0.5 * (s2 + s2.T)
     return CorrEstimates(
         sigma1=s1,
         sigma2=s2,

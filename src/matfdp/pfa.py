@@ -80,7 +80,8 @@ def fdp_pfa(ds: TwoSampleDataset, x: TestMatrix, threshold: float) -> float:
         gram += chunk @ chunk.T
         fx += chunk @ x.x[r0:r1].ravel()
     del chunk  # the last chunk is a view that would keep walk 1's buffer alive
-    es = sym_eigen((0.5 / (n_total - 2)) * (gram + gram.T))
+    # chunk @ chunk.T is a symmetric rank-k update, so gram is exactly symmetric.
+    es = sym_eigen(gram * (1.0 / (n_total - 2)))
     k = eigenvalue_ratio(es.values, default_max_factors(n_total))
     s_k = es.values[:k]
     w = es.vectors[:, :k] / np.sqrt((n_total - 2) * s_k)

@@ -9,6 +9,8 @@ scheduling order.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _STREAM_BITS = 32
@@ -21,7 +23,7 @@ def derive_rng(seed: int, round_index: int = 0, stream: int = 0) -> np.random.Ge
     Parameters
     ----------
     seed : int
-        Master seed.  Reduced modulo 2**64.
+        Master seed, a Python or numpy integer.  Reduced modulo 2**64.
     round_index : int
         Simulation round (or any coarse task index),
         ``0 <= round_index < 2**32``.
@@ -33,7 +35,13 @@ def derive_rng(seed: int, round_index: int = 0, stream: int = 0) -> np.random.Ge
     numpy.random.Generator
         Generator backed by a Philox counter-based bit stream whose key encodes
         ``(seed, round_index, stream)``.  Two distinct slots never collide.
+
+    Raises
+    ------
+    TypeError
+        If any argument is not an integer (``operator.index`` refuses it).
     """
+    seed, round_index, stream = map(operator.index, (seed, round_index, stream))
     if not 0 <= round_index < (1 << (64 - _STREAM_BITS)):
         raise ValueError(f"round_index must be in [0, 2**{64 - _STREAM_BITS}), got {round_index}")
     if not 0 <= stream < (1 << _STREAM_BITS):

@@ -65,13 +65,6 @@ def side_loadings(sl):
     return left, sl.eig2.vectors[:, : sl.k2] * np.sqrt(xi)
 
 
-def dense_columns(loadings):
-    """Explicit unit loading columns ``kron(gamma_a, nu_b)``, shape ``(p*q, h)``."""
-    v1, g1 = loadings.vector_factors()
-    cols = [np.kron(g1[:, k], v1[:, k]) for k in range(loadings.h)]
-    return np.stack(cols, axis=1) if cols else np.zeros((loadings.p * loadings.q, 0))
-
-
 def dense_vec_covariance(ds, sigma_hat):
     """Pooled covariance of ``vec`` of the residuals over ``sigma_hat``, ``(p*q, p*q)``."""
     resid = np.concatenate(

@@ -1,3 +1,9 @@
+"""Validation, bounds, trimmed-fit end states and the per-preset oracle.
+
+Each check of the pair-loadings model that noodle and sandwich share runs
+once, over both selectors, in ``test_pair_properties.py``.
+"""
+
 import numpy as np
 import pytest
 
@@ -14,47 +20,8 @@ from matfdp.rng import derive_rng
 from matfdp.sandwich import fit_sandwich
 from matfdp.simlab import PRESETS, gen_correlations, gen_round, preset_spec
 from matfdp.teststats import p_values, rejection_count, test_matrix
-from scipy.special import ndtr, ndtri
 
-from helpers import dense_columns, random_corr, stat_matrix
-
-
-def test_zero_factor_fit_is_empty():
-    nl = noodle_loadings_from_corr(np.eye(3), np.eye(4), 0)
-    fit = fit_noodle(stat_matrix(np.ones((3, 4))), nl)
-    assert fit.factors.size == 0
-    assert np.allclose(fit.common_part, 0.0)
-
-
-def test_single_factor_exact_recovery():
-    rng = np.random.default_rng(3)
-    s1 = random_corr(rng, 4)
-    s2 = random_corr(rng, 3)
-    nl = noodle_loadings_from_corr(s1, s2, 1)
-    v1, g1 = nl.vector_factors()
-    x = np.sqrt(nl.values[0]) * np.outer(v1[:, 0], g1[:, 0])
-    fit = fit_noodle(stat_matrix(x), nl)
-    assert fit.factors[0] == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(fit.common_part, x, atol=1e-12)
-
-
-def test_least_squares_matches_dense_projection():
-    rng = np.random.default_rng(17)
-    for _ in range(5):
-        p, q = int(rng.integers(2, 6)), int(rng.integers(2, 6))
-        s1 = random_corr(rng, p)
-        s2 = random_corr(rng, q)
-        h = int(rng.integers(1, p * q + 1))
-        nl = noodle_loadings_from_corr(s1, s2, h)
-        x = rng.standard_normal((p, q))
-        fit = fit_noodle(stat_matrix(x), nl)
-        rho = dense_columns(nl)
-        proj = rho @ (rho.T @ np.ravel(x, order="F"))
-        assert np.max(np.abs(np.ravel(fit.common_part, order="F") - proj)) <= 1e-10
-        # Realised factors match the scaled design pseudo-inverse.
-        design = rho * np.sqrt(nl.values)
-        w_ref = np.linalg.pinv(design) @ np.ravel(x, order="F")
-        assert np.max(np.abs(fit.factors - w_ref)) <= 1e-8
+from helpers import random_corr, stat_matrix
 
 
 def test_orthogonal_statistic_gives_zero_factors():
@@ -66,31 +33,7 @@ def test_orthogonal_statistic_gives_zero_factors():
     x[:, 0] = [v1[1, 0], -v1[0, 0]]
     fit = fit_noodle(stat_matrix(x), nl)
     assert abs(fit.factors[0]) <= 1e-12
-    assert np.allclose(fit.common_part, 0.0, atol=1e-12)
-
-
-def test_fdp_zero_factors_is_cells_t_over_r():
-    nl = noodle_loadings_from_corr(np.eye(5), np.eye(4), 0)
-    fit = fit_noodle(stat_matrix(np.zeros((5, 4))), nl)
-    t = 0.01
-    assert fdp_noodle(fit, 4, t) == pytest.approx(20 * t / 4, abs=0.0)
-    assert fdp_noodle(fit, 0, t) == 0.0
-
-
-def test_fdp_matches_direct_formula():
-    rng = np.random.default_rng(29)
-    s1 = random_corr(rng, 4)
-    s2 = random_corr(rng, 5)
-    nl = noodle_loadings_from_corr(s1, s2, 3)
-    x = rng.standard_normal((4, 5))
-    fit = fit_noodle(stat_matrix(x), nl)
-    t = 0.005
-    r = 3
-    z = ndtri(t / 2.0)
-    a = 1.0 / np.sqrt(1.0 - np.ravel(nl.row_norms_sq, order="F"))
-    zeta = np.ravel(fit.common_part, order="F")
-    expected = (ndtr(a * (z + zeta)) + ndtr(a * (z - zeta))).sum() / r
-    assert fdp_noodle(fit, r, t) == pytest.approx(expected, rel=1e-12)
+    assert np.allclose(fit.common_part, 0.0, rtol=0, atol=1e-12)
 
 
 def test_fdp_bounds_and_monotone_false_count():
@@ -129,33 +72,6 @@ def test_fit_shape_mismatch_and_bad_estimator():
 def test_oracle_empty_mask_is_zero():
     nl = noodle_loadings_from_corr(np.eye(3), np.eye(3), 1)
     assert fdp_oracle(nl, [0.5], np.zeros((3, 3), dtype=bool), 2, 0.01) == 0.0
-
-
-def test_oracle_zero_factors_counts_nulls():
-    nl = noodle_loadings_from_corr(np.eye(3), np.eye(3), 0)
-    mask = np.zeros((3, 3), dtype=bool)
-    mask[0, :] = True
-    t = 0.02
-    est = fdp_oracle(nl, [], mask, 4, t)
-    assert est == pytest.approx(3 * t / 4, abs=0.0)
-
-
-def test_oracle_full_mask_matches_dense_recomputation():
-    rng = np.random.default_rng(43)
-    s1 = random_corr(rng, 3)
-    s2 = random_corr(rng, 4)
-    h = 2
-    nl = noodle_loadings_from_corr(s1, s2, h)
-    w = rng.standard_normal(h)
-    t = 0.01
-    r = 6
-    est = fdp_oracle(nl, w, np.ones((3, 4), dtype=bool), r, t)
-    rho = dense_columns(nl)
-    zeta = rho @ (np.sqrt(nl.values) * w)
-    z = ndtri(t / 2.0)
-    a = 1.0 / np.sqrt(1.0 - np.ravel(nl.row_norms_sq, order="F"))
-    expected = (ndtr(a * (z + zeta)) + ndtr(a * (z - zeta))).sum() / r
-    assert est == pytest.approx(expected, rel=1e-12)
 
 
 def test_oracle_partial_mask_is_dominated_by_full_mask():

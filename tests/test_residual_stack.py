@@ -116,7 +116,7 @@ def test_dataset_stacks_are_read_only_views(tmp_path):
 
 
 @pytest.mark.parametrize("p,q", SHAPES)
-def test_thin_factor_columns_are_vec_of_residuals(monkeypatch, p, q):
+def test_pfa_row_chunks_are_vec_of_residuals(monkeypatch, p, q):
     # The factor is never held whole: put its columns together from the row
     # chunks that both walks of fdp_pfa see.
     ds = random_dataset(1, p, q)
@@ -187,7 +187,7 @@ def test_correlation_peak_memory_is_one_block(monkeypatch):
     assert peak < 0.5 * stack_bytes, (peak, stack_bytes)
 
 
-def test_thin_factor_peak_memory_is_one_chunk():
+def test_pfa_row_walks_peak_memory_is_one_chunk():
     # Each of pfa's two walks fills one chunk of 8 of the 60 matrix rows, and
     # the first walk's chunk is freed before the second starts; beside it live
     # the group means and a few (p, q) arrays, never the factor, a copy of

@@ -358,6 +358,17 @@ def test_run_experiment_worker_count_does_not_change_results(monkeypatch):
     assert serial.failures == parallel.failures
 
 
+def test_numpy_integer_seeds_give_the_python_integer_stream():
+    for args in ((np.int64(5),), (5, np.int64(3)), (np.uint32(5), 3, np.int8(1))):
+        python_args = [int(a) for a in args]
+        assert np.array_equal(derive_rng(*args).random(4), derive_rng(*python_args).random(4))
+    with pytest.raises(TypeError):
+        derive_rng(5.0)
+    spec = preset_spec(1, "b", p=6, q=6, n=6, m=6, signal_rows=2, signal_cols=2)
+    numpy_seed = run_experiment(spec, 0.001, 2, seed=np.int64(7), max_workers=1)
+    assert numpy_seed.records == run_experiment(spec, 0.001, 2, seed=7, max_workers=1).records
+
+
 def test_run_experiment_validation():
     spec = preset_spec(1, "b", p=6, q=6, n=6, m=6, signal_rows=2, signal_cols=2)
     with pytest.raises(ValueError, match="rounds"):
