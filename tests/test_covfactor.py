@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from matfdp.covfactor import (
+    NORM_SQ_CEIL,
     build_noodle_loadings,
     build_sandwich_loadings,
     default_max_factors,
     eigenvalue_ratio,
     estimate_correlations,
+    noodle_loadings_from_corr,
+    sandwich_loadings_from_corr,
 )
-from matfdp.errors import NonPositiveEigenvalue
+from matfdp.errors import InvalidFactorCount, NonPositiveEigenvalue
 from matfdp.rng import derive_rng
 from matfdp.teststats import TwoSampleDataset, test_matrix
 
@@ -125,6 +128,46 @@ def test_eigenvalue_ratio_errors():
         eigenvalue_ratio([1.0, -0.5, 0.9], 2)
     with pytest.raises(ValueError):
         eigenvalue_ratio([2.0, 1.0], 0)
+
+
+def check_one_pair_hand_case(select, counts):
+    # The top pair of a 2 x 2 correlation with itself is the 1 x 1 grid: the
+    # leading eigenvalue is 1.5 on each side, with eigenvector (1, 1) / sqrt(2).
+    half = np.array([[1.0, 0.5], [0.5, 1.0]])
+    loadings = select(half, half, *counts)
+    assert loadings.values.tolist() == pytest.approx([2.25], rel=0, abs=1e-12)
+    for eig, vectors in zip((loadings.eig1, loadings.eig2), loadings.vector_factors()):
+        np.testing.assert_allclose(vectors**2, 0.5, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(eig.values[0] * vectors**2, 0.75, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(loadings.row_norms_sq, 0.5625, rtol=0, atol=1e-12)
+    a = 1.0 / np.sqrt(1.0 - loadings.row_norms_sq)  # the plug-in's scale
+    np.testing.assert_allclose(a, 1.5118578920369088, rtol=0, atol=1e-12)
+    # Perfectly correlated both ways: the one pair carries every cell, whose
+    # squared norm of 1 stops at the ceiling.
+    ones = np.ones((2, 2))
+    assert np.all(select(ones, ones, *counts).row_norms_sq == NORM_SQ_CEIL)
+
+
+def test_noodle_loadings_hand_case():
+    check_one_pair_hand_case(noodle_loadings_from_corr, (1,))
+
+
+def test_sandwich_loadings_hand_case():
+    check_one_pair_hand_case(sandwich_loadings_from_corr, (1, 1))
+
+
+def test_noodle_loadings_factor_count_bounds():
+    with pytest.raises(InvalidFactorCount):
+        noodle_loadings_from_corr(np.eye(2), np.eye(2), 5)
+    with pytest.raises(InvalidFactorCount):
+        noodle_loadings_from_corr(np.eye(2), np.eye(2), -1)
+
+
+def test_sandwich_factor_count_bounds():
+    with pytest.raises(InvalidFactorCount):
+        sandwich_loadings_from_corr(np.eye(2), np.eye(2), 3, 1)
+    with pytest.raises(InvalidFactorCount):
+        sandwich_loadings_from_corr(np.eye(2), np.eye(2), 1, -1)
 
 
 def test_build_from_estimates_data_driven_counts():

@@ -22,7 +22,6 @@ from matfdp.covfactor import (
     noodle_loadings_from_corr,
     sandwich_loadings_from_corr,
 )
-from matfdp.errors import InvalidFactorCount
 from matfdp.noodle import fdp_noodle, fdp_oracle, fit_noodle
 from matfdp.sandwich import fdp_sandwich, fit_sandwich
 
@@ -261,40 +260,3 @@ def test_noodle_weighs_an_indefinite_spectrum_as_the_grid():
         for r in (1, 3, 6):
             for t in (0.01, 0.2):
                 assert fdp_noodle(nf, r, t) == fdp_sandwich(sf, r, t)
-
-
-@pytest.mark.parametrize(
-    "select, counts",
-    [(noodle_loadings_from_corr, (1,)), (sandwich_loadings_from_corr, (1, 1))],
-    ids=["top", "grid"],
-)
-def test_one_pair_hand_cases(select, counts):
-    # The top pair of a 2 x 2 correlation with itself is the 1 x 1 grid: the
-    # leading eigenvalue is 1.5 on each side, with eigenvector (1, 1) / sqrt(2).
-    half = np.array([[1.0, 0.5], [0.5, 1.0]])
-    loadings = select(half, half, *counts)
-    assert loadings.values.tolist() == pytest.approx([2.25], rel=0, abs=1e-12)
-    for eig, vectors in zip((loadings.eig1, loadings.eig2), loadings.vector_factors()):
-        np.testing.assert_allclose(vectors**2, 0.5, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(eig.values[0] * vectors**2, 0.75, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(loadings.row_norms_sq, 0.5625, rtol=0, atol=1e-12)
-    a = 1.0 / np.sqrt(1.0 - loadings.row_norms_sq)  # the plug-in's scale
-    np.testing.assert_allclose(a, 1.5118578920369088, rtol=0, atol=1e-12)
-    # Perfectly correlated both ways: the one pair carries every cell, whose
-    # squared norm of 1 stops at the ceiling.
-    ones = np.ones((2, 2))
-    assert np.all(select(ones, ones, *counts).row_norms_sq == NORM_SQ_CEIL)
-
-
-@pytest.mark.parametrize(
-    "select, bad_counts",
-    [
-        (noodle_loadings_from_corr, [(5,), (-1,)]),
-        (sandwich_loadings_from_corr, [(3, 1), (1, -1)]),
-    ],
-    ids=["top", "grid"],
-)
-def test_factor_counts_outside_the_spectrum_are_refused(select, bad_counts):
-    for counts in bad_counts:
-        with pytest.raises(InvalidFactorCount):
-            select(np.eye(2), np.eye(2), *counts)
