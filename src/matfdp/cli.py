@@ -31,7 +31,7 @@ from .covfactor import (
     build_sandwich_loadings,
     estimate_correlations,
 )
-from .datafiles import read_dataset, write_dataset
+from .datafiles import FLOAT_FMT, read_dataset, write_dataset
 from .errors import DatasetFormatError, MatfdpError
 from .linalg import kron_eigenpairs
 from .noodle import fdp_noodle, fit_noodle
@@ -51,8 +51,8 @@ _SWEEP_ROW_CAP = 100
 
 
 def _fmt(v: float) -> str:
-    """Format a float with 17 significant digits (round-trip exact)."""
-    return format(float(v), ".17g")
+    """Format a float as the dataset files do: 17 significant digits, round-trip exact."""
+    return FLOAT_FMT % float(v)
 
 
 def _fail(code: int, message: str) -> int:

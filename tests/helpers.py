@@ -57,14 +57,6 @@ def stat_matrix(x):
     return TestMatrix(x=np.asarray(x, dtype=np.float64), sigma_hat=np.ones_like(x), scale=1.0)
 
 
-def side_loadings(sl):
-    """Scaled grid blocks ``sqrt(lam_b) nu_b``, ``(p, k1)``, and ``sqrt(xi_a) gamma_a``."""
-    lam = np.clip(sl.eig1.values[: sl.k1], 0.0, None)
-    xi = np.clip(sl.eig2.values[: sl.k2], 0.0, None)
-    left = sl.eig1.vectors[:, : sl.k1] * np.sqrt(lam)
-    return left, sl.eig2.vectors[:, : sl.k2] * np.sqrt(xi)
-
-
 def dense_vec_covariance(ds, sigma_hat):
     """Pooled covariance of ``vec`` of the residuals over ``sigma_hat``, ``(p*q, p*q)``."""
     resid = np.concatenate(

@@ -244,46 +244,45 @@ def test_a_failed_round_costs_only_that_round(tmp_path, monkeypatch):
     assert {r["round"] for r in read_csv(out / "rounds.csv")} == {"1", "3"}
 
 
-def test_simulate_refuses_rounds_without_a_stream(tmp_path, capsys, monkeypatch):
-    # derive_rng has no round 2**32; the check must come before any draw (the
-    # round pool would queue one future per round first).
-    def no_draw(*args, **kwargs):
-        raise AssertionError("data drawn before --rounds was checked")
-
-    monkeypatch.setattr("matfdp.simlab.gen_correlations", no_draw)
-    out = tmp_path / "sim"
-    rc = main(["simulate", *GEN_FLAGS, "--rounds", str(2**32), "--out", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: rounds must be")
-    assert not out.exists()
+def blocked_outs(tmp_path):
+    """Blocked ``--out`` paths: a file, a path below it, a dangling link, a path below that."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    dangling = tmp_path / "dangling"
+    dangling.symlink_to(tmp_path / "missing")
+    return blocker, blocker / "sub", dangling, dangling / "sub"
 
 
-def test_simulate_refuses_repeated_methods(tmp_path, capsys):
-    # The library refuses a repeated method, so the CLI does too, before --out.
-    out = tmp_path / "sim"
-    rc = main(["simulate", *GEN_FLAGS, "--rounds", "1", "--methods", "pfa,pfa", "--out", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: methods must not repeat")
-    assert not out.exists()
-
-
-def test_bad_flags_exit_2(tmp_path, capsys):
-    out = str(tmp_path / "x")
+def test_bad_flags_exit_2(tmp_path, capsys, monkeypatch):
+    # Flags are checked before --out and before any draw or read, so a blocked
+    # --out still exits 2 and a free one is never made.
+    monkeypatch.setattr("matfdp.simlab.gen_correlations", _raise(AssertionError("drew data")))
+    monkeypatch.setattr("matfdp.cli.read_dataset", _raise(AssertionError("read the data")))
+    free = tmp_path / "x"
+    analyze = ["analyze", "--data", str(free), "--method", "noodle"]
     cases = [
-        ["simulate", *GEN_FLAGS, "--t", "1.5", "--out", out],
-        ["simulate", *GEN_FLAGS, "--rounds", "0", "--out", out],
-        ["simulate", *GEN_FLAGS, "--methods", "ols", "--out", out],
-        ["simulate", "--model", "1", "--setting", "z", "--out", out],
-        ["simulate", "--out", out],
-        ["analyze", "--data", out, "--method", "noodle", "--threshold", "0", "--out", out],
-        ["analyze", "--data", out, "--method", "noodle", "--sweep", "0", "--out", out],
-        ["analyze", "--data", out, "--method", "noodle", "--out", out],
+        (["simulate", *GEN_FLAGS, "--t", "1.5"], "error: threshold must be in (0, 1)"),
+        (["simulate", *GEN_FLAGS, "--rounds", "0"], "error: rounds must be an integer"),
+        # derive_rng has no round 2**32, and the round pool would queue one
+        # future per round before running any.
+        (["simulate", *GEN_FLAGS, "--rounds", str(2**32)], "error: rounds must be an integer"),
+        (["simulate", *GEN_FLAGS, "--methods", "ols"], "error: unknown methods"),
+        (["simulate", *GEN_FLAGS, "--methods", "pfa,pfa"], "error: methods must not repeat"),
+        (["simulate", "--model", "1", "--setting", "z"], "error: unknown setting 'z'"),
+        (["simulate"], "matfdp simulate: error: the following arguments are required"),
+        ([*analyze, "--threshold", "0"], "error: threshold must be in (0, 1)"),
+        ([*analyze, "--sweep", "0"], "error: --sweep must be >= 1"),
+        (analyze, "matfdp analyze: error: one of the arguments --threshold --sweep"),
     ]
-    for argv in cases:
-        assert main(argv) == 2, argv
-        capsys.readouterr()
+    outs = (free, *blocked_outs(tmp_path))
+    for argv, error in cases:
+        for out in outs:
+            assert main([*argv, "--out", str(out)]) == 2, argv
+            err = capsys.readouterr().err
+            # One error line; argparse prints its usage above it.
+            assert err.endswith("\n") and err.splitlines()[-1].startswith(error), err
+            assert err.count("\n") == 1 or err.startswith("usage: "), err
+            assert not free.exists()
 
 
 def test_malformed_dataset_exit_3(tmp_path, capsys):
@@ -348,24 +347,31 @@ def test_missing_manifest_exit_3(tmp_path, capsys):
     assert "manifest" in capsys.readouterr().err
 
 
-def test_unwritable_out_exit_4(tmp_path, capsys):
-    blocker = tmp_path / "blocker"
-    blocker.write_text("")
-    out = blocker / "sub"
-    rc = main(["gen-synthetic", *GEN_FLAGS, "--seed", "1", "--out", str(out)])
-    assert rc == 4
-    capsys.readouterr()
-
-    data = tmp_path / "data"
-    assert main(["gen-synthetic", *GEN_FLAGS, "--seed", "1", "--out", str(data)]) == 0
-    rc = main(
-        [
-            "analyze", "--data", str(data), "--method", "noodle",
-            "--threshold", "0.1", "--out", str(out),
-        ]
-    )
-    assert rc == 4
-    assert "cannot write" in capsys.readouterr().err
+def test_unwritable_out_exit_4(tmp_path, capsys, monkeypatch):
+    # Every command checks --out before its first draw or read, and makes nothing.
+    for name in ("run_experiment", "gen_correlations", "gen_round", "read_dataset"):
+        monkeypatch.setattr(f"matfdp.cli.{name}", _raise(AssertionError(f"{name} reached")))
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    blocker, below_file, dangling, below_link = blocked_outs(tmp_path)
+    heads = {blocker: blocker, below_file: blocker, dangling: dangling, below_link: dangling}
+    for argv in (
+        ["simulate", *GEN_FLAGS, "--rounds", "2"],
+        ["gen-synthetic", *GEN_FLAGS],
+        ["analyze", "--data", str(tmp_path), "--method", "noodle", "--threshold", "0.1"],
+    ):
+        for out, head in heads.items():
+            assert main([*argv, "--out", str(out)]) == 4, (argv, out)
+            err = capsys.readouterr().err
+            assert err == f"error: cannot write output: {head} is not a writable directory\n"
+        # An existing directory the user may not write. Under root os.access
+        # is always true, so a chmod cannot show this case.
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "access", lambda *args, **kwargs: False)
+            assert main([*argv, "--out", str(kept / "sub")]) == 4, argv
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write output: {kept} is not a writable directory\n"
+        assert not any(kept.iterdir())
 
 
 def test_out_dir_probe_keeps_existing_files(tmp_path, capsys):
@@ -934,67 +940,6 @@ def test_one_usable_core_forks_no_parser(tmp_path, capsys, monkeypatch):
         assert np.array_equal(ds.treatment, expected.treatment)
         assert np.array_equal(ds.control, expected.control)
         assert multiprocessing.active_children() == []
-
-
-def blocked_outs(tmp_path):
-    """``--out`` paths that cannot become directories: below a file, and dangling links."""
-    blocker = tmp_path / "blocker"
-    blocker.write_text("")
-    dangling = tmp_path / "dangling"
-    dangling.symlink_to(tmp_path / "missing")
-    return blocker / "sub", dangling, dangling / "sub"
-
-
-def test_simulate_checks_out_before_running(tmp_path, capsys, monkeypatch):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("run_experiment reached with an unwritable --out")
-
-    monkeypatch.setattr("matfdp.cli.run_experiment", unreachable)
-    for out in blocked_outs(tmp_path):
-        rc = main(["simulate", *GEN_FLAGS, "--rounds", "2", "--out", str(out)])
-        assert rc == 4
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: cannot write output")
-        # Flags are checked before --out.
-        for bad in (["--rounds", "2", "--t", "2"], ["--rounds", "0"]):
-            assert main(["simulate", *GEN_FLAGS, *bad, "--out", str(out)]) == 2
-            err = capsys.readouterr().err
-            assert err.count("\n") == 1 and err.startswith("error: ")
-            assert "cannot write output" not in err
-
-
-def test_simulate_bad_threshold_leaves_no_out(tmp_path, capsys):
-    out = tmp_path / "sim"
-    assert main(["simulate", *GEN_FLAGS, "--rounds", "2", "--t", "2", "--out", str(out)]) == 2
-    assert not out.exists()
-    capsys.readouterr()
-
-
-def test_gen_synthetic_checks_out_before_generating(tmp_path, capsys, monkeypatch):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("gen_round reached with an unwritable --out")
-
-    monkeypatch.setattr("matfdp.cli.gen_round", unreachable)
-    for out in blocked_outs(tmp_path):
-        rc = main(["gen-synthetic", *GEN_FLAGS, "--out", str(out)])
-        assert rc == 4
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: cannot write output")
-
-
-def test_analyze_checks_out_before_reading(tmp_path, capsys, monkeypatch):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("read_dataset reached with an unwritable --out")
-
-    monkeypatch.setattr("matfdp.cli.read_dataset", unreachable)
-    for out in (tmp_path / "blocker", *blocked_outs(tmp_path)):
-        rc = main(
-            ["analyze", "--data", str(tmp_path), "--method", "noodle", "--threshold", "0.1",
-             "--out", str(out)]
-        )
-        assert rc == 4
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: cannot write output")
 
 
 def _raise(exc):

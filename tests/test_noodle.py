@@ -108,23 +108,6 @@ def test_oracle_on_fitted_factors_with_every_cell_null_is_the_plugin(preset):
             assert oracle == pytest.approx(fdp_noodle(fit, rej, t), rel=1e-12)
 
 
-def test_trimmed_estimator_smoke():
-    rng = np.random.default_rng(53)
-    s1 = random_corr(rng, 6)
-    s2 = random_corr(rng, 5)
-    nl = noodle_loadings_from_corr(s1, s2, 2)
-    v1, g1 = nl.vector_factors()
-    w_true = np.array([1.0, -0.5])
-    x = (v1 * (np.sqrt(nl.values) * w_true)) @ g1.T + 0.05 * rng.standard_normal((6, 5))
-    fit = fit_noodle(stat_matrix(x), nl, estimator="trimmed_l1")
-    assert not fit.trim.used_fallback
-    assert fit.trim.iterations >= 1
-    np.testing.assert_array_equal(fit.factors, fit.trim.w)
-    assert np.max(np.abs(fit.factors - w_true)) < 0.2
-    est = fdp_noodle(fit, 4, 0.01)
-    assert 0.0 <= est <= 30 / 4
-
-
 @pytest.mark.parametrize(
     "fit, build",
     [(fit_noodle, build_noodle_loadings), (fit_sandwich, build_sandwich_loadings)],

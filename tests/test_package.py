@@ -1,6 +1,10 @@
-"""Tests for the package's public namespace and its error types."""
+"""Tests for the package's public namespace, its error types and the test setup."""
 
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -76,3 +80,27 @@ def test_errors_survive_a_pickle_round_trip(cls):
     assert type(back) is cls
     assert str(back) == str(exc) and back.args == exc.args
     assert vars(back) == vars(exc)
+
+
+def test_a_failing_property_test_does_not_stop_the_session(tmp_path):
+    # A fresh run under this project's pytest settings (every warning an error)
+    # with tests/conftest.py loaded: the test after a failing @given test runs.
+    (tmp_path / "test_a.py").write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(database=None)
+        @given(st.integers())
+        def test_fails(n):
+            assert False
+    """))
+    (tmp_path / "test_b.py").write_text("def test_passes():\n    pass\n")
+    tests = os.path.dirname(__file__)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", os.path.join(os.path.dirname(tests), "pyproject.toml"),
+         "--rootdir", str(tmp_path), "-p", "conftest", "test_a.py", "test_b.py"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": tests},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout

@@ -15,32 +15,7 @@ from matfdp.noodle import fdp_noodle, fdp_oracle, fit_noodle
 from matfdp.sandwich import fit_sandwich
 from matfdp.trimreg import trimmed_l1_fit
 
-from helpers import random_corr, side_loadings, stat_matrix
-
-
-def test_fit_is_idempotent_on_common_part():
-    rng = np.random.default_rng(13)
-    s1 = random_corr(rng, 5)
-    s2 = random_corr(rng, 4)
-    sl = sandwich_loadings_from_corr(s1, s2, 2, 2)
-    x = rng.standard_normal((5, 4))
-    fit = fit_sandwich(stat_matrix(x), sl)
-    refit = fit_sandwich(stat_matrix(fit.common_part), sl)
-    assert np.allclose(refit.common_part, fit.common_part, rtol=0, atol=1e-12)
-    assert np.allclose(refit.factors, fit.factors, rtol=0, atol=1e-12)
-
-
-def test_trimmed_estimator_recovers_planted_factors():
-    rng = np.random.default_rng(39)
-    s1 = random_corr(rng, 6)
-    s2 = random_corr(rng, 6)
-    sl = sandwich_loadings_from_corr(s1, s2, 2, 2)
-    w_true = np.array([[1.0, -0.4], [0.3, 0.8]])
-    left, right = side_loadings(sl)
-    x = left @ w_true @ right.T + 0.05 * rng.standard_normal((6, 6))
-    fit = fit_sandwich(stat_matrix(x), sl, estimator="trimmed_l1")
-    assert not fit.trim.used_fallback
-    assert np.max(np.abs(fit.factors.reshape((2, 2), order="F") - w_true)) < 0.3
+from helpers import random_corr, stat_matrix
 
 
 def test_trimmed_fit_is_the_noodle_fit_on_grid_loadings():

@@ -264,51 +264,37 @@ def test_preset_cuts_only_the_default_signal_block():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError, match="model"):
-        ModelSpec(model=4)
-    with pytest.raises(ValueError, match="p must be"):
-        ModelSpec(model=1, p=1)
-    with pytest.raises(ValueError, match="n, m"):
-        ModelSpec(model=1, n=2, m=2)
-    with pytest.raises(ValueError, match="loading ranks"):
-        ModelSpec(model=1, l2=-1)
-    with pytest.raises(ValueError, match="rho1"):
-        ModelSpec(model=2, rho2=0.3)
-    with pytest.raises(ValueError, match="w_dist"):
-        ModelSpec(model=3, w_dist="cauchy")
-    with pytest.raises(ValueError, match="loading_dist"):
-        ModelSpec(model=1, loading_dist=("uniform", 2.0, 1.0))
-    with pytest.raises(ValueError, match="signal block"):
-        ModelSpec(model=1, p=4, q=4, signal_rows=8, signal_cols=25)
-
-
-@pytest.mark.parametrize(
-    "rows,cols,message",
-    [
-        (8, 25, r"signal block \(8 x 25\) exceeds matrix \(4 x 4\)"),
-        (2, 5, r"signal block \(2 x 5\) exceeds matrix \(4 x 4\)"),
-        (2, -1, r"signal block sizes must be >= 0, got 2 x -1"),
-        (-1, 0, r"signal block sizes must be >= 0, got -1 x 0"),
-    ],
-)
-def test_signal_block_messages(rows, cols, message):
-    with pytest.raises(ValueError, match=message):
-        ModelSpec(model=1, p=4, q=4, signal_rows=rows, signal_cols=cols)
-
-
-@pytest.mark.parametrize("amplitude", [float("nan"), float("inf"), -float("inf")])
-def test_spec_rejects_non_finite_amplitude(amplitude):
-    with pytest.raises(ValueError, match="signal_amplitude must be finite"):
-        preset_spec(1, "a", p=12, q=12, n=8, m=8, signal_amplitude=amplitude)
-
-
-@pytest.mark.parametrize(
-    "dist",
-    [("uniform", -float("inf"), 1.0), ("uniform", 0.0, float("inf")), ("uniform", -1e308, 1e308)],
-)
-def test_spec_rejects_an_unbounded_uniform_range(dist):
-    with pytest.raises(ValueError, match="finite range"):
-        ModelSpec(model=1, p=4, q=4, signal_rows=2, signal_cols=2, loading_dist=dist)
+    # ModelSpec owns every rule of a spec; preset_spec and the CLI build through it.
+    small = dict(model=1, p=4, q=4, signal_rows=2, signal_cols=2)
+    nan, inf = float("nan"), float("inf")
+    cases = [
+        (dict(model=4), "model must be 1, 2, or 3, got 4"),
+        (dict(model=1, p=1), "p must be >= 2, got 1"),
+        (dict(model=1, n=2, m=2), r"need n, m >= 2 and n \+ m >= 5, got n=2, m=2"),
+        (dict(model=1, l2=-1), "loading ranks must be >= 0, got l1=3, l2=-1"),
+        (dict(model=2, rho2=0.3), r"model 2 needs rho1 in \(-1, 1\), got None"),
+        (dict(model=2, rho1=1.0, rho2=0.3), r"model 2 needs rho1 in \(-1, 1\), got 1.0"),
+        (dict(model=2, rho1=0.5, rho2=-1.0), r"model 2 needs rho2 in \(-1, 1\), got -1.0"),
+        (dict(model=3, w_dist="cauchy"), "w_dist must be 'exp1' or 'scaled_t6', got 'cauchy'"),
+        (dict(model=1, loading_dist=("uniform", 2.0, 1.0)), "loading_dist must be"),
+        *(
+            ({**small, "loading_dist": ("uniform", lo, hi)}, "finite range")
+            for lo, hi in ((-inf, 1.0), (0.0, inf), (-1e308, 1e308))
+        ),
+        *(
+            ({**small, "signal_amplitude": a}, f"signal_amplitude must be finite, got {a}")
+            for a in (nan, inf, -inf)
+        ),
+        ({**small, "signal_rows": 8, "signal_cols": 25},
+         r"signal block \(8 x 25\) exceeds matrix \(4 x 4\)"),
+        ({**small, "signal_cols": 5}, r"signal block \(2 x 5\) exceeds matrix \(4 x 4\)"),
+        ({**small, "signal_cols": -1}, "signal block sizes must be >= 0, got 2 x -1"),
+        ({**small, "signal_rows": -1, "signal_cols": 0},
+         "signal block sizes must be >= 0, got -1 x 0"),
+    ]
+    for fields, message in cases:
+        with pytest.raises(ValueError, match=message):
+            ModelSpec(**fields)
 
 
 def test_overflowing_loadings_are_refused():
@@ -369,36 +355,36 @@ def test_numpy_integer_seeds_give_the_python_integer_stream():
     assert numpy_seed.records == run_experiment(spec, 0.001, 2, seed=7, max_workers=1).records
 
 
-def test_run_experiment_validation():
+def test_run_experiment_validation(monkeypatch):
+    # check_experiment refuses each argument before any draw, with the argument named.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("data drawn before the arguments were checked")
+
+    monkeypatch.setattr(simlab, "gen_correlations", no_draw)
     spec = preset_spec(1, "b", p=6, q=6, n=6, m=6, signal_rows=2, signal_cols=2)
-    with pytest.raises(ValueError, match="rounds"):
-        run_experiment(spec, threshold=0.05, rounds=0, seed=1)
-    with pytest.raises(ValueError, match="unknown methods"):
-        run_experiment(spec, threshold=0.05, rounds=1, seed=1, methods=("ols",))
-    with pytest.raises(ValueError, match="at least one"):
-        run_experiment(spec, threshold=0.05, rounds=1, seed=1, methods=())
-
-
-def _no_draw(*args):
-    raise AssertionError("drew data before checking the arguments")
-
-
-@pytest.mark.parametrize("rounds", [1.5, 2.0, True, "2"])
-def test_run_experiment_refuses_a_non_integer_round_count(monkeypatch, rounds):
-    # Refused before any draw, with the argument named; a numpy integer is fine.
-    spec = preset_spec(1, "b", p=6, q=6, n=6, m=6, signal_rows=2, signal_cols=2)
-    monkeypatch.setattr(simlab, "gen_correlations", _no_draw)
-    with pytest.raises(ValueError, match="rounds must be an integer"):
-        run_experiment(spec, threshold=0.05, rounds=rounds, seed=1)
+    call = dict(threshold=0.05, rounds=2, seed=1, max_workers=1)
+    cases = [
+        # Round 2**32 has no derive_rng stream, and the pool would queue one
+        # future per round before running any.
+        *(
+            (dict(rounds=r), r"rounds must be an integer in \[1, 2\*\*32\)")
+            for r in (0, 2**32, 1.5, 2.0, True, "2")
+        ),
+        (dict(methods=("ols",)), "unknown methods"),
+        (dict(methods=()), "need at least one method"),
+        # A string is not a sequence of names: it must not split into letters.
+        (dict(methods="pfa"), "not the string 'pfa'"),
+        (dict(methods=("pfa", "pfa")), "methods must not repeat"),
+        (dict(estimator="bogus"), "estimator must be one of"),
+        (dict(threshold=1.5), r"threshold must be in \(0, 1\)"),
+        (dict(threshold=0.0), r"threshold must be in \(0, 1\)"),
+        (dict(max_workers=0), "max_workers must be >= 1"),
+    ]
+    for kwargs, match in cases:
+        with pytest.raises(ValueError, match=match):
+            run_experiment(spec, **{**call, **kwargs})
+    # A numpy integer is a round count.
     assert check_experiment(0.05, np.int64(2), METHODS, "least_squares") == METHODS
-
-
-def test_run_experiment_refuses_a_string_of_methods(monkeypatch):
-    # "pfa" is a string, not a sequence of names: it must not split into letters.
-    spec = preset_spec(1, "b", p=6, q=6, n=6, m=6, signal_rows=2, signal_cols=2)
-    monkeypatch.setattr(simlab, "gen_correlations", _no_draw)
-    with pytest.raises(ValueError, match="not the string 'pfa'"):
-        run_experiment(spec, threshold=0.05, rounds=1, seed=1, methods="pfa")
 
 
 def test_run_experiment_keeps_the_methods_order():
@@ -450,28 +436,3 @@ def test_round_workers_follow_the_cpu_affinity(monkeypatch, affinity, workers):
             spec, threshold=0.1, rounds=2, seed=3, methods=("pfa",), max_workers=max_workers
         )
     assert pool_sizes == [workers, workers]
-
-
-@pytest.mark.parametrize(
-    "kwargs, match",
-    [
-        (dict(methods=("pfa",), estimator="bogus"), "estimator"),
-        (dict(threshold=1.5), "threshold"),
-        (dict(threshold=0.0), "threshold"),
-        (dict(max_workers=0), "max_workers"),
-        (dict(methods=("pfa", "pfa")), "repeat"),
-        # Round 2**32 has no derive_rng stream, and the pool would queue one
-        # future per round before running any.
-        (dict(rounds=2**32), "rounds"),
-    ],
-)
-def test_run_experiment_rejects_bad_arguments_before_drawing(monkeypatch, kwargs, match):
-    def no_draw(*args, **kw):
-        raise AssertionError("data drawn before the arguments were checked")
-
-    monkeypatch.setattr("matfdp.simlab.gen_correlations", no_draw)
-    spec = preset_spec(1, "b", p=6, q=6, n=6, m=6, signal_rows=2, signal_cols=2)
-    call = dict(threshold=0.05, rounds=2, seed=1, max_workers=1)
-    call.update(kwargs)
-    with pytest.raises(ValueError, match=match):
-        run_experiment(spec, **call)
