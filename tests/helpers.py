@@ -13,6 +13,8 @@ from matfdp import pfa
 from matfdp.covfactor import NORM_SQ_CEIL
 from matfdp.errors import InvalidMatrix
 from matfdp.linalg import as_matrix, symmetric_sqrt
+from matfdp.noodle import fdp_noodle, fit_noodle
+from matfdp.sandwich import fit_sandwich
 from matfdp.teststats import TestMatrix, p_values, rejection_count
 
 
@@ -55,6 +57,23 @@ def sample_matrix_normal_stack(mu, u, v, count, rng):
 def stat_matrix(x):
     """Statistic matrix ``x`` with unit standard errors."""
     return TestMatrix(x=np.asarray(x, dtype=np.float64), sigma_hat=np.ones_like(x), scale=1.0)
+
+
+def check_planted_trimmed_recovery(loadings, w_true, rng):
+    """The trimmed fit recovers ``w_true`` within 0.2 through both fit entry points.
+
+    The statistic is the planted common part on ``loadings``' pairs plus
+    noise of sd 0.05 drawn from ``rng``.
+    """
+    v1, g1 = loadings.vector_factors()
+    noise = 0.05 * rng.standard_normal((loadings.p, loadings.q))
+    x = stat_matrix((v1 * (np.sqrt(loadings.values) * w_true)) @ g1.T + noise)
+    for fit_fn in (fit_noodle, fit_sandwich):
+        fit = fit_fn(x, loadings, estimator="trimmed_l1")
+        assert not fit.trim.used_fallback and fit.trim.iterations >= 1
+        np.testing.assert_array_equal(fit.factors, fit.trim.w)
+        assert np.max(np.abs(fit.factors - w_true)) < 0.2
+        assert 0.0 <= fdp_noodle(fit, 4, 0.01) <= x.x.size / 4
 
 
 def dense_vec_covariance(ds, sigma_hat):

@@ -253,27 +253,15 @@ def blocked_outs(tmp_path):
     return blocker, blocker / "sub", dangling, dangling / "sub"
 
 
-def test_bad_flags_exit_2(tmp_path, capsys, monkeypatch):
-    # Flags are checked before --out and before any draw or read, so a blocked
-    # --out still exits 2 and a free one is never made.
+def check_refused_flags(tmp_path, capsys, monkeypatch, *cases):
+    """Each ``(argv, error)`` exits 2 with one ``error`` line, whatever its ``--out``.
+
+    Flags are checked before --out and before any draw or read, so a blocked
+    --out still exits 2 and the free one, ``tmp_path / "x"``, is never made.
+    """
     monkeypatch.setattr("matfdp.simlab.gen_correlations", _raise(AssertionError("drew data")))
     monkeypatch.setattr("matfdp.cli.read_dataset", _raise(AssertionError("read the data")))
     free = tmp_path / "x"
-    analyze = ["analyze", "--data", str(free), "--method", "noodle"]
-    cases = [
-        (["simulate", *GEN_FLAGS, "--t", "1.5"], "error: threshold must be in (0, 1)"),
-        (["simulate", *GEN_FLAGS, "--rounds", "0"], "error: rounds must be an integer"),
-        # derive_rng has no round 2**32, and the round pool would queue one
-        # future per round before running any.
-        (["simulate", *GEN_FLAGS, "--rounds", str(2**32)], "error: rounds must be an integer"),
-        (["simulate", *GEN_FLAGS, "--methods", "ols"], "error: unknown methods"),
-        (["simulate", *GEN_FLAGS, "--methods", "pfa,pfa"], "error: methods must not repeat"),
-        (["simulate", "--model", "1", "--setting", "z"], "error: unknown setting 'z'"),
-        (["simulate"], "matfdp simulate: error: the following arguments are required"),
-        ([*analyze, "--threshold", "0"], "error: threshold must be in (0, 1)"),
-        ([*analyze, "--sweep", "0"], "error: --sweep must be >= 1"),
-        (analyze, "matfdp analyze: error: one of the arguments --threshold --sweep"),
-    ]
     outs = (free, *blocked_outs(tmp_path))
     for argv, error in cases:
         for out in outs:
@@ -283,6 +271,43 @@ def test_bad_flags_exit_2(tmp_path, capsys, monkeypatch):
             assert err.endswith("\n") and err.splitlines()[-1].startswith(error), err
             assert err.count("\n") == 1 or err.startswith("usage: "), err
             assert not free.exists()
+
+
+def test_bad_flags_exit_2(tmp_path, capsys, monkeypatch):
+    analyze = ["analyze", "--data", str(tmp_path / "x"), "--method", "noodle"]
+    check_refused_flags(
+        tmp_path, capsys, monkeypatch,
+        (["simulate", *GEN_FLAGS, "--rounds", "0"], "error: rounds must be an integer"),
+        (["simulate", *GEN_FLAGS, "--methods", "ols"], "error: unknown methods"),
+        (["simulate", "--model", "1", "--setting", "z"], "error: unknown setting 'z'"),
+        (["simulate"], "matfdp simulate: error: the following arguments are required"),
+        ([*analyze, "--threshold", "0"], "error: threshold must be in (0, 1)"),
+        ([*analyze, "--sweep", "0"], "error: --sweep must be >= 1"),
+        (analyze, "matfdp analyze: error: one of the arguments --threshold --sweep"),
+    )
+
+
+def test_simulate_refuses_rounds_without_a_stream(tmp_path, capsys, monkeypatch):
+    # derive_rng has no round 2**32, and the round pool would queue one
+    # future per round before running any.
+    check_refused_flags(
+        tmp_path, capsys, monkeypatch,
+        (["simulate", *GEN_FLAGS, "--rounds", str(2**32)], "error: rounds must be an integer"),
+    )
+
+
+def test_simulate_refuses_repeated_methods(tmp_path, capsys, monkeypatch):
+    check_refused_flags(
+        tmp_path, capsys, monkeypatch,
+        (["simulate", *GEN_FLAGS, "--methods", "pfa,pfa"], "error: methods must not repeat"),
+    )
+
+
+def test_simulate_bad_threshold_leaves_no_out(tmp_path, capsys, monkeypatch):
+    check_refused_flags(
+        tmp_path, capsys, monkeypatch,
+        (["simulate", *GEN_FLAGS, "--t", "1.5"], "error: threshold must be in (0, 1)"),
+    )
 
 
 def test_malformed_dataset_exit_3(tmp_path, capsys):
@@ -347,25 +372,50 @@ def test_missing_manifest_exit_3(tmp_path, capsys):
     assert "manifest" in capsys.readouterr().err
 
 
-def test_unwritable_out_exit_4(tmp_path, capsys, monkeypatch):
-    # Every command checks --out before its first draw or read, and makes nothing.
+# One run of each command that writes --out; --out is appended.
+OUT_RUNS = {
+    "simulate": ["simulate", *GEN_FLAGS, "--rounds", "2"],
+    "gen-synthetic": ["gen-synthetic", *GEN_FLAGS],
+    "analyze": ["analyze", "--data", "data", "--method", "noodle", "--threshold", "0.1"],
+}
+
+
+def no_first_draw_or_read(monkeypatch):
+    """Make every command's first draw or read fail if it is reached."""
     for name in ("run_experiment", "gen_correlations", "gen_round", "read_dataset"):
         monkeypatch.setattr(f"matfdp.cli.{name}", _raise(AssertionError(f"{name} reached")))
-    kept = tmp_path / "kept"
-    kept.mkdir()
+
+
+def check_blocked_outs_exit_4(tmp_path, capsys, monkeypatch, argv):
+    """``argv`` exits 4 at each blocked ``--out``, naming it, before any draw or read."""
+    no_first_draw_or_read(monkeypatch)
     blocker, below_file, dangling, below_link = blocked_outs(tmp_path)
     heads = {blocker: blocker, below_file: blocker, dangling: dangling, below_link: dangling}
-    for argv in (
-        ["simulate", *GEN_FLAGS, "--rounds", "2"],
-        ["gen-synthetic", *GEN_FLAGS],
-        ["analyze", "--data", str(tmp_path), "--method", "noodle", "--threshold", "0.1"],
-    ):
-        for out, head in heads.items():
-            assert main([*argv, "--out", str(out)]) == 4, (argv, out)
-            err = capsys.readouterr().err
-            assert err == f"error: cannot write output: {head} is not a writable directory\n"
-        # An existing directory the user may not write. Under root os.access
-        # is always true, so a chmod cannot show this case.
+    for out, head in heads.items():
+        assert main([*argv, "--out", str(out)]) == 4, out
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write output: {head} is not a writable directory\n"
+
+
+def test_simulate_checks_out_before_running(tmp_path, capsys, monkeypatch):
+    check_blocked_outs_exit_4(tmp_path, capsys, monkeypatch, OUT_RUNS["simulate"])
+
+
+def test_gen_synthetic_checks_out_before_generating(tmp_path, capsys, monkeypatch):
+    check_blocked_outs_exit_4(tmp_path, capsys, monkeypatch, OUT_RUNS["gen-synthetic"])
+
+
+def test_analyze_checks_out_before_reading(tmp_path, capsys, monkeypatch):
+    check_blocked_outs_exit_4(tmp_path, capsys, monkeypatch, OUT_RUNS["analyze"])
+
+
+def test_unwritable_out_exit_4(tmp_path, capsys, monkeypatch):
+    # An existing directory the user may not write, for every command. Under
+    # root os.access is always true, so a chmod cannot show this case.
+    no_first_draw_or_read(monkeypatch)
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    for argv in OUT_RUNS.values():
         with monkeypatch.context() as patch:
             patch.setattr(os, "access", lambda *args, **kwargs: False)
             assert main([*argv, "--out", str(kept / "sub")]) == 4, argv

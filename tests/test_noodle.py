@@ -21,7 +21,7 @@ from matfdp.sandwich import fit_sandwich
 from matfdp.simlab import PRESETS, gen_correlations, gen_round, preset_spec
 from matfdp.teststats import p_values, rejection_count, test_matrix
 
-from helpers import random_corr, stat_matrix
+from helpers import check_planted_trimmed_recovery, random_corr, stat_matrix
 
 
 def test_orthogonal_statistic_gives_zero_factors():
@@ -106,6 +106,13 @@ def test_oracle_on_fitted_factors_with_every_cell_null_is_the_plugin(preset):
             fit = fit_noodle(x, loadings)
             oracle = fdp_oracle(fit.loadings, fit.factors, every_cell, rej, t)
             assert oracle == pytest.approx(fdp_noodle(fit, rej, t), rel=1e-12)
+
+
+def test_trimmed_estimator_smoke():
+    # Planted factors on the top two pairs; the grid case is in test_sandwich.
+    rng = np.random.default_rng(53)
+    nl = noodle_loadings_from_corr(random_corr(rng, 6), random_corr(rng, 5), 2)
+    check_planted_trimmed_recovery(nl, np.array([1.0, -0.5]), rng)
 
 
 @pytest.mark.parametrize(

@@ -122,27 +122,6 @@ def test_least_squares_recovers_a_common_part_exactly(case):
     assert np.max(np.abs(fit.common_part - x)) <= 1e-12
 
 
-def test_trimmed_fit_recovers_planted_factors():
-    # Planted factors on the top two pairs and on a 2 x 2 grid (F-order of
-    # [[1, -0.4], [0.3, 0.8]]), plus noise of sd 0.05.
-    top_rng, grid_rng = np.random.default_rng(53), np.random.default_rng(39)
-    top = noodle_loadings_from_corr(random_corr(top_rng, 6), random_corr(top_rng, 5), 2)
-    grid = sandwich_loadings_from_corr(random_corr(grid_rng, 6), random_corr(grid_rng, 6), 2, 2)
-    for loadings, w_true, rng in (
-        (top, np.array([1.0, -0.5]), top_rng),
-        (grid, np.array([1.0, 0.3, -0.4, 0.8]), grid_rng),
-    ):
-        v1, g1 = loadings.vector_factors()
-        noise = 0.05 * rng.standard_normal((loadings.p, loadings.q))
-        x = stat_matrix((v1 * (np.sqrt(loadings.values) * w_true)) @ g1.T + noise)
-        for fit_fn in (fit_noodle, fit_sandwich):
-            fit = fit_fn(x, loadings, estimator="trimmed_l1")
-            assert not fit.trim.used_fallback and fit.trim.iterations >= 1
-            np.testing.assert_array_equal(fit.factors, fit.trim.w)
-            assert np.max(np.abs(fit.factors - w_true)) < 0.2
-            assert 0.0 <= fdp_noodle(fit, 4, 0.01) <= x.x.size / 4
-
-
 @PROPERTY
 @given(pair_cases(), st.floats(1e-6, 0.5), st.data())
 def test_plugin_estimate_matches_direct_formula(case, t, data):

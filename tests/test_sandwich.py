@@ -15,7 +15,15 @@ from matfdp.noodle import fdp_noodle, fdp_oracle, fit_noodle
 from matfdp.sandwich import fit_sandwich
 from matfdp.trimreg import trimmed_l1_fit
 
-from helpers import random_corr, stat_matrix
+from helpers import check_planted_trimmed_recovery, random_corr, stat_matrix
+
+
+def test_trimmed_estimator_recovers_planted_factors():
+    # Planted factors on a 2 x 2 grid, F-order of [[1, -0.4], [0.3, 0.8]]; the
+    # top-pairs case is test_noodle::test_trimmed_estimator_smoke.
+    rng = np.random.default_rng(39)
+    sl = sandwich_loadings_from_corr(random_corr(rng, 6), random_corr(rng, 6), 2, 2)
+    check_planted_trimmed_recovery(sl, np.array([1.0, 0.3, -0.4, 0.8]), rng)
 
 
 def test_trimmed_fit_is_the_noodle_fit_on_grid_loadings():

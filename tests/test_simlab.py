@@ -263,10 +263,11 @@ def test_preset_cuts_only_the_default_signal_block():
         preset_spec(1, "a", p=10, q=12, signal_rows=11)
 
 
+# ModelSpec owns every rule of a spec; preset_spec and the CLI build through it.
+SMALL_SPEC = dict(model=1, p=4, q=4, signal_rows=2, signal_cols=2)
+
+
 def test_spec_validation():
-    # ModelSpec owns every rule of a spec; preset_spec and the CLI build through it.
-    small = dict(model=1, p=4, q=4, signal_rows=2, signal_cols=2)
-    nan, inf = float("nan"), float("inf")
     cases = [
         (dict(model=4), "model must be 1, 2, or 3, got 4"),
         (dict(model=1, p=1), "p must be >= 2, got 1"),
@@ -277,24 +278,39 @@ def test_spec_validation():
         (dict(model=2, rho1=0.5, rho2=-1.0), r"model 2 needs rho2 in \(-1, 1\), got -1.0"),
         (dict(model=3, w_dist="cauchy"), "w_dist must be 'exp1' or 'scaled_t6', got 'cauchy'"),
         (dict(model=1, loading_dist=("uniform", 2.0, 1.0)), "loading_dist must be"),
-        *(
-            ({**small, "loading_dist": ("uniform", lo, hi)}, "finite range")
-            for lo, hi in ((-inf, 1.0), (0.0, inf), (-1e308, 1e308))
-        ),
-        *(
-            ({**small, "signal_amplitude": a}, f"signal_amplitude must be finite, got {a}")
-            for a in (nan, inf, -inf)
-        ),
-        ({**small, "signal_rows": 8, "signal_cols": 25},
-         r"signal block \(8 x 25\) exceeds matrix \(4 x 4\)"),
-        ({**small, "signal_cols": 5}, r"signal block \(2 x 5\) exceeds matrix \(4 x 4\)"),
-        ({**small, "signal_cols": -1}, "signal block sizes must be >= 0, got 2 x -1"),
-        ({**small, "signal_rows": -1, "signal_cols": 0},
-         "signal block sizes must be >= 0, got -1 x 0"),
     ]
     for fields, message in cases:
         with pytest.raises(ValueError, match=message):
             ModelSpec(**fields)
+
+
+@pytest.mark.parametrize(
+    "rows,cols,message",
+    [
+        (8, 25, r"signal block \(8 x 25\) exceeds matrix \(4 x 4\)"),
+        (2, 5, r"signal block \(2 x 5\) exceeds matrix \(4 x 4\)"),
+        (2, -1, r"signal block sizes must be >= 0, got 2 x -1"),
+        (-1, 0, r"signal block sizes must be >= 0, got -1 x 0"),
+    ],
+)
+def test_signal_block_messages(rows, cols, message):
+    with pytest.raises(ValueError, match=message):
+        ModelSpec(**{**SMALL_SPEC, "signal_rows": rows, "signal_cols": cols})
+
+
+@pytest.mark.parametrize("amplitude", [float("nan"), float("inf"), -float("inf")])
+def test_spec_rejects_non_finite_amplitude(amplitude):
+    with pytest.raises(ValueError, match=f"signal_amplitude must be finite, got {amplitude}"):
+        ModelSpec(**SMALL_SPEC, signal_amplitude=amplitude)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [("uniform", -float("inf"), 1.0), ("uniform", 0.0, float("inf")), ("uniform", -1e308, 1e308)],
+)
+def test_spec_rejects_an_unbounded_uniform_range(dist):
+    with pytest.raises(ValueError, match="finite range"):
+        ModelSpec(**SMALL_SPEC, loading_dist=dist)
 
 
 def test_overflowing_loadings_are_refused():
@@ -355,36 +371,61 @@ def test_numpy_integer_seeds_give_the_python_integer_stream():
     assert numpy_seed.records == run_experiment(spec, 0.001, 2, seed=7, max_workers=1).records
 
 
-def test_run_experiment_validation(monkeypatch):
-    # check_experiment refuses each argument before any draw, with the argument named.
-    def no_draw(*args, **kwargs):
+# Each check_experiment rule, by the argument it names, and its message.
+REFUSED = {
+    "rounds": r"rounds must be an integer in \[1, 2\*\*32\)",
+    "estimator": "estimator must be one of",
+    "threshold": r"threshold must be in \(0, 1\)",
+    "max_workers": "max_workers must be >= 1",
+    "repeat": "methods must not repeat",
+}
+
+
+def refused_before_drawing(monkeypatch, kwargs, match):
+    """``run_experiment`` refuses ``kwargs`` with ``match`` and draws nothing."""
+    def no_draw(*args, **kw):
         raise AssertionError("data drawn before the arguments were checked")
 
     monkeypatch.setattr(simlab, "gen_correlations", no_draw)
     spec = preset_spec(1, "b", p=6, q=6, n=6, m=6, signal_rows=2, signal_cols=2)
     call = dict(threshold=0.05, rounds=2, seed=1, max_workers=1)
-    cases = [
-        # Round 2**32 has no derive_rng stream, and the pool would queue one
-        # future per round before running any.
-        *(
-            (dict(rounds=r), r"rounds must be an integer in \[1, 2\*\*32\)")
-            for r in (0, 2**32, 1.5, 2.0, True, "2")
-        ),
-        (dict(methods=("ols",)), "unknown methods"),
-        (dict(methods=()), "need at least one method"),
-        # A string is not a sequence of names: it must not split into letters.
-        (dict(methods="pfa"), "not the string 'pfa'"),
-        (dict(methods=("pfa", "pfa")), "methods must not repeat"),
-        (dict(estimator="bogus"), "estimator must be one of"),
-        (dict(threshold=1.5), r"threshold must be in \(0, 1\)"),
-        (dict(threshold=0.0), r"threshold must be in \(0, 1\)"),
-        (dict(max_workers=0), "max_workers must be >= 1"),
-    ]
-    for kwargs, match in cases:
-        with pytest.raises(ValueError, match=match):
-            run_experiment(spec, **{**call, **kwargs})
+    with pytest.raises(ValueError, match=match):
+        run_experiment(spec, **{**call, **kwargs})
+
+
+def test_run_experiment_validation(monkeypatch):
+    refused_before_drawing(monkeypatch, dict(rounds=0), REFUSED["rounds"])
+    refused_before_drawing(monkeypatch, dict(methods=("ols",)), "unknown methods")
+    refused_before_drawing(monkeypatch, dict(methods=()), "need at least one method")
+
+
+@pytest.mark.parametrize("rounds", [1.5, 2.0, True, "2"])
+def test_run_experiment_refuses_a_non_integer_round_count(monkeypatch, rounds):
+    refused_before_drawing(monkeypatch, dict(rounds=rounds), REFUSED["rounds"])
     # A numpy integer is a round count.
     assert check_experiment(0.05, np.int64(2), METHODS, "least_squares") == METHODS
+
+
+def test_run_experiment_refuses_a_string_of_methods(monkeypatch):
+    # "pfa" is a string, not a sequence of names: it must not split into letters.
+    refused_before_drawing(monkeypatch, dict(methods="pfa"), "not the string 'pfa'")
+
+
+@pytest.mark.parametrize(
+    "kwargs, rule",
+    [
+        (dict(methods=("pfa",), estimator="bogus"), "estimator"),
+        (dict(threshold=1.5), "threshold"),
+        (dict(threshold=0.0), "threshold"),
+        (dict(max_workers=0), "max_workers"),
+        (dict(methods=("pfa", "pfa")), "repeat"),
+        # Round 2**32 has no derive_rng stream, and the pool would queue one
+        # future per round before running any.
+        (dict(rounds=2**32), "rounds"),
+    ],
+)
+def test_run_experiment_rejects_bad_arguments_before_drawing(monkeypatch, kwargs, rule):
+    refused_before_drawing(monkeypatch, kwargs, REFUSED[rule])
 
 
 def test_run_experiment_keeps_the_methods_order():
