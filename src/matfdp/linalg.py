@@ -44,14 +44,14 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def check_symmetric(a, name: str = "matrix") -> np.ndarray:
+def check_symmetric(a) -> np.ndarray:
     """Validate that ``a`` is square and symmetric up to ``SYMMETRY_RTOL``."""
-    arr = as_matrix(a, name)
+    arr = as_matrix(a)
     if arr.shape[0] != arr.shape[1]:
-        raise InvalidMatrix(f"{name} must be square, got shape {arr.shape}")
+        raise InvalidMatrix(f"matrix must be square, got shape {arr.shape}")
     scale = np.maximum(1.0, np.abs(arr))
     if np.any(np.abs(arr - arr.T) > SYMMETRY_RTOL * scale):
-        raise InvalidMatrix(f"{name} is not symmetric within tolerance")
+        raise InvalidMatrix("matrix is not symmetric within tolerance")
     return arr
 
 

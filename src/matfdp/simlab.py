@@ -40,6 +40,7 @@ from .rng import derive_rng
 from .sandwich import fdp_sandwich, fit_sandwich
 from .teststats import (
     TwoSampleDataset,
+    check_group_sizes,
     check_threshold,
     p_values,
     rejection_count,
@@ -82,8 +83,7 @@ class ModelSpec:
         for name in ("p", "q"):
             if getattr(self, name) < 2:
                 raise ValueError(f"{name} must be >= 2, got {getattr(self, name)}")
-        if self.n < 2 or self.m < 2 or self.n + self.m < 5:
-            raise ValueError(f"need n, m >= 2 and n + m >= 5, got n={self.n}, m={self.m}")
+        check_group_sizes(self.n, self.m)
         if self.l1 < 0 or self.l2 < 0:
             raise ValueError(f"loading ranks must be >= 0, got l1={self.l1}, l2={self.l2}")
         if self.model == 2:

@@ -57,11 +57,7 @@ class TwoSampleDataset:
             )
         if y.shape[1] == 0 or y.shape[2] == 0:
             raise ValueError(f"matrix dimensions must be positive, got {y.shape[1:]}")
-        n, m = y.shape[0], z.shape[0]
-        if n < 2 or m < 2:
-            raise ValueError(f"each group needs at least 2 observations, got n={n}, m={m}")
-        if n + m < 5:
-            raise ValueError(f"need n + m >= 5 for a stable pooled scale, got {n + m}")
+        check_group_sizes(y.shape[0], z.shape[0])
         # min and max propagate NaN, and -inf / +inf show in one of them: no
         # data-sized temporary, unlike a whole-group isfinite.
         for group in (y, z):
@@ -96,6 +92,18 @@ class TwoSampleDataset:
         holds nothing more than them.
         """
         return self.treatment.mean(axis=0), self.control.mean(axis=0)
+
+
+def check_group_sizes(n: int, m: int) -> None:
+    """Raise ``ValueError`` unless ``n, m >= 2`` and ``n + m >= 5``.
+
+    The one rule on group sizes: :class:`TwoSampleDataset` checks its stacks
+    with it, and ``simlab.ModelSpec`` its ``n`` and ``m``.
+    """
+    if n < 2 or m < 2:
+        raise ValueError(f"each group needs at least 2 observations, got n={n}, m={m}")
+    if n + m < 5:
+        raise ValueError(f"need n + m >= 5 for a stable pooled scale, got {n + m}")
 
 
 def _standardise(out, ds: TwoSampleDataset, sigma_hat, start: int, rows=slice(None)) -> None:

@@ -1,4 +1,8 @@
-"""Shared test fixtures: random matrices, matrix-normal draws and small adapters.
+"""Shared test fixtures: random matrices, the one reference per formula, small adapters.
+
+Tests draw matrix-normal data only through ``simlab.gen_round``
+(:func:`matrix_normal_dataset`), and compare against the one residual stack
+(:func:`residual_stack`) and the one plug-in sum (:func:`plugin_sum`) here.
 
 A plain module, not a test file: pytest does not collect it, and the test
 modules import it by name because pytest puts ``tests/`` on ``sys.path``.
@@ -11,10 +15,9 @@ from scipy.special import ndtr, ndtri
 
 from matfdp import pfa
 from matfdp.covfactor import NORM_SQ_CEIL
-from matfdp.errors import InvalidMatrix
-from matfdp.linalg import as_matrix, symmetric_sqrt
 from matfdp.noodle import fdp_noodle, fit_noodle
 from matfdp.sandwich import fit_sandwich
+from matfdp.simlab import ModelSpec, gen_round
 from matfdp.teststats import TestMatrix, p_values, rejection_count
 
 
@@ -33,25 +36,20 @@ def random_corr(rng, dim):
     return out
 
 
-def sample_matrix_normal_stack(mu, u, v, count, rng):
-    """Stack of ``count`` matrix-normal draws, shape ``(count, p, q)``.
+def matrix_normal_dataset(u, v, n, m, rng, rows=0, cols=0, amplitude=0.0):
+    """``n`` treatment and ``m`` control matrix-normal draws, by ``gen_round``.
 
-    Draw ``s`` is ``mu + sqrt(u) @ g_s @ sqrt(v)`` with ``g_s`` a matrix of
-    independent standard normals, so ``vec`` of each draw has covariance
-    ``v kron u``.  ``u`` (``p x p``) and ``v`` (``q x q``) must be symmetric
-    positive semidefinite; the stack is deterministic given ``rng``'s state.
+    Plain arrays ``u`` (``p x p``) and ``v`` (``q x q``) take its dense path:
+    draw ``s`` is ``mu + sqrt(u) @ g_s @ sqrt(v)``, so ``vec`` of each draw
+    has covariance ``v kron u``.  The treatment mean ``mu`` is ``amplitude``
+    on its top-left ``rows x cols`` block and zero elsewhere; the control
+    mean is zero.
     """
-    mean = as_matrix(mu, "mu")
-    u_half = symmetric_sqrt(u)
-    v_half = symmetric_sqrt(v)
-    if u_half.shape[0] != mean.shape[0] or v_half.shape[0] != mean.shape[1]:
-        raise InvalidMatrix(
-            f"shape mismatch: mu {mean.shape}, u {u_half.shape}, v {v_half.shape}"
-        )
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    g = rng.standard_normal((count,) + mean.shape)
-    return mean + u_half @ g @ v_half
+    spec = ModelSpec(
+        model=1, p=len(u), q=len(v), n=n, m=m,
+        signal_rows=rows, signal_cols=cols, signal_amplitude=amplitude,
+    )
+    return gen_round(spec, u, v, rng)[0]
 
 
 def stat_matrix(x):
@@ -76,11 +74,24 @@ def check_planted_trimmed_recovery(loadings, w_true, rng):
         assert 0.0 <= fdp_noodle(fit, 4, 0.01) <= x.x.size / 4
 
 
+def residual_stack(ds, sigma_hat):
+    """Observations (treatment first) centred at their group means, over ``sigma_hat``."""
+    return np.concatenate([g - g.mean(axis=0) for g in (ds.treatment, ds.control)]) / sigma_hat
+
+
+def plugin_sum(row_norms_sq, common, threshold):
+    """``sum Phi(a (z + common)) + Phi(a (z - common))`` over the cells.
+
+    ``z = Phi^-1(threshold / 2)`` and ``a = (1 - row_norms_sq)^-1/2``.
+    """
+    z = ndtri(threshold / 2.0)
+    a = 1.0 / np.sqrt(1.0 - row_norms_sq)
+    return (ndtr(a * (z + common)) + ndtr(a * (z - common))).sum()
+
+
 def dense_vec_covariance(ds, sigma_hat):
     """Pooled covariance of ``vec`` of the residuals over ``sigma_hat``, ``(p*q, p*q)``."""
-    resid = np.concatenate(
-        [ds.treatment - ds.treatment.mean(axis=0), ds.control - ds.control.mean(axis=0)]
-    ) / sigma_hat
+    resid = residual_stack(ds, sigma_hat)
     flat = resid.transpose(0, 2, 1).reshape(resid.shape[0], -1)  # row s is vec(resid[s])
     return flat.T @ flat / (ds.n + ds.m - 2)
 
@@ -100,9 +111,8 @@ def dense_pfa(ds, x, threshold, count):
 
     The leading ``count`` eigenpairs ``(values, rho)`` give each cell the
     squared norm ``(rho * rho) @ values`` and the least-squares common part
-    ``rho rho' vec(x)``; the estimate is
-    ``sum(Phi(a (z + common)) + Phi(a (z - common))) / R`` with
-    ``z = Phi^-1(t / 2)`` and ``a = 1 / sqrt(1 - norm)``, clamped to ``pq / R``.
+    ``rho rho' vec(x)``; the estimate is their :func:`plugin_sum` over ``R``,
+    clamped to ``pq / R``.
     """
     rejections = rejection_count(p_values(x), threshold)
     if rejections == 0:
@@ -111,7 +121,5 @@ def dense_pfa(ds, x, threshold, count):
     values, rho = values[::-1][:count], vectors[:, ::-1][:, :count]
     norms = np.minimum((rho * rho) @ values, NORM_SQ_CEIL)
     common = rho @ (rho.T @ np.ravel(x.x, order="F"))
-    z = ndtri(threshold / 2.0)
-    a = 1.0 / np.sqrt(1.0 - norms)
-    total = float((ndtr(a * (z + common)) + ndtr(a * (z - common))).sum())
+    total = float(plugin_sum(norms, common, threshold))
     return min(total / rejections, x.x.size / rejections)

@@ -34,7 +34,7 @@ from matfdp.teststats import (
 )
 from matfdp.trimreg import trimmed_l1_fit
 
-from helpers import dense_pfa, pfa_at_count, random_spd, sample_matrix_normal_stack, stat_matrix
+from helpers import dense_pfa, matrix_normal_dataset, pfa_at_count, random_spd, stat_matrix
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -172,10 +172,7 @@ def test_04_correlation_estimates_have_unit_diagonals():
         m = int(rng.integers(3, 8))
         u = random_spd(rng, p, spread=0.5)
         v = random_spd(rng, q, spread=0.5)
-        mu = np.zeros((p, q))
-        y = sample_matrix_normal_stack(mu, u, v, n, rng)
-        z = sample_matrix_normal_stack(mu, u, v, m, rng)
-        ds = TwoSampleDataset(treatment=y, control=z)
+        ds = matrix_normal_dataset(u, v, n, m, rng)
         ce = estimate_correlations(ds, test_matrix(ds).sigma_hat)
         worst = max(
             worst,
@@ -312,7 +309,9 @@ def test_08_sampler_covariance_law():
     rng = np.random.default_rng(88)
     u = random_spd(rng, 3, spread=0.5)
     v = random_spd(rng, 3, spread=0.5)
-    draws = sample_matrix_normal_stack(np.zeros((3, 3)), u, v, 10_000, rng)
+    # 10 000 draws of gen_round's dense path: treatment, then control.
+    ds = matrix_normal_dataset(u, v, 5000, 5000, rng)
+    draws = np.concatenate([ds.treatment, ds.control])
     vecs = draws.transpose(0, 2, 1).reshape(draws.shape[0], 9)
     emp = vecs.T @ vecs / draws.shape[0]
     target = np.kron(v, u)
@@ -329,10 +328,7 @@ def test_09_pfa_chunked_route_matches_dense():
     for p, q in ((4, 4), (8, 8), (2, 5)):
         u = random_spd(rng, p, spread=0.5)
         v = random_spd(rng, q, spread=0.5)
-        mu = np.zeros((p, q))
-        y = sample_matrix_normal_stack(mu, u, v, 4, rng)
-        z = sample_matrix_normal_stack(mu, u, v, 4, rng)
-        ds = TwoSampleDataset(treatment=y, control=z)
+        ds = matrix_normal_dataset(u, v, 4, 4, rng)
         x = test_matrix(ds)
         t = 0.5
         assert rejection_count(p_values(x), t) > 0

@@ -27,7 +27,7 @@ from matfdp.simlab import (
 from matfdp.teststats import TwoSampleDataset
 from matfdp.teststats import test_matrix as build_stats
 
-from helpers import pfa_at_count
+from helpers import pfa_at_count, residual_stack
 
 # p * q > 1 throughout: for 1 x 1 matrices numpy's axis-0 sum runs along a
 # contiguous axis and switches to pairwise summation.
@@ -102,12 +102,6 @@ def test_statistics_are_bit_identical_to_the_two_pass_formula(p, q, n, m):
     assert tm.sigma_hat.tobytes() == sigma.tobytes()
     assert tm.x.tobytes() == x.tobytes()
     assert tm.scale == scale
-
-
-def residual_stack(ds, sigma_hat):
-    """Observations (treatment first) centred at their group means, over ``sigma_hat``."""
-    y, z = ds.treatment, ds.control
-    return np.concatenate([y - y.mean(axis=0), z - z.mean(axis=0)]) / sigma_hat
 
 
 @pytest.mark.parametrize("p,q,n,m", SHAPES)

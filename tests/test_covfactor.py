@@ -15,16 +15,13 @@ from matfdp.errors import InvalidFactorCount, NonPositiveEigenvalue
 from matfdp.rng import derive_rng
 from matfdp.teststats import TwoSampleDataset, test_matrix
 
-from helpers import random_corr, sample_matrix_normal_stack
+from helpers import matrix_normal_dataset, random_corr, residual_stack
 
 
 def correlated_dataset(seed, n=8, m=9, p=5, q=6):
-    rng = derive_rng(seed)
     u = random_corr(np.random.default_rng(seed), p)
     v = random_corr(np.random.default_rng(seed + 1), q)
-    y = sample_matrix_normal_stack(np.zeros((p, q)), u, v, n, rng)
-    z = sample_matrix_normal_stack(np.zeros((p, q)), u, v, m, rng)
-    return TwoSampleDataset(y, z)
+    return matrix_normal_dataset(u, v, n, m, derive_rng(seed))
 
 
 def estimates_for(ds):
@@ -77,12 +74,9 @@ def test_estimator_matches_direct_formula():
     sigma = test_matrix(ds).sigma_hat
     ce = estimate_correlations(ds, sigma)
     df = ds.n + ds.m - 2
-    ybar = ds.treatment.mean(axis=0)
-    zbar = ds.control.mean(axis=0)
     s1 = np.zeros((ds.p, ds.p))
     s2 = np.zeros((ds.q, ds.q))
-    for obs, mean in [(o, ybar) for o in ds.treatment] + [(o, zbar) for o in ds.control]:
-        r = (obs - mean) / sigma
+    for r in residual_stack(ds, sigma):
         s1 += r @ r.T
         s2 += r.T @ r
     assert np.allclose(ce.sigma1, s1 / (df * ds.q), rtol=0, atol=1e-12)

@@ -24,7 +24,7 @@ from matfdp.pfa import fdp_pfa
 from matfdp.sandwich import fdp_sandwich, fit_sandwich
 from matfdp.teststats import TwoSampleDataset, p_values, rejection_count, test_matrix
 
-from helpers import random_corr, sample_matrix_normal_stack
+from helpers import matrix_normal_dataset, random_corr
 
 # Same settings as tests/test_pair_properties.py: derandomized, few examples.
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
@@ -54,13 +54,11 @@ def estimates(ds, t):
 def test_estimates_invariant_under_joint_row_column_permutation(p, q, n, m, seed, t):
     rng = np.random.default_rng(seed)
     u, v = random_corr(rng, p), random_corr(rng, q)
-    mu = np.zeros((p, q))
-    mu[0, :2] = 2.0
-    y = sample_matrix_normal_stack(mu, u, v, n, rng)
-    z = sample_matrix_normal_stack(np.zeros((p, q)), u, v, m, rng)
+    ds = matrix_normal_dataset(u, v, n, m, rng, rows=1, cols=2, amplitude=2.0)
     rows, cols = rng.permutation(p), rng.permutation(q)
+    y, z = ds.treatment, ds.control
     permuted = TwoSampleDataset(y[:, rows][:, :, cols], z[:, rows][:, :, cols])
-    for a, b in zip(estimates(TwoSampleDataset(y, z), t), estimates(permuted, t)):
+    for a, b in zip(estimates(ds, t), estimates(permuted, t)):
         assert abs(a - b) <= 1e-10 * max(abs(a), abs(b))
 
 

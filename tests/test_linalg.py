@@ -11,7 +11,7 @@ from matfdp.linalg import (
 )
 from matfdp.rng import derive_rng
 
-from helpers import random_spd, sample_matrix_normal_stack
+from helpers import random_spd
 
 
 def test_sym_eigen_diagonal():
@@ -170,36 +170,6 @@ def test_symmetric_sqrt_clamps_tiny_negatives():
 def test_symmetric_sqrt_rejects_indefinite():
     with pytest.raises(NotPsd):
         symmetric_sqrt(np.diag([1.0, -1.0]))
-
-
-def test_sampler_identity_mean():
-    rng = derive_rng(99)
-    draws = sample_matrix_normal_stack(np.zeros((2, 2)), np.eye(2), np.eye(2), 100_000, rng)
-    assert abs(draws.mean()) < 0.02
-
-
-def test_sampler_determinism():
-    mu, u, v = np.zeros((3, 4)), np.eye(3), np.eye(4)
-    a = sample_matrix_normal_stack(mu, u, v, 2, derive_rng(7, 3, 1))
-    b = sample_matrix_normal_stack(mu, u, v, 2, derive_rng(7, 3, 1))
-    assert np.array_equal(a, b)
-
-
-def test_sampler_vec_covariance_monte_carlo():
-    rng0 = np.random.default_rng(31)
-    u = random_spd(rng0, 3)
-    v = random_spd(rng0, 3)
-    draws = sample_matrix_normal_stack(np.zeros((3, 3)), u, v, 10_000, derive_rng(31))
-    flat = draws.transpose(0, 2, 1).reshape(10_000, 9)  # row s = vec(draw s)
-    emp = np.cov(flat, rowvar=False)
-    target = np.kron(v, u)
-    rel = np.linalg.norm(emp - target) / np.linalg.norm(target)
-    assert rel < 0.1
-
-
-def test_sampler_rejects_shape_mismatch():
-    with pytest.raises(InvalidMatrix):
-        sample_matrix_normal_stack(np.zeros((2, 3)), np.eye(3), np.eye(3), 1, derive_rng(0))
 
 
 def test_derive_rng_slots_are_independent():

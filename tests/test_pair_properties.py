@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr, ndtri
 
 from matfdp.covfactor import (
     NORM_SQ_CEIL,
@@ -25,7 +24,7 @@ from matfdp.covfactor import (
 from matfdp.noodle import fdp_noodle, fdp_oracle, fit_noodle
 from matfdp.sandwich import fdp_sandwich, fit_sandwich
 
-from helpers import random_corr, stat_matrix
+from helpers import plugin_sum, random_corr, stat_matrix
 
 # Derandomized so a failure reproduces; few examples keep the suite fast.
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
@@ -69,13 +68,6 @@ def pair_cases(draw):
         loadings = sandwich_loadings_from_corr(s1, s2, k1, k2)
         pairs = [(b, a) for a in range(k2) for b in range(k1)]  # row index fastest
     return PairCase(loadings, pairs, rng)
-
-
-def plugin_sum(row_norms_sq, common, threshold):
-    """``sum Phi(a (z + common)) + Phi(a (z - common))`` with ``a = (1 - norm)^-1/2``."""
-    z = ndtri(threshold / 2.0)
-    a = 1.0 / np.sqrt(1.0 - row_norms_sq)
-    return (ndtr(a * (z + common)) + ndtr(a * (z - common))).sum()
 
 
 @PROPERTY

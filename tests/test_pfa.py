@@ -17,27 +17,20 @@ from matfdp.teststats import test_matrix as build_stats
 from helpers import (
     dense_pfa,
     dense_vec_covariance,
+    matrix_normal_dataset,
     pfa_at_count,
     random_corr,
-    sample_matrix_normal_stack,
 )
 
 
-def random_stacks(seed, n=7, m=8, p=4, q=4, correlated=False):
+def random_dataset(seed, n=7, m=8, p=4, q=4, correlated=False, **signal):
+    """Independent standard normal cells, or correlated cells with ``signal``'s block."""
     rng = derive_rng(seed)
-    if correlated:
-        u = random_corr(np.random.default_rng(seed), p)
-        v = random_corr(np.random.default_rng(seed + 1), q)
-        y = sample_matrix_normal_stack(np.zeros((p, q)), u, v, n, rng)
-        z = sample_matrix_normal_stack(np.zeros((p, q)), u, v, m, rng)
-    else:
-        y = rng.standard_normal((n, p, q))
-        z = rng.standard_normal((m, p, q))
-    return y, z
-
-
-def random_dataset(*args, **kwargs):
-    return TwoSampleDataset(*random_stacks(*args, **kwargs))
+    if not correlated:
+        return TwoSampleDataset(rng.standard_normal((n, p, q)), rng.standard_normal((m, p, q)))
+    u = random_corr(np.random.default_rng(seed), p)
+    v = random_corr(np.random.default_rng(seed + 1), q)
+    return matrix_normal_dataset(u, v, n, m, rng, **signal)
 
 
 def test_gram_route_matches_dense_eigendecomposition():
@@ -46,9 +39,9 @@ def test_gram_route_matches_dense_eigendecomposition():
     # which checks the Gram eigenvalues, the leading subspaces and the LS
     # common part.  A block of signal makes every threshold reject.
     for seed in range(4):
-        y, z = random_stacks(seed, n=10, m=12, p=5, q=6, correlated=True)
-        y[:, :2, :3] += 2.5
-        ds = TwoSampleDataset(y, z)
+        ds = random_dataset(
+            seed, n=10, m=12, p=5, q=6, correlated=True, rows=2, cols=3, amplitude=2.5
+        )
         x = build_stats(ds)
         dense_vals = np.linalg.eigvalsh(dense_vec_covariance(ds, x.sigma_hat))
         rank = int(np.count_nonzero(dense_vals > 1e-8))

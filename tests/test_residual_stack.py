@@ -26,7 +26,7 @@ from matfdp.simlab import (
 from matfdp.teststats import TestMatrix, TwoSampleDataset, _standardise
 from matfdp.teststats import test_matrix as build_stats
 
-from helpers import pfa_at_count
+from helpers import pfa_at_count, residual_stack
 
 SHAPES = [(4, 5), (1, 6), (5, 1), (1, 1)]
 
@@ -36,12 +36,6 @@ def random_dataset(seed, p, q, n=6, m=7):
     return TwoSampleDataset(
         rng.standard_normal((n, p, q)) + 2.0, rng.standard_normal((m, p, q)) - 1.0
     )
-
-
-def expected_residual(ds, s, sigma_hat):
-    """Observation ``s`` (treatment first) centred at its group mean, over ``sigma_hat``."""
-    group = ds.treatment if s < ds.n else ds.control
-    return (group[s if s < ds.n else s - ds.n] - group.mean(axis=0)) / sigma_hat
 
 
 @st.composite
@@ -68,11 +62,7 @@ def test_standardise_matches_the_dense_formula(case):
     # Blocks that straddle the groups, row slices, and a transposed out as in
     # estimate_correlations, all bit for bit.
     ds, sigma_hat, start, stop, rows, transposed = case
-    stack = np.concatenate([ds.treatment, ds.control])
-    own_mean = np.concatenate(
-        [np.broadcast_to(g.mean(axis=0), g.shape) for g in (ds.treatment, ds.control)]
-    )
-    expected = (stack[start:stop, rows] - own_mean[start:stop, rows]) / sigma_hat[rows]
+    expected = residual_stack(ds, sigma_hat)[start:stop, rows]
     b, r, q = expected.shape
     out = np.full((b, r, q), np.nan)
     if transposed:
@@ -130,13 +120,9 @@ def test_pfa_row_chunks_are_vec_of_residuals(monkeypatch, p, q):
                 assert chunk.shape == (ds.n + ds.m, (r1 - r0) * q)
                 assert chunk.flags.c_contiguous
                 cells[:, r0:r1] = chunk.T.reshape(r1 - r0, q, -1).transpose(1, 0, 2)
-            for s in range(ds.n + ds.m):
-                np.testing.assert_allclose(
-                    cols[:, s],
-                    np.ravel(expected_residual(ds, s, sigma_hat), order="F"),
-                    rtol=1e-14,
-                    atol=1e-14,
-                )
+            # Column s is vec of residual s.
+            expected = residual_stack(ds, sigma_hat).transpose(2, 1, 0).reshape(p * q, -1)
+            np.testing.assert_allclose(cols, expected, rtol=1e-14, atol=1e-14)
 
 
 @pytest.mark.parametrize("p,q", SHAPES)

@@ -271,7 +271,8 @@ def test_spec_validation():
     cases = [
         (dict(model=4), "model must be 1, 2, or 3, got 4"),
         (dict(model=1, p=1), "p must be >= 2, got 1"),
-        (dict(model=1, n=2, m=2), r"need n, m >= 2 and n \+ m >= 5, got n=2, m=2"),
+        (dict(model=1, n=1), "each group needs at least 2 observations, got n=1, m=50"),
+        (dict(model=1, n=2, m=2), r"need n \+ m >= 5 for a stable pooled scale, got 4"),
         (dict(model=1, l2=-1), "loading ranks must be >= 0, got l1=3, l2=-1"),
         (dict(model=2, rho2=0.3), r"model 2 needs rho1 in \(-1, 1\), got None"),
         (dict(model=2, rho1=1.0, rho2=0.3), r"model 2 needs rho1 in \(-1, 1\), got 1.0"),
