@@ -417,15 +417,18 @@ def run_experiment(
     The correlation pair is drawn once from the ``(seed, round 0)`` stream;
     round ``r`` draws its data from the ``(seed, round r)`` stream, so results
     are identical for any worker count.  Rounds run on ``max_workers``
-    threads, at most the usable cores (the default).  Per-round estimator
-    failures are recorded and the round (or just that method) is skipped; the
-    experiment never aborts on them.  Invalid arguments raise ``ValueError``
-    (see :func:`check_experiment`) before any data is drawn.  Records and
-    summaries follow ``METHODS`` order, whatever the order of ``methods``.
+    threads (an integer >= 1), at most the usable cores (the default).
+    Per-round estimator failures are recorded and the round (or just that
+    method) is skipped; the experiment never aborts on them.  Invalid
+    arguments raise ``ValueError`` (see :func:`check_experiment`) before any
+    data is drawn.  Records and summaries follow ``METHODS`` order, whatever
+    the order of ``methods``.
     """
     methods = check_experiment(threshold, rounds, methods, estimator)
-    if max_workers is not None and max_workers < 1:
-        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+    if max_workers is not None and not (
+        np.issubdtype(type(max_workers), np.integer) and max_workers >= 1
+    ):
+        raise ValueError(f"max_workers must be an integer >= 1, got {max_workers!r}")
     cores = _usable_cores()
 
     sigma1, sigma2 = gen_correlations(spec, derive_rng(seed, 0, 0))

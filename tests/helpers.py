@@ -3,22 +3,38 @@
 Tests draw matrix-normal data only through ``simlab.gen_round``
 (:func:`matrix_normal_dataset`), and compare against the one residual stack
 (:func:`residual_stack`) and the one plug-in sum (:func:`plugin_sum`) here.
+Dataset directories come from :func:`write_small_dataset`, and
+:data:`DATASET_FAULTS` spoils them in every way ``read_dataset`` refuses.
 
 A plain module, not a test file: pytest does not collect it, and the test
 modules import it by name because pytest puts ``tests/`` on ``sys.path``.
 """
 
+import errno
+import functools
+import json
+import mmap
+import pathlib
+import tempfile
 from unittest import mock
 
 import numpy as np
+from hypothesis import settings
 from scipy.special import ndtr, ndtri
 
 from matfdp import pfa
 from matfdp.covfactor import NORM_SQ_CEIL
+from matfdp.datafiles import write_dataset
 from matfdp.noodle import fdp_noodle, fit_noodle
 from matfdp.sandwich import fit_sandwich
 from matfdp.simlab import ModelSpec, gen_round
-from matfdp.teststats import TestMatrix, p_values, rejection_count
+from matfdp.teststats import TestMatrix, TwoSampleDataset, p_values, rejection_count
+
+# Settings of the property tests: derandomized, so a failure reproduces, and
+# few examples, to keep the suite fast.  A derandomized run is seeded from the
+# test's code, so each test also pins its examples with its own ``@seed``; a
+# rewrite of its body then keeps them.
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 
 
 def random_spd(rng, dim, spread=1.0):
@@ -50,6 +66,15 @@ def matrix_normal_dataset(u, v, n, m, rng, rows=0, cols=0, amplitude=0.0):
         signal_rows=rows, signal_cols=cols, signal_amplitude=amplitude,
     )
     return gen_round(spec, u, v, rng)[0]
+
+
+def failing(exc):
+    """A function that raises ``exc`` whatever it is called with."""
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
 
 
 def stat_matrix(x):
@@ -123,3 +148,151 @@ def dense_pfa(ds, x, threshold, count):
     common = rho @ (rho.T @ np.ravel(x.x, order="F"))
     total = float(plugin_sum(norms, common, threshold))
     return min(total / rejections, x.x.size / rejections)
+
+
+def write_small_dataset(directory, n=6, m=6, p=8, q=25):
+    """Write ``n`` treatment and ``m`` control standard normal ``p x q`` matrices.
+
+    The files are ``write_dataset``'s: ``manifest.json``, ``treatment_000.csv``,
+    ..., ``control_000.csv``, ...  Returns the ``pathlib.Path`` ``directory``.
+    """
+    directory.mkdir(parents=True)
+    for name, content in _small_dataset_files(n, m, p, q).items():
+        (directory / name).write_bytes(content)
+    return directory
+
+
+@functools.lru_cache
+def _small_dataset_files(n, m, p, q):
+    """File name -> bytes: formatting 17-digit floats is most of a write."""
+    stack = np.random.default_rng(1).standard_normal((n + m, p, q))
+    with tempfile.TemporaryDirectory() as directory:
+        write_dataset(directory, TwoSampleDataset(treatment=stack[:n], control=stack[n:]))
+        return {path.name: path.read_bytes() for path in pathlib.Path(directory).iterdir()}
+
+
+def _write(text, *names):
+    def edit(data, patch):
+        for name in names:
+            (data / name).write_text(text)
+
+    return edit
+
+
+def _keys(**values):
+    return _manifest_edit(lambda manifest, data: {**manifest, **values})
+
+
+def _manifest_edit(change):
+    """An edit that rewrites the manifest as ``change(manifest, data)``."""
+
+    def edit(data, patch):
+        path = data / "manifest.json"
+        path.write_text(json.dumps(change(json.loads(path.read_text()), data)))
+
+    return edit
+
+
+def manifest_without(key):
+    return _manifest_edit(lambda manifest, data: {k: v for k, v in manifest.items() if k != key})
+
+
+def _directory_member(data, patch):
+    (data / "control_002.csv").unlink()
+    (data / "control_002.csv").mkdir()
+
+
+def _nan_member(data, patch):
+    mat = np.loadtxt(data / "treatment_001.csv", delimiter=",")
+    mat[3, 7] = np.nan
+    np.savetxt(data / "treatment_001.csv", mat, delimiter=",")
+
+
+def _refuse_anonymous_maps(data, patch):
+    mapping = mmap.mmap
+
+    def refuse(fileno, *args, **kwargs):
+        if fileno == -1:
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+        return mapping(fileno, *args, **kwargs)
+
+    patch.setattr(mmap, "mmap", refuse)
+
+
+# Member files of the default dataset, in manifest order.
+TREATMENT = [f"treatment_{i:03d}.csv" for i in range(6)]
+CONTROL = [f"control_{i:03d}.csv" for i in range(6)]
+M, T0, C0, C2 = "manifest.json", TREATMENT[0], CONTROL[0], CONTROL[2]
+NOT_A_NAME = "manifest {!r} entry {!r} is not a file name in the dataset directory"
+NO_SUCH_FILE = "[Errno 2] No such file or directory: '{path}'"
+
+#: Every way to spoil the :func:`write_small_dataset` directory that
+#: ``read_dataset`` refuses, by name: ``edit(data, monkeypatch)`` spoils the
+#: directory ``data``, and ``read_dataset`` must then blame ``data / blamed``
+#: with exactly ``message``, where ``{data}`` and ``{path}`` stand for the
+#: directory and the blamed path.  The first member file must confirm
+#: ``(p, q)`` before anything is sized, so a ``p`` or ``q`` of 0, -1 or 10**12
+#: blames it.  An empty member file, or one with no data rows, makes
+#: ``np.loadtxt`` warn; the read still refuses it.
+DATASET_FAULTS = {
+    "missing-manifest": (lambda data, patch: (data / M).unlink(), M,
+                         "cannot read manifest: " + NO_SUCH_FILE),
+    "not-json": (_write("{not json", M), M, "manifest is not valid JSON: Expecting property "
+                 "name enclosed in double quotes: line 1 column 2 (char 1)"),
+    "number": (_manifest_edit(lambda m, data: 5), M, "manifest must be a JSON object"),
+    "null": (_manifest_edit(lambda m, data: None), M, "manifest must be a JSON object"),
+    "foreign-schema": (_keys(schema_version=2), M, "manifest schema_version 2 is not 1"),
+    # Both compare equal to 1.
+    "schema-true": (_keys(schema_version=True), M, "manifest schema_version True is not 1"),
+    "schema-float": (_keys(schema_version=1.0), M, "manifest schema_version 1.0 is not 1"),
+    "missing-key": (manifest_without("control"), M, "manifest is missing key 'control'"),
+    "float-dim": (_keys(p=8.9), M, "manifest dimension 'p' must be an integer, got 8.9"),
+    "bool-dim": (_keys(q=True), M, "manifest dimension 'q' must be an integer, got True"),
+    "string-dim": (_keys(n="6"), M, "manifest dimension 'n' must be an integer, got '6'"),
+    "treatment-number": (_keys(treatment=7), M,
+                         "manifest 'treatment' must be a list of file names"),
+    # Right length, so only the element type is wrong.
+    "treatment-int-list": (_keys(treatment=[3, *TREATMENT[1:]]), M,
+                           "manifest 'treatment' must be a list of file names"),
+    # Each name below names a readable, well-formed member file (the dataset
+    # directory is named data).
+    "absolute-name": (
+        _manifest_edit(lambda m, data: {**m, "treatment": [str(data / C0), *TREATMENT[1:]]}),
+        M, NOT_A_NAME.format("treatment", "{data}/" + C0),
+    ),
+    "parent-name": (_keys(treatment=["../data/" + C0, *TREATMENT[1:]]), M,
+                    NOT_A_NAME.format("treatment", "../data/" + C0)),
+    "dotdot": (_keys(control=["..", *CONTROL[1:]]), M, NOT_A_NAME.format("control", "..")),
+    "empty-name": (_keys(control=["", *CONTROL[1:]]), M, NOT_A_NAME.format("control", "")),
+    # Well-formed, but the same observation twice: in one list, or across both.
+    "duplicate-member": (_keys(control=[C0, *CONTROL[:-1]]), M,
+                         f"manifest lists member file {C0!r} more than once"),
+    "twice-across-groups": (_keys(treatment=[C0, *TREATMENT[1:]]), M,
+                            f"manifest lists member file {C0!r} more than once"),
+    "size-mismatch": (_keys(n=7), M,
+                      "manifest group sizes (n=7, m=6) do not match file lists (6, 6)"),
+    "no-member": (_keys(n=0, m=0, treatment=[], control=[]), M, "manifest lists no member files"),
+    # No file is left after the first, so no share is dealt out.
+    "single-member": (_keys(n=1, m=0, treatment=[T0], control=[]), M,
+                      "each group needs at least 2 observations, got n=1, m=0"),
+    **{f"p-{p}": (_keys(p=p), T0, f"{{path}} has shape (8, 25), expected ({p}, 25)")
+       for p in (0, -1, 10**12)},
+    **{f"q-{q}": (_keys(q=q), T0, f"{{path}} has shape (8, 25), expected (8, {q})")
+       for q in (0, -1, 10**12)},
+    "unallocatable": (_refuse_anonymous_maps, M, "cannot allocate 6 + 6 matrices of shape "
+                      "(8, 25): [Errno 12] Cannot allocate memory"),
+    "not-a-number": (_write("not,a,number\n", C2), C2, "cannot parse {path}: could not "
+                     "convert string 'not' to float64 at row 0, column 1."),
+    "empty-file": (_write("", C2), C2, "{path} has shape (0, 1), expected (8, 25)"),
+    "blank-lines": (_write("\n\n", C2), C2, "{path} has shape (0, 1), expected (8, 25)"),
+    "comment-only": (_write("# comment only\n", C2), C2,
+                     "{path} has shape (0, 1), expected (8, 25)"),
+    "directory-member": (_directory_member, C2, "{path} is not a regular file"),
+    "missing-member": (lambda data, patch: (data / C2).unlink(), C2,
+                       "cannot read {path}: " + NO_SUCH_FILE),
+    "nan-member": (_nan_member, "treatment_001.csv", "{path} contains non-finite entries"),
+    # Two bad files: the first in manifest order is blamed.
+    "first-bad-file": (_write("1,x\n", "treatment_003.csv", "control_001.csv"),
+                       "treatment_003.csv", "cannot parse {path}: could not convert string "
+                       "'x' to float64 at row 0, column 2."),
+}

@@ -9,7 +9,7 @@
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given, seed
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -24,10 +24,7 @@ from matfdp.pfa import fdp_pfa
 from matfdp.sandwich import fdp_sandwich, fit_sandwich
 from matfdp.teststats import TwoSampleDataset, p_values, rejection_count, test_matrix
 
-from helpers import matrix_normal_dataset, random_corr
-
-# Same settings as tests/test_pair_properties.py: derandomized, few examples.
-PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+from helpers import PROPERTY, matrix_normal_dataset, random_corr
 
 
 def estimates(ds, t):
@@ -43,6 +40,7 @@ def estimates(ds, t):
 
 
 @PROPERTY
+@seed(1)
 @given(
     st.integers(3, 8),
     st.integers(3, 8),
@@ -78,6 +76,7 @@ def datasets(draw):
 
 
 @PROPERTY
+@seed(2)
 @given(datasets())
 def test_dataset_round_trip_is_bit_exact(ds):
     with tempfile.TemporaryDirectory() as directory:

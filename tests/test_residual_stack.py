@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -26,7 +26,7 @@ from matfdp.simlab import (
 from matfdp.teststats import TestMatrix, TwoSampleDataset, _standardise
 from matfdp.teststats import test_matrix as build_stats
 
-from helpers import pfa_at_count, residual_stack
+from helpers import PROPERTY, pfa_at_count, residual_stack
 
 SHAPES = [(4, 5), (1, 6), (5, 1), (1, 1)]
 
@@ -56,7 +56,8 @@ def standardise_cases(draw):
     return ds, sigma_hat, start, stop, rows, draw(st.booleans())
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(PROPERTY, max_examples=60)
+@seed(12)
 @given(standardise_cases())
 def test_standardise_matches_the_dense_formula(case):
     # Blocks that straddle the groups, row slices, and a transposed out as in

@@ -377,7 +377,7 @@ REFUSED = {
     "rounds": r"rounds must be an integer in \[1, 2\*\*32\)",
     "estimator": "estimator must be one of",
     "threshold": r"threshold must be in \(0, 1\)",
-    "max_workers": "max_workers must be >= 1",
+    "max_workers": "max_workers must be an integer >= 1",
     "repeat": "methods must not repeat",
 }
 
@@ -423,6 +423,10 @@ def test_run_experiment_refuses_a_string_of_methods(monkeypatch):
         # Round 2**32 has no derive_rng stream, and the pool would queue one
         # future per round before running any.
         (dict(rounds=2**32), "rounds"),
+        # A thread count is an integer: not a float, a bool or a string.
+        (dict(max_workers=1.5), "max_workers"),
+        (dict(max_workers=True), "max_workers"),
+        (dict(max_workers="2"), "max_workers"),
     ],
 )
 def test_run_experiment_rejects_bad_arguments_before_drawing(monkeypatch, kwargs, rule):

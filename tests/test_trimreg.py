@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed
 from hypothesis import strategies as st
 
 import matfdp.trimreg as trimreg
 from matfdp.trimreg import trimmed_l1_fit
 
-# Same settings as the other property tests: derandomized, few examples.
-PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+from helpers import PROPERTY
 
 
 def dense(left, right):
@@ -91,6 +90,7 @@ def test_trimmed_sum_of_squares_never_rises(monkeypatch):
 
 
 @PROPERTY
+@seed(13)
 @given(
     st.integers(3, 8),
     st.integers(3, 8),
